@@ -177,6 +177,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        sys.stderr.write(f"error: input is not UTF-8 text (byte 0x{byte:02x})\n")
+        return 2
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -26,9 +26,20 @@ directly from it. Bland's least-index rule governs both phases, so the
 method terminates without any anticycling heuristics. Artificial columns are
 never entering candidates; after phase one, basic artificials are pivoted
 out degenerately where possible, and rows where that is impossible are
-redundant and stay inert. Correctness of the extracted witnesses does not
-depend on any of this bookkeeping: every result is checked against its
-defining identities before it is returned.
+redundant and stay inert.
+
+Rational arithmetic is done only where every operand is nonzero. A pivot
+scales the pivot row on its nonzero entries, collects that row's support
+once, and updates each other row with a nonzero factor on that support
+alone, in place. Initial reduced costs and the duals read from the
+artificial block sum only over basic rows whose cost is nonzero. Skipping a
+term with a zero operand changes no value, so Bland's rule sees the same
+numbers and picks the same pivots as a full dense update would.
+
+Correctness of the extracted witnesses does not depend on any of this
+bookkeeping: every result is checked against its defining identities before
+it is returned, with :func:`~mipcert.model.linear_combine` enforcing the
+sign discipline, and a failed check raises :class:`LpWitnessError`.
 """
 
 from __future__ import annotations
@@ -36,10 +47,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .model import Constraint, Sense, SparseVec
+from .model import Constraint, RuleViolation, Sense, SparseVec, linear_combine
 from .numeric import Rational
 
-__all__ = ["LpOptimal", "LpInfeasible", "LpUnbounded", "LpResult", "solve_lp"]
+__all__ = [
+    "LpInfeasible",
+    "LpOptimal",
+    "LpResult",
+    "LpUnbounded",
+    "LpWitnessError",
+    "solve_lp",
+]
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
@@ -71,8 +89,20 @@ class LpUnbounded:
 LpResult = Union[LpOptimal, LpInfeasible, LpUnbounded]
 
 
+class LpWitnessError(RuntimeError):
+    """A computed witness failed one of its defining exact identities.
+
+    This signals a defect in the simplex code, never bad input: every LP has
+    an optimal, infeasible or unbounded outcome with a valid witness.
+    """
+
+
 class _Tableau:
-    """Dense simplex tableau over exact rationals."""
+    """Simplex tableau over exact rationals: dense rows, sparse arithmetic.
+
+    :meth:`pivot` touches only the pivot row's nonzero columns, and zero-cost
+    basic rows are skipped when reduced costs and duals are formed.
+    """
 
     def __init__(self, num_variables: int, constraints: Sequence[Constraint]) -> None:
         n = num_variables
@@ -106,25 +136,33 @@ class _Tableau:
             self.rhs.append(flip * con.rhs)
             self.basis.append(self.art_start + i)
 
-    def pivot(self, row: int, col: int) -> None:
-        pivot_value = self.rows[row][col]
+    def pivot(self, row: int, col: int) -> list[tuple[int, Rational]]:
+        """Pivot on ``(row, col)`` in place; return the new pivot row's support.
+
+        Only nonzero entries of the pivot row are scaled, and every other row
+        is updated only on that support: a zero operand changes nothing.
+        """
+        rows = self.rows
+        pivot_row = rows[row]
+        pivot_value = pivot_row[col]
         if pivot_value != 1:
             inv = _ONE / pivot_value
-            self.rows[row] = [entry * inv for entry in self.rows[row]]
+            for j, entry in enumerate(pivot_row):
+                if entry:
+                    pivot_row[j] = entry * inv
             self.rhs[row] *= inv
-        pivot_row = self.rows[row]
+        support = [(j, entry) for j, entry in enumerate(pivot_row) if entry]
         pivot_rhs = self.rhs[row]
-        for r, other in enumerate(self.rows):
-            if r == row:
-                continue
+        for r, other in enumerate(rows):
             factor = other[col]
-            if factor == 0:
+            if r == row or not factor:
                 continue
-            self.rows[r] = [
-                entry - factor * pivot_row[j] for j, entry in enumerate(other)
-            ]
-            self.rhs[r] -= factor * pivot_rhs
+            for j, entry in support:
+                other[j] -= factor * entry
+            if pivot_rhs:
+                self.rhs[r] -= factor * pivot_rhs
         self.basis[row] = col
+        return support
 
     def run_phase(self, costs: Sequence[Rational]) -> int | None:
         """Pivot to optimality for ``costs``; Bland's rule in both choices.
@@ -133,10 +171,16 @@ class _Tableau:
         objective is unbounded below (no leaving row exists).
         """
         art_start = self.art_start
-        reduced = [
-            costs[j] - sum(costs[self.basis[r]] * self.rows[r][j] for r in range(self.num_rows))
-            for j in range(art_start)
-        ]
+        reduced = list(costs[:art_start])
+        for r, basic in enumerate(self.basis):
+            cost = costs[basic]
+            if not cost:
+                continue
+            row = self.rows[r]
+            for j in range(art_start):
+                entry = row[j]
+                if entry:
+                    reduced[j] -= cost * entry
         while True:
             entering = next((j for j in range(art_start) if reduced[j] < 0), None)
             if entering is None:
@@ -156,12 +200,10 @@ class _Tableau:
                         leaving = r
             if leaving is None:
                 return entering
-            self.pivot(leaving, entering)
             delta = reduced[entering]
-            pivot_row = self.rows[leaving]
-            for j in range(art_start):
-                if pivot_row[j] != 0:
-                    reduced[j] -= delta * pivot_row[j]
+            for j, entry in self.pivot(leaving, entering):
+                if j < art_start:
+                    reduced[j] -= delta * entry
 
     def drive_out_artificials(self) -> None:
         """After phase one at value zero, remove basic artificials where possible.
@@ -181,13 +223,19 @@ class _Tableau:
 
     def duals(self, costs: Sequence[Rational]) -> list[Rational]:
         """Row duals for ``costs``, in input-row order and input-row signs."""
+        costed = [
+            (self.rows[r], costs[basic])
+            for r, basic in enumerate(self.basis)
+            if costs[basic]
+        ]
         values = []
         for i in range(self.num_rows):
             art_col = self.art_start + i
-            y = sum(
-                costs[self.basis[r]] * self.rows[r][art_col]
-                for r in range(self.num_rows)
-            )
+            y = _ZERO
+            for row, cost in costed:
+                entry = row[art_col]
+                if entry:
+                    y += cost * entry
             values.append(self.flips[i] * y)
         return values
 
@@ -209,31 +257,19 @@ def _dense_objective(num_variables: int, objective: SparseVec) -> list[Rational]
     return dense
 
 
-def _combination(
-    num_variables: int,
-    constraints: Sequence[Constraint],
-    multipliers: Sequence[Rational],
-) -> tuple[list[Rational], Rational]:
-    """``sum_i mu_i * (a_i, b_i)`` as a dense lhs and an rhs."""
-    lhs = [_ZERO] * num_variables
-    rhs = _ZERO
-    for mult, con in zip(multipliers, constraints):
-        if mult == 0:
-            continue
-        for index, coeff in con.lhs:
-            lhs[index] += mult * coeff
-        rhs += mult * con.rhs
-    return lhs, rhs
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise LpWitnessError(message)
 
 
-def _check_signs(
+def _witness_row(
     constraints: Sequence[Constraint], multipliers: Sequence[Rational]
-) -> None:
-    for mult, con in zip(multipliers, constraints):
-        if con.sense is Sense.GE:
-            assert mult >= 0, "dual for a >= row must be nonnegative"
-        elif con.sense is Sense.LE:
-            assert mult <= 0, "dual for a <= row must be nonpositive"
+) -> Constraint:
+    """``sum_i mu_i * row_i`` as a ``>=`` row, enforcing the sign discipline."""
+    try:
+        return linear_combine(list(zip(constraints, multipliers)), Sense.GE)
+    except RuleViolation as exc:
+        raise LpWitnessError(f"multipliers break the sign discipline: {exc}") from exc
 
 
 def solve_lp(
@@ -245,23 +281,23 @@ def solve_lp(
 
     Every outcome is verified against its defining exact identities before
     being returned, so callers may rely on the multipliers unconditionally.
+    Raises :class:`LpWitnessError` if one of those identities fails.
     """
     tableau = _Tableau(num_variables, constraints)
     m = tableau.num_rows
 
     phase1_costs = [_ZERO] * tableau.art_start + [_ONE] * m
     unbounded_col = tableau.run_phase(phase1_costs)
-    assert unbounded_col is None, "phase one is bounded below by zero"
+    _require(unbounded_col is None, "phase one must be bounded below by zero")
     infeasibility_gap = sum(
         (phase1_costs[tableau.basis[r]] * tableau.rhs[r] for r in range(m)),
         _ZERO,
     )
     if infeasibility_gap > 0:
         farkas = tableau.duals(phase1_costs)
-        lhs, rhs = _combination(num_variables, constraints, farkas)
-        assert all(entry == 0 for entry in lhs), "Farkas combination must cancel"
-        assert rhs > 0, "Farkas combination must have positive rhs"
-        _check_signs(constraints, farkas)
+        combined = _witness_row(constraints, farkas)
+        _require(combined.lhs.is_zero, "Farkas combination must cancel")
+        _require(combined.rhs > 0, "Farkas combination must have positive rhs")
         return LpInfeasible(farkas=tuple(farkas))
 
     tableau.drive_out_artificials()
@@ -282,32 +318,32 @@ def solve_lp(
         ray = [
             direction[v] - direction[num_variables + v] for v in range(num_variables)
         ]
-        assert (
-            sum((c * d for c, d in zip(dense_objective, ray)), _ZERO) < 0
-        ), "ray must improve the objective"
+        _require(
+            sum((c * d for c, d in zip(dense_objective, ray)), _ZERO) < 0,
+            "ray must improve the objective",
+        )
         for con in constraints:
             along = sum((coeff * ray[index] for index, coeff in con.lhs), _ZERO)
             if con.sense is Sense.GE:
-                assert along >= 0, "ray must respect >= rows"
+                _require(along >= 0, "ray must respect >= rows")
             elif con.sense is Sense.LE:
-                assert along <= 0, "ray must respect <= rows"
+                _require(along <= 0, "ray must respect <= rows")
             else:
-                assert along == 0, "ray must respect = rows"
+                _require(along == 0, "ray must respect = rows")
         return LpUnbounded(ray=tuple(ray))
 
     point = tableau.point()
     value = sum((c * x for c, x in zip(dense_objective, point)), _ZERO)
     duals = tableau.duals(phase2_costs)
-    lhs, rhs = _combination(num_variables, constraints, duals)
-    assert lhs == dense_objective, "duals must reconstruct the objective"
-    assert rhs == value, "duals must reconstruct the optimal value"
-    _check_signs(constraints, duals)
+    combined = _witness_row(constraints, duals)
+    _require(combined.lhs == objective, "duals must reconstruct the objective")
+    _require(combined.rhs == value, "duals must reconstruct the optimal value")
     for con in constraints:
         activity = sum((coeff * point[index] for index, coeff in con.lhs), _ZERO)
         if con.sense is Sense.GE:
-            assert activity >= con.rhs, "optimal point must be feasible"
+            _require(activity >= con.rhs, "optimal point must be feasible")
         elif con.sense is Sense.LE:
-            assert activity <= con.rhs, "optimal point must be feasible"
+            _require(activity <= con.rhs, "optimal point must be feasible")
         else:
-            assert activity == con.rhs, "optimal point must be feasible"
+            _require(activity == con.rhs, "optimal point must be feasible")
     return LpOptimal(point=tuple(point), value=value, duals=tuple(duals))

@@ -186,6 +186,19 @@ class TestSolve:
         assert "trailing tokens" in err
 
 
+@pytest.mark.parametrize("command", ("check", "ttn", "html", "solve"))
+def test_non_utf8_input_exits_2(capsys, tmp_path, command) -> None:
+    binary = tmp_path / "binary.crt"
+    binary.write_bytes(golden_text("small_range").encode() + b"\xff\n")
+    output = tmp_path / "out"
+    argv = (command, str(binary)) if command == "check" else (command, str(binary), str(output))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input is not UTF-8 text (byte 0xff)\n"
+    assert not output.exists()
+
+
 class TestUsage:
     def test_no_command_exits_2(self, capsys) -> None:
         with pytest.raises(SystemExit) as excinfo:

@@ -1,19 +1,33 @@
 """Exact rational LP solving: optimal duals, Farkas vectors, unbounded rays.
 
-Every outcome is re-verified here from first principles (the module asserts
+Every outcome is re-verified here from first principles (the module checks
 its own identities too, but these tests recompute them independently).
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from conftest import load_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mipcert
 from mipcert.model import Constraint, Sense, SparseVec
 from mipcert.numeric import Rational as R
-from mipcert.simplex import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
+from mipcert.simplex import (
+    LpInfeasible,
+    LpOptimal,
+    LpUnbounded,
+    LpWitnessError,
+    _Tableau,
+    solve_lp,
+)
 
 
 def rat(value) -> R:
@@ -290,3 +304,144 @@ def test_deterministic(case) -> None:
     assert solve_lp(num_variables, rows, objective) == solve_lp(
         num_variables, rows, objective
     )
+
+
+# --- larger LPs against an independent floating-point solver ----------------
+
+
+@st.composite
+def branchy_lp(draw):
+    """Dense rows plus duplicated unit-bound rows, like a deep B&B node LP.
+
+    Mostly nonzero coefficients make pivots fill in the tableau; the bound
+    rows repeat the way a branch assumption repeats an original bound.
+    """
+    num_variables = draw(st.integers(min_value=1, max_value=6))
+    small = st.integers(min_value=-4, max_value=4)
+    dense = st.lists(small, min_size=num_variables, max_size=num_variables)
+    rows = []
+    for r in range(draw(st.integers(min_value=1, max_value=6))):
+        entries = tuple((i, R(c)) for i, c in enumerate(draw(dense)) if c)
+        sense = draw(st.sampled_from((Sense.GE, Sense.LE, Sense.EQ)))
+        rhs = draw(small_rationals)
+        rows.append(Constraint(f"R{r}", sense, SparseVec(entries), rhs))
+    bound = st.tuples(
+        st.integers(min_value=0, max_value=num_variables - 1),
+        st.sampled_from((Sense.GE, Sense.LE)),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=1, max_value=3),
+    )
+    for index, sense, value, copies in draw(st.lists(bound, max_size=6)):
+        for _ in range(copies):
+            if len(rows) < 10:
+                rows.append(con(f"B{len(rows)}", sense, value, (index, 1)))
+    objective = SparseVec(tuple((i, R(c)) for i, c in enumerate(draw(dense)) if c))
+    return num_variables, rows, objective
+
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+def highs(linprog, num_variables, rows, objective):
+    """The same LP through ``scipy.optimize.linprog`` (HiGHS, floats)."""
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row in rows:
+        dense = [0.0] * num_variables
+        for index, coeff in row.lhs:
+            dense[index] = float(coeff)
+        if row.sense is Sense.EQ:
+            a_eq.append(dense)
+            b_eq.append(float(row.rhs))
+        else:
+            sign = -1.0 if row.sense is Sense.GE else 1.0
+            a_ub.append([sign * entry for entry in dense])
+            b_ub.append(sign * float(row.rhs))
+    costs = [0.0] * num_variables
+    for index, coeff in objective:
+        costs[index] = float(coeff)
+    return linprog(
+        costs,
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=(None, None),
+        method="highs",
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(branchy_lp())
+def test_agrees_with_highs(linprog, case) -> None:
+    num_variables, rows, objective = case
+    result = solve_lp(num_variables, rows, objective)
+    if isinstance(result, LpOptimal):
+        check_optimal(num_variables, rows, objective, result)
+    elif isinstance(result, LpInfeasible):
+        check_infeasible(rows, result)
+    else:
+        check_unbounded(num_variables, rows, objective, result)
+    reference = highs(linprog, num_variables, rows, objective)
+    if reference.status == 0:
+        assert isinstance(result, LpOptimal)
+        value = float(result.value)
+        assert abs(value - reference.fun) <= 1e-7 * (1 + abs(value))
+    if isinstance(result, LpOptimal):
+        assert reference.status != 2, reference.message
+
+
+# --- corrupted witnesses are refused, with or without -O -------------------
+
+GAP_ROWS = [con("LO", Sense.GE, 1, (0, 1)), con("HI", Sense.LE, 0, (0, 1))]
+RANGE_ROWS = [con("LO", Sense.GE, 1, (0, 1)), con("HI", Sense.LE, 4, (0, 1))]
+
+
+@pytest.mark.parametrize(
+    ("rows", "corrupt", "message"),
+    (
+        (RANGE_ROWS, lambda y: 2 * y, "reconstruct the objective"),
+        (RANGE_ROWS, lambda y: -y, "sign discipline"),
+        (GAP_ROWS, lambda y: y + 1, "must cancel"),
+    ),
+    ids=("scaled-duals", "flipped-duals", "shifted-farkas"),
+)
+def test_corrupted_multipliers_raise(monkeypatch, rows, corrupt, message) -> None:
+    original = _Tableau.duals
+    monkeypatch.setattr(
+        _Tableau, "duals", lambda self, costs: [corrupt(y) for y in original(self, costs)]
+    )
+    with pytest.raises(LpWitnessError, match=message):
+        solve_lp(1, rows, vec((0, 1)))
+
+
+def test_corrupted_multipliers_raise_under_optimize_flag() -> None:
+    script = textwrap.dedent(
+        """
+        from mipcert.model import Constraint, Sense, SparseVec
+        from mipcert.numeric import Rational
+        from mipcert.simplex import LpWitnessError, _Tableau, solve_lp
+
+        assert False, "assert statements must be stripped by -O"
+        original = _Tableau.duals
+        _Tableau.duals = lambda self, costs: [2 * y for y in original(self, costs)]
+        x = SparseVec(((0, Rational(1)),))
+        rows = [Constraint("LO", Sense.GE, x, Rational(1))]
+        try:
+            solve_lp(1, rows, x)
+        except LpWitnessError as exc:
+            print("refused:", exc)
+        """
+    )
+    src = str(Path(mipcert.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "refused: duals must reconstruct the objective\n"

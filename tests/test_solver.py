@@ -210,6 +210,54 @@ class TestEdges:
         assert solve(problem, config) == solve(problem, config)
 
 
+# --- pinned search: node counts guard the simplex pivot sequence ------------
+
+# Ten 0/1 items drawn by random.Random(1203): weights and values from
+# randint(10, 60) in that order, capacity half the total weight.
+KNAPSACK_WEIGHTS = (23, 33, 21, 54, 26, 32, 40, 58, 45, 55)
+KNAPSACK_VALUES = (36, 46, 50, 29, 23, 41, 45, 27, 18, 45)
+
+
+def knapsack10() -> Problem:
+    rows = [con("cap", Sense.LE, sum(KNAPSACK_WEIGHTS) // 2, *enumerate(KNAPSACK_WEIGHTS))]
+    for j in range(len(KNAPSACK_WEIGHTS)):
+        rows += [con(f"lo{j}", Sense.GE, 0, (j, 1)), con(f"hi{j}", Sense.LE, 1, (j, 1))]
+    objective = vec(*enumerate(KNAPSACK_VALUES))
+    return problem_of(objective, ObjectiveSense.MAX, rows, integers=range(10))
+
+
+def parity10() -> Problem:
+    rows = [
+        con("par", Sense.EQ, 1, (0, 2), (1, -2)),
+        con("ypos", Sense.GE, 0, (1, 1)),
+        con("xcap", Sense.LE, 10, (0, 1)),
+    ]
+    return problem_of(vec((0, 1)), ObjectiveSense.MIN, rows, integers=(0, 1))
+
+
+@pytest.mark.parametrize(
+    ("make", "config", "nodes", "optimum"),
+    (
+        (knapsack10, SolveConfig(), 23, 241),
+        (knapsack10, CG, 23, 241),
+        (parity10, SolveConfig(), 41, None),
+        (parity10, CG, 39, None),
+    ),
+    ids=("knapsack-plain", "knapsack-cg", "parity-plain", "parity-cg"),
+)
+def test_pinned_search(make, config: SolveConfig, nodes: int, optimum) -> None:
+    problem = make()
+    result = solve(problem, config)
+    assert result.num_nodes == nodes
+    if optimum is not None:
+        assert result.value == R(optimum)
+        assert_certified_optimal(problem, result)
+    else:
+        assert result.status == "infeasible"
+        assert result.certificate.goal == InfeasibleGoal()
+        assert verify_certificate(result.certificate).verified
+
+
 # --- randomized cross-check against exhaustive enumeration ------------------
 
 
