@@ -31,6 +31,7 @@ certificates can be verified in bounded memory. Every parse error carries the
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TextIO, Union
@@ -54,7 +55,7 @@ from .model import (
     SparseVec,
     Uns,
 )
-from .numeric import Rational, format_rational, parse_rational
+from .numeric import Number, format_rational, int_from_digits, parse_rational
 
 __all__ = [
     "DerivationEvent",
@@ -113,6 +114,7 @@ Event = Union[Header, SolutionEvent, DerivationEvent, End]
 
 _SENSE_BY_CODE = {"G": Sense.GE, "L": Sense.LE, "E": Sense.EQ}
 _CODE_BY_SENSE = {sense: code for code, sense in _SENSE_BY_CODE.items()}
+_LAST_USE_RE = re.compile(r"-1|[0-9]+")
 
 
 class _Tokens:
@@ -165,20 +167,22 @@ class _Tokens:
 
     def take_count(self, what: str) -> int:
         token = self.next(what)
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise self.error(f"expected a nonnegative count for {what}, found {token!r}")
-        return int(token)
+        return int_from_digits(token)
 
     def take_index(self, what: str, upper: int) -> int:
         token = self.next(what)
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise self.error(f"expected a nonnegative index for {what}, found {token!r}")
-        index = int(token)
+        index = int_from_digits(token)
         if index >= upper:
-            raise self.error(f"{what} {index} out of range (must be < {upper})")
+            raise self.error(
+                f"{what} {format_rational(index)} out of range (must be < {upper})"
+            )
         return index
 
-    def take_rational(self, what: str) -> Rational:
+    def take_rational(self, what: str) -> Number:
         token = self.next(what)
         try:
             return parse_rational(token)
@@ -187,10 +191,9 @@ class _Tokens:
 
     def take_last_use(self, own_index: int) -> int:
         token = self.next("last_use")
-        try:
-            value = int(token)
-        except ValueError:
-            raise self.error(f"expected an integer last_use, found {token!r}") from None
+        if _LAST_USE_RE.fullmatch(token) is None:
+            raise self.error(f"expected an integer last_use, found {token!r}")
+        value = int_from_digits(token)
         if value != KEEP_UNTIL_END and value <= own_index:
             raise self.error(
                 f"last_use {value} must be -1 or greater than the row's own index {own_index}"
@@ -199,7 +202,7 @@ class _Tokens:
 
     def take_sparse(self, num_variables: int, what: str) -> SparseVec:
         length = self.take_count(f"{what} length")
-        entries: list[tuple[int, Rational]] = []
+        entries: list[tuple[int, Number]] = []
         previous = -1
         for _ in range(length):
             index = self.take_index(f"{what} variable index", num_variables)
@@ -309,7 +312,7 @@ def _parse_reason(tokens: _Tokens, own_index: int) -> Reason:
         reason = Asm()
     elif keyword in ("lin", "rnd"):
         count = tokens.take_count("combination terms")
-        terms: list[tuple[int, Rational]] = []
+        terms: list[tuple[int, Number]] = []
         previous = -1
         for _ in range(count):
             index = tokens.take_index("combination row index", own_index)
@@ -478,7 +481,7 @@ def write_certificate(certificate: Certificate, sink: TextIO) -> None:
     for derivation in certificate.derivations:
         sink.write(
             f"{_constraint_line(derivation.constraint)} "
-            f"{_format_reason(derivation.reason)} {derivation.last_use}\n"
+            f"{_format_reason(derivation.reason)} {format_rational(derivation.last_use)}\n"
         )
 
 

@@ -185,7 +185,8 @@ class CheckerState:
         self.goal = goal
         self.use_eviction = use_eviction
         self.stats = CheckStats()
-        self.goal_proven = _dual_side_vacuous(problem, goal)
+        self._goal_vacuous = _dual_side_vacuous(problem, goal)
+        self.goal_proven = self._goal_vacuous
         self.goal_proven_by: list[int] = []
         self.assumption_sets: dict[int, frozenset[int]] | None = (
             {} if collect_assumption_sets else None
@@ -295,10 +296,8 @@ class CheckerState:
         self.stats.num_derivations += 1
         if self.assumption_sets is not None:
             self.assumption_sets[index] = assumptions
-        if not assumptions:
-            if not _dual_side_vacuous(self.problem, self.goal) and check_goal(
-                self.problem, self.goal, stated
-            ):
+        if not assumptions and not self._goal_vacuous:
+            if check_goal(self.problem, self.goal, stated):
                 self.goal_proven = True
                 self.goal_proven_by.append(index)
 
@@ -325,6 +324,9 @@ def verify_certificate(
     bound (when the goal states one), every derivation checks, and the goal
     was proven by an empty-assumption derivation (or is vacuous). Parse errors
     from an underlying file stream propagate as :class:`ParseError`.
+
+    Raises ValueError when the stream has no :class:`Header` before its first
+    other event, or none at all (an empty stream).
     """
     if isinstance(source, Certificate):
         events: Iterable[Event] = events_from_certificate(source)
@@ -344,21 +346,22 @@ def verify_certificate(
                     use_eviction=use_eviction,
                     collect_assumption_sets=collect_assumption_sets,
                 )
+            elif state is None:
+                break
             elif isinstance(event, SolutionEvent):
-                assert state is not None
                 best_value = _check_solution(state, event, solution_ordinal, best_value)
                 state.stats.num_solutions += 1
                 solution_ordinal += 1
             elif isinstance(event, DerivationEvent):
-                assert state is not None
                 state.verify_derivation(event.derivation, event.index)
             elif isinstance(event, End):
-                assert state is not None
                 _check_final(state, best_value)
     except _Rejection as rejection:
         failure = rejection.failure
 
-    assert state is not None, "event stream had no header"
+    if state is None:
+        msg = "event stream has no header"
+        raise ValueError(msg)
     return VerificationReport(
         verified=failure is None,
         failure=failure,

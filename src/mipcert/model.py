@@ -29,6 +29,7 @@ from enum import Enum
 from typing import Union
 
 from .numeric import (
+    Number,
     Rational,
     format_rational,
     is_integral,
@@ -96,7 +97,7 @@ class SparseVec:
     so equality of values is structural equality of entries.
     """
 
-    entries: tuple[tuple[int, Rational], ...]
+    entries: tuple[tuple[int, Number], ...]
 
     def __post_init__(self) -> None:
         entries = tuple((index, coeff) for index, coeff in self.entries)
@@ -112,7 +113,7 @@ class SparseVec:
             previous = index
 
     @classmethod
-    def from_dict(cls, coefficients: Mapping[int, Rational]) -> SparseVec:
+    def from_dict(cls, coefficients: Mapping[int, Number]) -> SparseVec:
         """Build from an index->coefficient mapping, dropping zeros."""
         return cls(
             tuple(
@@ -122,7 +123,7 @@ class SparseVec:
             )
         )
 
-    def __iter__(self) -> Iterator[tuple[int, Rational]]:
+    def __iter__(self) -> Iterator[tuple[int, Number]]:
         return iter(self.entries)
 
     def __len__(self) -> int:
@@ -136,9 +137,9 @@ class SparseVec:
         """Largest index with a nonzero coefficient, or -1 if empty."""
         return self.entries[-1][0] if self.entries else -1
 
-    def evaluate(self, point: Mapping[int, Rational]) -> Rational:
+    def evaluate(self, point: Mapping[int, Number]) -> Number:
         """Dot product against a sparse point (missing coordinates are 0)."""
-        total = Rational(0)
+        total = 0
         for index, coeff in self.entries:
             value = point.get(index)
             if value is not None:
@@ -153,7 +154,7 @@ class Constraint:
     name: str
     sense: Sense
     lhs: SparseVec
-    rhs: Rational
+    rhs: Number
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ class Lin:
     strictly increasing and multipliers nonzero.
     """
 
-    terms: tuple[tuple[int, Rational], ...]
+    terms: tuple[tuple[int, Number], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -215,7 +216,7 @@ class Lin:
 class Rnd:
     """Reason: linear combination followed by right-hand-side rounding."""
 
-    terms: tuple[tuple[int, Rational], ...]
+    terms: tuple[tuple[int, Number], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -239,7 +240,7 @@ class Uns:
 Reason = Union[Asm, Lin, Rnd, Uns]
 
 
-def _validate_terms(terms: tuple[tuple[int, Rational], ...]) -> None:
+def _validate_terms(terms: tuple[tuple[int, Number], ...]) -> None:
     previous = -1
     for index, multiplier in terms:
         if index <= previous:
@@ -283,8 +284,8 @@ class RangeGoal:
     ``None`` bounds mean -infinity (lower) / +infinity (upper).
     """
 
-    lower: Rational | None
-    upper: Rational | None
+    lower: Number | None
+    upper: Number | None
 
     def __post_init__(self) -> None:
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
@@ -336,18 +337,30 @@ class Certificate:
 AssumptionSet = frozenset
 
 
-def _sign_ok(row_sense: Sense, multiplier: Rational, target: Sense) -> bool:
+def _sign_ok(row_sense: Sense, sign: int, target: Sense) -> bool:
+    """May a row of ``row_sense`` enter a ``target`` combination with a
+    multiplier of this ``sign``? Callers pass the multiplier's numerator: a
+    denominator is always positive, so the numerator has the value's sign."""
     if target == Sense.EQ:
         return row_sense == Sense.EQ
     if row_sense == Sense.EQ:
         return True
     if row_sense == (Sense.GE if target == Sense.GE else Sense.LE):
-        return multiplier >= 0
-    return multiplier <= 0
+        return sign >= 0
+    return sign <= 0
+
+
+def _reduced(numerator: int, denominator: int) -> Number:
+    """``numerator/denominator`` (denominator > 0) as an int when integral."""
+    if denominator == 1:
+        return numerator
+    if numerator % denominator == 0:
+        return numerator // denominator
+    return Rational(numerator, denominator)
 
 
 def linear_combine(
-    terms: Sequence[tuple[Constraint, Rational]],
+    terms: Sequence[tuple[Constraint, Number]],
     target_sense: Sense,
     name: str = "_combined",
 ) -> Constraint:
@@ -357,23 +370,54 @@ def linear_combine(
     and <= 0 on <=-rows (free on =-rows); deriving a <=-row mirrors the signs;
     deriving an =-row requires every participating row to be an equality.
     Raises RuleViolation identifying the first offending term.
+
+    The sum runs on Python ints: each output coefficient and the right-hand
+    side is kept as an unreduced ``[numerator, denominator]`` pair, adding
+    numerators when the denominators match and cross-multiplying otherwise.
+    Each entry is reduced once, at the end, to an ``int`` when integral and
+    to a :data:`Rational` otherwise; entries that cancel to zero are dropped.
     """
-    coefficients: dict[int, Rational] = {}
-    rhs = Rational(0)
+    sums: dict[int, list[int]] = {}
+    rhs_numerator, rhs_denominator = 0, 1
     for position, (constraint, multiplier) in enumerate(terms):
-        if not _sign_ok(constraint.sense, multiplier, target_sense):
+        m_numerator = multiplier.numerator
+        if not _sign_ok(constraint.sense, m_numerator, target_sense):
             msg = (
                 f"term {position} ({constraint.name!r}): multiplier "
                 f"{format_rational(multiplier)} is not suitable for a "
                 f"{constraint.sense.name} row in a {target_sense.name} combination"
             )
             raise RuleViolation(msg)
-        if multiplier == 0:
+        if not m_numerator:
             continue
-        for index, coeff in constraint.lhs:
-            coefficients[index] = coefficients.get(index, Rational(0)) + multiplier * coeff
-        rhs += multiplier * constraint.rhs
-    return Constraint(name, target_sense, SparseVec.from_dict(coefficients), rhs)
+        m_denominator = multiplier.denominator
+        for index, coeff in constraint.lhs.entries:
+            numerator = m_numerator * coeff.numerator
+            denominator = m_denominator * coeff.denominator
+            pair = sums.get(index)
+            if pair is None:
+                sums[index] = [numerator, denominator]
+            elif pair[1] == denominator:
+                pair[0] += numerator
+            else:
+                pair[0] = pair[0] * denominator + numerator * pair[1]
+                pair[1] *= denominator
+        rhs = constraint.rhs
+        numerator = m_numerator * rhs.numerator
+        denominator = m_denominator * rhs.denominator
+        if denominator == rhs_denominator:
+            rhs_numerator += numerator
+        else:
+            rhs_numerator = rhs_numerator * denominator + numerator * rhs_denominator
+            rhs_denominator *= denominator
+    entries = tuple(
+        (index, _reduced(pair[0], pair[1]))
+        for index, pair in sorted(sums.items())
+        if pair[0]
+    )
+    return Constraint(
+        name, target_sense, SparseVec(entries), _reduced(rhs_numerator, rhs_denominator)
+    )
 
 
 def round_constraint(constraint: Constraint, integer_set: frozenset[int]) -> Constraint:
@@ -493,7 +537,7 @@ def format_constraint(
     return f"{lhs_text} {_SENSE_TEXT[constraint.sense]} {format_rational(constraint.rhs)}"
 
 
-def _satisfies(constraint: Constraint, point: Mapping[int, Rational]) -> bool:
+def _satisfies(constraint: Constraint, point: Mapping[int, Number]) -> bool:
     activity = constraint.lhs.evaluate(point)
     if constraint.sense == Sense.GE:
         return activity >= constraint.rhs
@@ -502,7 +546,7 @@ def _satisfies(constraint: Constraint, point: Mapping[int, Rational]) -> bool:
     return activity == constraint.rhs
 
 
-def evaluate_solution(problem: Problem, solution: Solution) -> tuple[bool, Rational]:
+def evaluate_solution(problem: Problem, solution: Solution) -> tuple[bool, Number]:
     """Exact feasibility and objective value of a claimed solution.
 
     Feasible iff every constraint holds exactly and every integer variable's

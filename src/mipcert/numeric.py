@@ -1,21 +1,43 @@
 """Exact arbitrary-precision rational arithmetic, parsing, and formatting.
 
-Every proof-relevant number in this package is a :data:`Rational` — backed by
-``gmpy2.mpq`` when available (C-speed canonical rationals) and by
-``fractions.Fraction`` otherwise. Both backends keep values in canonical form
-(positive denominator, gcd(|numerator|, denominator) = 1) after every
-operation, expose ``.numerator``/``.denominator``, and support the native
-arithmetic and comparison operators, so all code here is backend-agnostic.
+Value contract. Every proof-relevant number in this package is either a
+Python ``int`` or a :data:`Rational`, and never a ``float``:
+
+* :func:`parse_rational` returns an ``int`` for a token ``[-]p``, and
+  :func:`rational_floor`/:func:`rational_ceil` return ``int``, so integer
+  data stays on CPython's integer arithmetic, which is far cheaper than any
+  rational type (``model.linear_combine`` keeps integral results ``int``
+  too);
+* a :data:`Rational` is built only for a token ``p/q`` or by arithmetic that
+  involves one. It is ``gmpy2.mpq`` when available and ``fractions.Fraction``
+  otherwise. Both keep values canonical (positive denominator,
+  gcd(|numerator|, denominator) = 1).
+
+``int`` also exposes ``.numerator``/``.denominator`` (the latter always 1),
+compares and hashes equal to the equal rational (``hash(1) ==
+hash(Fraction(1))``), and mixes exactly with a rational in ``+``, ``-``,
+``*``, comparisons and ``//``. The one operator that does not keep the
+contract is ``/`` on two ``int`` operands, which yields a ``float``. So every
+``/`` on proof-relevant values must have a :data:`Rational` operand: the
+simplex divides tableau entries, which it builds as ``flip * coeff`` with a
+:data:`Rational` ``flip``, and the solver divides a :data:`Rational` one by a
+Farkas gap. Code that needs a quotient of values that may both be ``int``
+must write ``Rational(p, q)``.
 
 The textual form of a rational is ``p`` or ``p/q`` with an optional leading
-minus sign and q > 0 — no whitespace, no floats, no exponents. This grammar is
-deliberately stricter than what the backend constructors accept, so tokens are
-validated by regex here rather than delegated.
+minus sign and q > 0, where ``p`` and ``q`` are ASCII digit strings — no
+whitespace, no floats, no exponents, no ``+``, no ``_`` and no non-ASCII
+digits. This grammar is deliberately stricter than what ``int()`` and the
+backend constructors accept, so tokens are validated by regex here rather
+than delegated. Numbers of any length are accepted and written: digit
+strings longer than CPython's int–string conversion limit are converted in
+pieces, without changing that interpreter-wide limit.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Union
 
 try:
     from gmpy2 import mpq as Rational
@@ -28,53 +50,108 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 __all__ = [
     "BACKEND",
+    "Number",
     "Rational",
     "format_rational",
+    "int_from_digits",
     "is_integral",
     "parse_rational",
     "rational_ceil",
     "rational_floor",
 ]
 
-_TOKEN_RE = re.compile(r"\A(-?\d+)(?:/(\d+))?\Z")
+#: A proof-relevant number: an ``int`` when integral, else a :data:`Rational`.
+Number = Union[int, Rational]
+
+_TOKEN_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+#: CPython never limits int–string conversions of at most this many digits
+#: (``sys.int_info.str_digits_check_threshold``), whatever the configured limit.
+_SAFE_DIGITS = 640
+_LOG10_2 = 0.30102999566398120
 
 
-def parse_rational(token: str) -> Rational:
-    """Parse a rational token of the form ``[-]p`` or ``[-]p/q`` with q > 0.
+def int_from_digits(text: str) -> int:
+    """``int(text)`` for an ASCII ``[-]digits`` string of any length.
+
+    The caller validates ``text``. A string longer than the interpreter's
+    int–string limit is split in halves and recombined, so the limit is
+    never hit and never changed.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if text.startswith("-"):
+            return -_join_digits(text[1:])
+        return _join_digits(text)
+
+
+def _join_digits(digits: str) -> int:
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    low_length = len(digits) // 2
+    high = _join_digits(digits[:-low_length])
+    return high * 10**low_length + _join_digits(digits[-low_length:])
+
+
+def _long_int_text(value: int) -> str:
+    """``str(value)`` for an int too long for it (see :func:`int_from_digits`)."""
+    if value < 0:
+        return "-" + _split_digits(-value)
+    return _split_digits(value)
+
+
+def _split_digits(value: int) -> str:
+    if value.bit_length() * _LOG10_2 < _SAFE_DIGITS - 1:
+        return str(value)
+    low_length = int(value.bit_length() * _LOG10_2) // 2
+    high, low = divmod(value, 10**low_length)
+    return _split_digits(high) + _split_digits(low).zfill(low_length)
+
+
+def parse_rational(token: str) -> Number:
+    """Parse a token ``[-]p`` (to an ``int``) or ``[-]p/q`` with q > 0 (to a
+    :data:`Rational`).
 
     Raises ValueError for anything else, including a zero denominator.
     """
-    match = _TOKEN_RE.match(token)
+    match = _TOKEN_RE.fullmatch(token)
     if match is None:
         msg = f"malformed rational token {token!r}"
         raise ValueError(msg)
-    numerator = int(match.group(1))
-    if match.group(2) is None:
-        return Rational(numerator)
-    denominator = int(match.group(2))
+    numerator_text, denominator_text = match.groups()
+    numerator = int_from_digits(numerator_text)
+    if denominator_text is None:
+        return numerator
+    denominator = int_from_digits(denominator_text)
     if denominator == 0:
         msg = f"zero denominator in rational token {token!r}"
         raise ValueError(msg)
     return Rational(numerator, denominator)
 
 
-def format_rational(value: Rational) -> str:
-    """Render a rational in canonical token form (``p`` or ``p/q``)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Number) -> str:
+    """Render a value in canonical token form (``p`` or ``p/q``)."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # beyond the interpreter's int-string limit
+        if value.denominator == 1:
+            return _long_int_text(value.numerator)
+        return f"{_long_int_text(value.numerator)}/{_long_int_text(value.denominator)}"
 
 
-def rational_floor(value: Rational) -> Rational:
-    """Largest integer <= value, as a denominator-1 rational."""
-    return Rational(value.numerator // value.denominator)
+def rational_floor(value: Number) -> int:
+    """Largest integer <= value."""
+    return value.numerator // value.denominator
 
 
-def rational_ceil(value: Rational) -> Rational:
-    """Smallest integer >= value, as a denominator-1 rational."""
-    return Rational(-((-value.numerator) // value.denominator))
+def rational_ceil(value: Number) -> int:
+    """Smallest integer >= value."""
+    return -((-value.numerator) // value.denominator)
 
 
-def is_integral(value: Rational) -> bool:
+def is_integral(value: Number) -> bool:
     """True iff value is an integer."""
     return value.denominator == 1

@@ -26,7 +26,7 @@ from .model import (
     evaluate_solution,
     format_constraint,
 )
-from .numeric import Rational, format_rational
+from .numeric import Number, format_rational
 
 __all__ = ["render_html"]
 
@@ -71,7 +71,7 @@ def _link(certificate: Certificate, index: int) -> str:
     return f'<a href="#c-{html.escape(name, quote=True)}">{html.escape(name)}</a>'
 
 
-def _multiplier_text(value: Rational) -> str:
+def _multiplier_text(value: Number) -> str:
     text = format_rational(value)
     return f"({text})" if text.startswith("-") else text
 

@@ -189,6 +189,18 @@ INVALID_CASES = [
     pytest.param(list(BASE) + ["EXTRA"], 15, "trailing tokens", id="trailing-tokens"),
     pytest.param(BASE[:13], 13, "unexpected end of input", id="truncated-file"),
     pytest.param(_mut(13, "DER 2"), 14, "unexpected end of input", id="derivation-count-overrun"),
+    # The grammar is ASCII: no Unicode digits, no int() extensions.
+    pytest.param(_mut(2, "VAR \u00b2"), 2, "nonnegative count", id="superscript-count"),
+    pytest.param(_mut(2, "VAR \u0662"), 2, "nonnegative count", id="arabic-indic-count"),
+    pytest.param(_mut(6, "2 0 \u0662 1 1"), 6, "objective coefficient", id="arabic-indic-coefficient"),
+    pytest.param(_mut(6, "2 \u00b9 2 1 1"), 6, "nonnegative index", id="superscript-index"),
+    pytest.param(_mut(8, "C1 G \uff12 2 0 5 1 -1"), 8, "right-hand side", id="fullwidth-rhs"),
+    pytest.param(_der("lin 2 0 1 1 -\u0661"), 14, "combination multiplier", id="arabic-indic-multiplier"),
+    pytest.param(_der("lin 2 0 1 1 -1", last_use="+5"), 14, "integer last_use", id="last-use-plus-sign"),
+    pytest.param(_der("lin 2 0 1 1 -1", last_use="1_0"), 14, "integer last_use", id="last-use-underscore"),
+    pytest.param(_der("lin 2 0 1 1 -1", last_use="\u0665"), 14, "integer last_use", id="last-use-arabic-indic"),
+    pytest.param(_der("lin 2 0 1 1 -1", last_use="-01"), 14, "integer last_use", id="last-use-padded-minus-one"),
+    pytest.param(_der("lin 2 0 1 1 -1", last_use="-2"), 14, "integer last_use", id="last-use-negative"),
 ]
 
 
@@ -206,3 +218,56 @@ class TestParseErrors:
             parse_problem(BASE)
         assert excinfo.value.line == 10
         assert "trailing tokens" in excinfo.value.message
+
+
+# --- numbers beyond CPython's int-string digit limit --------------------------
+
+
+def _long_number_certificate(digits: int):
+    """``small_range`` with a ``digits``-digit value in every number kind:
+    coefficient, right-hand side, solution value, multiplier and bound.
+
+    Returns the certificate, the value and its text; the text is built by
+    hand because ``str()`` of the value would hit the limit under test.
+    """
+    big = 10 ** (digits - 1) + 7
+    text = "1" + "0" * (digits - 2) + "7"
+    lines = list(BASE)
+    lines[5] = f"2 0 {text} 1 1"
+    lines[7] = f"C1 G -{text} 2 0 5 1 -1"
+    lines[11] = f"x* 2 0 1/{text} 1 {text}/3"
+    lines[13] = f"obj G -{text} 2 0 2 1 1 {{ lin 2 0 1 1 -{text}/{text} }} -1"
+    return parse_lines(lines), big, text
+
+
+class TestLongNumbers:
+    @pytest.mark.parametrize("digits", [5000, 20_000])
+    def test_round_trip(self, digits: int) -> None:
+        certificate, big, big_text = _long_number_certificate(digits)
+        assert certificate.problem.objective.entries[0] == (0, big)
+        assert certificate.problem.constraints[0].rhs == -big
+        assert certificate.solutions[0].assignment.entries == ((0, R(1, big)), (1, R(big, 3)))
+        assert certificate.derivations[0].reason.terms[1] == (1, -1)
+        written = written_text(certificate)
+        assert f"C1 G -{big_text} 2 0 5 1 -1\n" in written
+        assert f"x* 2 0 1/{big_text} 1 {big_text}/3\n" in written
+        assert read_certificate(io.StringIO(written)) == certificate
+        assert written_text(read_certificate(io.StringIO(written))) == written
+
+    def test_5000_digit_multiplier_verifies(self) -> None:
+        from mipcert.checker import verify_certificate
+
+        threes = "3" * 5000
+        text = "\n".join(
+            [
+                "VER 1 VAR 1 x INT 0 OBJ min 1 0 1",
+                "CON 1 C1 G 0 1 0 1",
+                "RTP range 0 inf SOL 0",
+                "DER 2",
+                f"D1 G 0 1 0 {threes} {{ lin 1 0 {threes} }} 2",
+                f"D2 G 0 1 0 1 {{ lin 1 1 1/{threes} }} -1",
+            ]
+        )
+        report = verify_certificate(parse_certificate(io.StringIO(text)))
+        assert report.verified, report.failure
+        assert report.goal_proven_by == (2,)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import DATA_DIR, GOLDEN_NAMES, golden_text, load_golden
 
+import mipcert
 from mipcert.certfile import DerivationEvent, events_from_certificate, parse_certificate
 from mipcert.checker import check_goal, verify_certificate, verify_certificate_file
 from mipcert.model import (
@@ -410,3 +415,49 @@ class TestGoalSemantics:
         assert not check_goal(problem, goal, weaker)
         assert check_goal(problem, InfeasibleGoal(), Constraint("a", Sense.GE, SparseVec(()), R(1)))
         assert not check_goal(problem, InfeasibleGoal(), exact)
+
+    def test_vacuous_dual_side_records_no_proving_rows(self) -> None:
+        lines = [
+            "VER 1 VAR 1 x INT 0 OBJ min 1 0 1",
+            "CON 1 C1 G 0 1 0 1",
+            "RTP range -inf inf SOL 0",
+            "DER 2 D1 G 0 1 0 1 { lin 1 0 1 } -1 D2 G 0 1 0 2 { lin 1 1 2 } -1",
+        ]
+        report = verify_lines(lines)
+        assert report.verified
+        assert report.goal_proven_by == ()
+
+
+# --- malformed event streams -------------------------------------------------
+
+
+class TestEventStream:
+    def test_empty_stream_raises_value_error(self) -> None:
+        with pytest.raises(ValueError, match="^event stream has no header$"):
+            verify_certificate(iter([]))
+
+    @pytest.mark.parametrize("skip", [1, 2])
+    def test_stream_without_leading_header_raises_value_error(self, skip: int) -> None:
+        events = list(events_from_certificate(load_golden("small_range")))
+        with pytest.raises(ValueError, match="^event stream has no header$"):
+            verify_certificate(iter(events[skip:]))
+
+    def test_missing_header_is_reported_under_python_o(self) -> None:
+        script = (
+            "from mipcert.checker import verify_certificate\n"
+            "try:\n"
+            "    verify_certificate(iter([]))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n"
+        )
+        src = str(Path(mipcert.__file__).resolve().parent.parent)
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+            check=False,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "ValueError: event stream has no header\n"

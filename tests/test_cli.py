@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from conftest import DATA_DIR, golden_text, load_golden
 
+import mipcert
 from mipcert.certfile import read_certificate, write_problem
 from mipcert.checker import verify_certificate_file
 from mipcert.cli import main
@@ -197,6 +201,56 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, command) -> None:
     assert out == ""
     assert err == "error: input is not UTF-8 text (byte 0xff)\n"
     assert not output.exists()
+
+
+def _small_range_with(lineno: int, replacement: str) -> str:
+    lines = golden_text("small_range").splitlines()
+    lines[lineno - 1] = replacement
+    return "\n".join(lines) + "\n"
+
+
+NON_ASCII_CASES = [
+    pytest.param(2, "VAR \u00b2", id="superscript-count"),
+    pytest.param(6, "2 0 \u0662 1 1", id="arabic-indic-objective-coefficient"),
+    pytest.param(6, "2 \u00b9 2 1 1", id="superscript-index"),
+    pytest.param(14, "obj G 1 2 0 2 1 1 { lin 2 0 1 1 -1 } +5", id="last-use-plus-sign"),
+    pytest.param(14, "obj G 1 2 0 2 1 1 { lin 2 0 1 1 -1 } 1_0", id="last-use-underscore"),
+]
+
+
+@pytest.mark.parametrize(("lineno", "replacement"), NON_ASCII_CASES)
+@pytest.mark.parametrize("command", ("check", "ttn", "html"))
+def test_non_ascii_numbers_exit_2(capsys, tmp_path, command, lineno, replacement) -> None:
+    bad = tmp_path / "bad.crt"
+    bad.write_text(_small_range_with(lineno, replacement), encoding="utf-8")
+    output = tmp_path / "out"
+    argv = (command, str(bad)) if command == "check" else (command, str(bad), str(output))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {lineno}: ")
+    assert "Traceback" not in err
+    assert not output.exists()
+
+
+def test_superscript_count_prints_no_traceback(tmp_path) -> None:
+    """The same case through a real interpreter, where a traceback would show."""
+    bad = tmp_path / "bad.crt"
+    bad.write_text(_small_range_with(2, "VAR \u00b2"), encoding="utf-8")
+    src = str(Path(mipcert.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys; from mipcert.cli import main; sys.exit(main())",
+         "check", str(bad)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert completed.returncode == 2
+    assert completed.stdout == ""
+    assert completed.stderr == (
+        "error: line 2: expected a nonnegative count for variables, found '\u00b2'\n"
+    )
 
 
 class TestUsage:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from mipcert.model import (
     round_constraint,
 )
 from mipcert.numeric import Rational as R
+from mipcert.numeric import format_rational, parse_rational
 
 
 def rat(value) -> R:
@@ -345,3 +347,153 @@ def test_combination_soundness(case) -> None:
     point, rows, mults = case
     combined = linear_combine(list(zip(rows, mults)), Sense.GE)
     assert combined.lhs.evaluate(point) >= combined.rhs
+
+
+# --- the int kernel against a Fraction-only reference --------------------
+
+
+def reference_combine(terms, target_sense: Sense):
+    """Fraction-only ``linear_combine``: the sign rule, then the plain sum.
+
+    Returns ``(lhs, rhs)`` with ``lhs`` a dict of the nonzero entries, or
+    None when some multiplier breaks the sign discipline.
+    """
+    for constraint, multiplier in terms:
+        wanted = Sense.GE if target_sense == Sense.GE else Sense.LE
+        if target_sense == Sense.EQ:
+            allowed = constraint.sense == Sense.EQ
+        elif constraint.sense == Sense.EQ:
+            allowed = True
+        elif constraint.sense == wanted:
+            allowed = Fraction(multiplier) >= 0
+        else:
+            allowed = Fraction(multiplier) <= 0
+        if not allowed:
+            return None
+    lhs: dict[int, Fraction] = {}
+    rhs = Fraction(0)
+    for constraint, multiplier in terms:
+        for index, coeff in constraint.lhs:
+            lhs[index] = lhs.get(index, Fraction(0)) + Fraction(multiplier) * Fraction(coeff)
+        rhs += Fraction(multiplier) * Fraction(constraint.rhs)
+    return {i: v for i, v in lhs.items() if v != 0}, rhs
+
+
+#: Values drawn either as ``int`` or as a Fraction (integral or not), so a
+#: combination mixes both types the way parsed certificates do.
+mixed_values = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+)
+nonzero_mixed = mixed_values.filter(lambda v: v != 0)
+
+
+@st.composite
+def mixed_combinations(draw):
+    """Rows and multipliers of mixed ``int``/Fraction type, any signs.
+
+    Each row gets a partner that is a scaled negation of it, with some
+    probability, so that whole coefficients cancel to zero and must drop out.
+    """
+    dimension = draw(st.integers(min_value=1, max_value=4))
+    terms = []
+    for k in range(draw(st.integers(min_value=0, max_value=5))):
+        coeffs = draw(
+            st.dictionaries(st.integers(0, dimension - 1), nonzero_mixed, max_size=dimension)
+        )
+        lhs = SparseVec(tuple(sorted(coeffs.items())))
+        sense = draw(st.sampled_from([Sense.GE, Sense.LE, Sense.EQ]))
+        row = Constraint(f"R{k}", sense, lhs, draw(mixed_values))
+        multiplier = draw(mixed_values)
+        terms.append((row, multiplier))
+        if draw(st.booleans()):
+            scale = draw(nonzero_mixed)
+            partner = Constraint(
+                f"P{k}",
+                Sense.EQ,
+                SparseVec(tuple((i, Fraction(c) * scale) for i, c in lhs)),
+                Fraction(row.rhs) * scale,
+            )
+            terms.append((partner, -Fraction(multiplier) / scale))
+    target = draw(st.sampled_from([Sense.GE, Sense.LE, Sense.EQ]))
+    return terms, target
+
+
+@given(mixed_combinations())
+def test_linear_combine_matches_fraction_reference(case) -> None:
+    terms, target = case
+    expected = reference_combine(terms, target)
+    if expected is None:
+        with pytest.raises(RuleViolation):
+            linear_combine(terms, target)
+        return
+    combined = linear_combine(terms, target)
+    lhs, rhs = expected
+    assert dict(combined.lhs.entries) == lhs
+    assert combined.rhs == rhs
+    for _, value in combined.lhs.entries + ((None, combined.rhs),):
+        if Fraction(value).denominator == 1:
+            assert type(value) is int
+        else:
+            assert isinstance(value, R)
+
+
+class TestIntKernel:
+    def test_cancelling_terms_drop_out(self) -> None:
+        c1 = Constraint("C1", Sense.GE, SparseVec(((0, 3), (1, Fraction(1, 2)))), 1)
+        c2 = Constraint("C2", Sense.LE, SparseVec(((0, Fraction(3, 2)), (1, 2))), 5)
+        combined = linear_combine([(c1, Fraction(1, 2)), (c2, -1)], Sense.GE)
+        assert combined.lhs.entries == ((1, Fraction(-7, 4)),)
+        assert combined.rhs == Fraction(-9, 2)
+
+    def test_integral_result_from_fractional_intermediates(self) -> None:
+        third, two_sevenths = Fraction(1, 3), Fraction(2, 7)
+        c1 = Constraint("C1", Sense.GE, SparseVec(((0, third), (1, two_sevenths))), Fraction(5, 6))
+        c2 = Constraint(
+            "C2", Sense.EQ, SparseVec(((0, 2 * third), (1, Fraction(5, 7)))), Fraction(1, 6)
+        )
+        combined = linear_combine([(c1, Fraction(3, 2)), (c2, Fraction(3, 4))], Sense.GE)
+        assert combined.lhs.entries == ((0, 1), (1, Fraction(27, 28)))
+        assert type(combined.lhs.entries[0][1]) is int
+        assert combined.rhs == Fraction(11, 8)
+        integral = linear_combine([(c1, 6), (c2, Fraction(3, 2))], Sense.GE)
+        assert integral.lhs.entries == ((0, 3), (1, Fraction(39, 14)))
+        assert type(integral.lhs.entries[0][1]) is int
+        assert integral.rhs == Fraction(21, 4)
+        whole = linear_combine([(c2, 42)], Sense.EQ)
+        assert whole.lhs.entries == ((0, 28), (1, 30)) and whole.rhs == 7
+        assert all(type(value) is int for _, value in whole.lhs.entries)
+        assert type(whole.rhs) is int
+
+    @pytest.mark.parametrize("multiplier", [-1, Fraction(-1, 3), Fraction(-4, 2)])
+    def test_wrong_sign_message_is_the_same_for_both_types(self, multiplier) -> None:
+        row = Constraint("C", Sense.GE, SparseVec(((0, 1),)), 1)
+        with pytest.raises(RuleViolation) as excinfo:
+            linear_combine([(row, multiplier)], Sense.GE)
+        assert str(excinfo.value) == (
+            f"term 0 ('C'): multiplier {format_rational(multiplier)} is not "
+            "suitable for a GE row in a GE combination"
+        )
+
+
+@given(st.integers(min_value=-(10**30), max_value=10**30))
+def test_int_and_fraction_entries_compare_and_hash_equal(k: int) -> None:
+    if k == 0:
+        return
+    as_int = SparseVec(((0, k), (3, 1)))
+    as_fraction = SparseVec(((0, Fraction(k)), (3, Fraction(1))))
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert Constraint("C", Sense.GE, as_int, k) == Constraint(
+        "C", Sense.GE, as_fraction, Fraction(k)
+    )
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_parse_format_round_trip_keeps_value_and_type(value) -> None:
+    parsed = parse_rational(format_rational(value))
+    assert parsed == value
+    if Fraction(value).denominator == 1:
+        assert type(parsed) is int
+    else:
+        assert isinstance(parsed, R)

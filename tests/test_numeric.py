@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -142,3 +144,104 @@ def test_field_arithmetic_is_exact(a: Rational, b: Rational) -> None:
     if b != 0:
         assert (a / b) * b == a
     assert a - a == Rational(0)
+
+
+# --- the int/Rational value contract ---------------------------------------
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("text", ["0", "7", "-7", "123456789012345678901234567890"])
+    def test_integral_tokens_parse_to_int(self, text: str) -> None:
+        value = parse_rational(text)
+        assert type(value) is int
+
+    @pytest.mark.parametrize("text", ["1/2", "-3/7", "4/2"])
+    def test_fraction_tokens_parse_to_rational(self, text: str) -> None:
+        assert isinstance(parse_rational(text), Rational)
+
+    @pytest.mark.parametrize("value", [7, -7, Rational(7, 2), Rational(-7, 2), Rational(4)])
+    def test_floor_and_ceil_are_int(self, value) -> None:
+        assert type(rational_floor(value)) is int
+        assert type(rational_ceil(value)) is int
+
+    @pytest.mark.parametrize("value", [0, 5, -5])
+    def test_ints_format_like_rationals(self, value: int) -> None:
+        assert format_rational(value) == format_rational(Rational(value)) == str(value)
+        assert is_integral(value)
+
+
+class TestAsciiGrammar:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "٢",  # ARABIC-INDIC DIGIT TWO
+            "-٢",
+            "²",  # SUPERSCRIPT TWO
+            "1٠",
+            "１",  # FULLWIDTH DIGIT ONE
+            "1/٢",
+            "١/2",
+            "1_0",
+            "1/1_0",
+            "+5",
+        ],
+    )
+    def test_non_ascii_digits_and_int_extensions_are_rejected(self, text: str) -> None:
+        with pytest.raises(ValueError, match="malformed rational token"):
+            parse_rational(text)
+
+
+class TestLongNumbers:
+    """Numbers beyond CPython's int-string digit limit (4,300 by default)."""
+
+    def test_parse_5000_ones(self) -> None:
+        assert parse_rational("1" * 5000) == (10**5000 - 1) // 9
+        assert parse_rational("-" + "1" * 5000) == -((10**5000 - 1) // 9)
+
+    def test_format_power_of_ten(self) -> None:
+        assert format_rational(Rational(10**5000)) == "1" + "0" * 5000
+        assert format_rational(-(10**5000)) == "-1" + "0" * 5000
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(3**10478, id="5000-digits"),
+            pytest.param(-(7**23665), id="minus-20000-digits"),
+            pytest.param(Rational(10**19999 + 1, 3**4191), id="20000-over-2000-digits"),
+            pytest.param(Rational(-1, 10**5000 - 1), id="minus-1-over-5000-nines"),
+        ],
+    )
+    def test_round_trip(self, value) -> None:
+        text = format_rational(value)
+        assert parse_rational(text) == value
+        assert text.lstrip("-").split("/")[0][0] != "0"
+
+    @pytest.mark.parametrize("digits", [4300, 4301, 9999, 10_000, 20_000])
+    def test_zero_padding_inside_long_numbers(self, digits: int) -> None:
+        value = 10 ** (digits - 1) + 1
+        text = format_rational(value)
+        assert text == "1" + "0" * (digits - 2) + "1"
+        assert parse_rational(text) == value
+
+    def test_interpreter_limit_is_unchanged(self) -> None:
+        getter = getattr(sys, "get_int_max_str_digits", None)
+        if getter is None:
+            pytest.skip("this Python has no int-string digit limit")
+        before = getter()
+        parse_rational("9" * 6000)
+        format_rational(10**6000)
+        assert getter() == before
+
+    @given(st.integers(min_value=600, max_value=30_000), st.randoms(use_true_random=False))
+    def test_matches_unlimited_str(self, digits: int, rng) -> None:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return
+        value = rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((-1, 1))
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(value)
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert format_rational(value) == expected
+        assert parse_rational(expected) == value

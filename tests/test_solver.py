@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import itertools
 import random
+from enum import Enum
+from fractions import Fraction
 
 import pytest
 from conftest import load_golden
 
+from mipcert.certfile import parse_problem, write_problem
 from mipcert.checker import verify_certificate
 from mipcert.model import (
     Constraint,
@@ -15,13 +20,16 @@ from mipcert.model import (
     ObjectiveSense,
     Problem,
     RangeGoal,
+    Lin,
     Rnd,
     Sense,
     SparseVec,
     evaluate_solution,
     is_absurd,
+    linear_combine,
 )
 from mipcert.numeric import Rational as R
+from mipcert.simplex import LpInfeasible, LpOptimal, solve_lp
 from mipcert.solve import NodeLimitError, SolveConfig, SolveResult, select_branch_variable, solve
 
 CG = SolveConfig(cg_objective=True)
@@ -339,3 +347,83 @@ def test_random_batch_matches_enumeration(cg: bool) -> None:
             assert result.status == "optimal"
             assert result.value == expected
         assert verify_certificate(result.certificate).verified
+
+
+# --- the no-float invariant ---------------------------------------------------
+
+
+def _numbers(value):
+    """Every number inside a result: dataclass fields, tuples, dicts and sets."""
+    if isinstance(value, bool) or isinstance(value, (str, Enum)) or value is None:
+        return
+    if isinstance(value, (int, float, Fraction)):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _numbers(getattr(value, field.name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(key)
+            yield from _numbers(item)
+    elif isinstance(value, (tuple, list, frozenset, set)):
+        for item in value:
+            yield from _numbers(item)
+    else:
+        raise TypeError(f"unexpected {type(value).__name__} in a result")
+
+
+def assert_exact(value) -> int:
+    """Every number is an ``int`` or a Rational, never a float; returns the count."""
+    count = 0
+    for number in _numbers(value):
+        assert type(number) in (int, R), f"{number!r} is a {type(number).__name__}"
+        count += 1
+    return count
+
+
+def parsed(problem: Problem) -> Problem:
+    """The problem written out and parsed back, so its integral data are ints."""
+    sink = io.StringIO()
+    write_problem(problem, sink)
+    return parse_problem(io.StringIO(sink.getvalue()))
+
+
+@pytest.mark.parametrize("config", (SolveConfig(), CG), ids=("plain", "cg"))
+@pytest.mark.parametrize("make", (knapsack10, parity10))
+def test_no_float_reaches_a_result(make, config: SolveConfig) -> None:
+    problem = parsed(make())
+    assert all(type(coeff) is int for row in problem.constraints for _, coeff in row.lhs)
+    assert all(type(row.rhs) is int for row in problem.constraints)
+
+    sign = 1 if problem.objective_sense is ObjectiveSense.MIN else -1
+    minimize = SparseVec(tuple((i, sign * c) for i, c in problem.objective))
+    root = solve_lp(problem.num_variables, problem.constraints, minimize)
+    assert isinstance(root, LpOptimal)
+    assert assert_exact(root) > 0
+    clash = Constraint("clash", Sense.GE, SparseVec(((0, 2),)), 21)
+    refuted = solve_lp(problem.num_variables, problem.constraints + (clash,), minimize)
+    assert isinstance(refuted, LpInfeasible)
+    assert assert_exact(refuted) > 0
+
+    result = solve(problem, config)
+    assert assert_exact(result) > 0
+    terms = [
+        multiplier
+        for derivation in result.certificate.derivations
+        if isinstance(derivation.reason, (Lin, Rnd))
+        for _, multiplier in derivation.reason.terms
+    ]
+    assert terms and assert_exact(terms) == len(terms)
+    assert verify_certificate(result.certificate).verified
+
+
+def test_linear_combine_keeps_integral_results_int() -> None:
+    problem = parsed(knapsack10())
+    capacity, lo0 = problem.constraints[0], problem.constraints[1]
+    combined = linear_combine([(capacity, -3), (lo0, R(1, 2))], Sense.GE)
+    assert combined.lhs.entries[0] == (0, R(-137, 2))
+    assert all(type(coeff) is int for _, coeff in combined.lhs.entries[1:])
+    assert type(combined.rhs) is int
+    assert combined.rhs == -3 * capacity.rhs
+    halves = linear_combine([(lo0, R(1, 2)), (lo0, R(3, 2))], Sense.GE)
+    assert halves.lhs.entries == ((0, 2),) and type(halves.lhs.entries[0][1]) is int
