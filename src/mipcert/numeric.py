@@ -18,11 +18,13 @@ compares and hashes equal to the equal rational (``hash(1) ==
 hash(Fraction(1))``), and mixes exactly with a rational in ``+``, ``-``,
 ``*``, comparisons and ``//``. The one operator that does not keep the
 contract is ``/`` on two ``int`` operands, which yields a ``float``. So every
-``/`` on proof-relevant values must have a :data:`Rational` operand: the
-simplex divides tableau entries, which it builds as ``flip * coeff`` with a
-:data:`Rational` ``flip``, and the solver divides a :data:`Rational` one by a
-Farkas gap. Code that needs a quotient of values that may both be ``int``
-must write ``Rational(p, q)``.
+``/`` on proof-relevant values must have a :data:`Rational` operand (the
+solver divides a :data:`Rational` one by a Farkas gap), and code that needs a
+quotient of values that may both be ``int`` must write ``Rational(p, q)``.
+The simplex tableau divides nothing: its rows are ``int`` numerators over an
+``int`` denominator, updated with ``*``, ``-``, ``//`` by an exact gcd and
+compared by cross-multiplication, and its results are read out as
+``Rational(numerator, denominator)``.
 
 The textual form of a rational is ``p`` or ``p/q`` with an optional leading
 minus sign and q > 0, where ``p`` and ``q`` are ASCII digit strings — no

@@ -28,13 +28,23 @@ never entering candidates; after phase one, basic artificials are pivoted
 out degenerately where possible, and rows where that is impossible are
 redundant and stay inert.
 
-Rational arithmetic is done only where every operand is nonzero. A pivot
-scales the pivot row on its nonzero entries, collects that row's support
-once, and updates each other row with a nonzero factor on that support
-alone, in place. Initial reduced costs and the duals read from the
-artificial block sum only over basic rows whose cost is nonzero. Skipping a
-term with a zero operand changes no value, so Bland's rule sees the same
-numbers and picks the same pivots as a full dense update would.
+The tableau holds no rationals. Each row is a list of ``int`` numerators,
+the right-hand side last, over one positive ``int`` denominator; a row starts
+at the lcm of its input denominators and its flip is ``+1`` or ``-1``. This
+is fraction-free, integer-preserving elimination in the manner of Bareiss
+(1968), one denominator per row. A pivot divides the pivot row by its pivot
+numerator and reduces it by one gcd. Every other row with a nonzero entry in
+the pivot column subtracts a multiple of the pivot row. When that multiple's
+denominator divides the row's own, which always holds when the pivot row's
+denominator is 1, only the pivot row's support is touched; otherwise the row
+is cross-multiplied and gcd-reduced. Reduced costs are one more int row,
+eliminated by the same pivots. A ratio test compares right-hand side over
+entry within a row, where the denominator cancels, so ratios and Bland's
+ties compare by integer cross-products. Every comparison is exact, so
+Bland's rule sees the same values and picks the same pivots as rational
+arithmetic would. A :data:`Rational` is built only when a point, a dual, the
+phase-one gap or a ray is read out; initial reduced costs and duals sum
+only over basic rows whose cost is nonzero.
 
 Correctness of the extracted witnesses does not depend on any of this
 bookkeeping: every result is checked against its defining identities before
@@ -45,10 +55,11 @@ sign discipline, and a failed check raises :class:`LpWitnessError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .model import Constraint, RuleViolation, Sense, SparseVec, linear_combine
-from .numeric import Rational
+from .numeric import Number, Rational
 
 __all__ = [
     "LpInfeasible",
@@ -97,11 +108,49 @@ class LpWitnessError(RuntimeError):
     """
 
 
-class _Tableau:
-    """Simplex tableau over exact rationals: dense rows, sparse arithmetic.
+def _eliminate(
+    row: list[int],
+    den: int,
+    num: int,
+    div: int,
+    support: Sequence[tuple[int, int]],
+    support_den: int,
+) -> int:
+    """Set ``row/den -= (num/div) * (support/support_den)`` in place over ints.
 
-    :meth:`pivot` touches only the pivot row's nonzero columns, and zero-cost
-    basic rows are skipped when reduced costs and duals are formed.
+    Returns the row's new denominator. When the scaled term's denominator
+    divides ``den``, only the support's columns change and ``den`` is kept;
+    otherwise the row is cross-multiplied and reduced by the gcd of its
+    numerators and denominator.
+    """
+    g = gcd(num, div * support_den)
+    num //= g
+    term_den = div * support_den // g
+    h = gcd(den, term_den)
+    scale = term_den // h
+    factor = num * (den // h)
+    if scale == 1:
+        for j, entry in support:
+            row[j] -= factor * entry
+        return den
+    row[:] = [entry * scale for entry in row]
+    for j, entry in support:
+        row[j] -= factor * entry
+    den *= scale
+    g = gcd(den, *row)
+    if g != 1:
+        row[:] = [entry // g for entry in row]
+        den //= g
+    return den
+
+
+class _Tableau:
+    """Simplex tableau over exact rationals as int rows with one denominator each.
+
+    Row ``r`` holds ``width + 1`` int numerators, the right-hand side last,
+    over the positive int denominator ``dens[r]``. Pivots, ratio tests and
+    Bland's rule run on ints alone; a :data:`Rational` is built only when a
+    point, dual, gap or ray is read out.
     """
 
     def __init__(self, num_variables: int, constraints: Sequence[Constraint]) -> None:
@@ -112,98 +161,110 @@ class _Tableau:
         self.num_rows = m
         self.art_start = 2 * n + num_ineq
         self.width = self.art_start + m
-        self.senses = [c.sense for c in constraints]
-        # Row flips applied during normalization; duals must be flipped back.
-        self.flips: list[Rational] = []
-        self.rows: list[list[Rational]] = []
-        self.rhs: list[Rational] = []
+        # Row flips (+1 or -1) applied during normalization; duals flip back.
+        self.flips: list[int] = []
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
         self.basis: list[int] = []
 
         ineq_seen = 0
         for i, con in enumerate(constraints):
-            flip = _ONE if con.rhs >= 0 else -_ONE
-            self.flips.append(flip)
-            row = [_ZERO] * self.width
+            flip = 1 if con.rhs >= 0 else -1
+            den = lcm(con.rhs.denominator, *(c.denominator for _, c in con.lhs))
+            row = [0] * (self.width + 1)
             for index, coeff in con.lhs:
-                row[index] = flip * coeff          # u part
-                row[n + index] = -flip * coeff     # w part
+                entry = flip * coeff.numerator * (den // coeff.denominator)
+                row[index] = entry          # u part
+                row[n + index] = -entry     # w part
             if con.sense is not Sense.EQ:
-                slack_sign = _ONE if con.sense is Sense.LE else -_ONE
-                row[2 * n + ineq_seen] = flip * slack_sign
+                slack = flip * den
+                row[2 * n + ineq_seen] = slack if con.sense is Sense.LE else -slack
                 ineq_seen += 1
-            row[self.art_start + i] = _ONE
+            row[self.art_start + i] = den
+            row[-1] = flip * con.rhs.numerator * (den // con.rhs.denominator)
+            self.flips.append(flip)
             self.rows.append(row)
-            self.rhs.append(flip * con.rhs)
+            self.dens.append(den)
             self.basis.append(self.art_start + i)
 
-    def pivot(self, row: int, col: int) -> list[tuple[int, Rational]]:
-        """Pivot on ``(row, col)`` in place; return the new pivot row's support.
+    def pivot(self, row: int, col: int) -> tuple[list[tuple[int, int]], int]:
+        """Pivot on ``(row, col)`` in place; return the pivot row's support and den.
 
-        Only nonzero entries of the pivot row are scaled, and every other row
-        is updated only on that support: a zero operand changes nothing.
+        The pivot row is divided by its pivot entry and reduced by one gcd;
+        every other row with a nonzero entry in ``col`` is eliminated against
+        that support with :func:`_eliminate`.
         """
-        rows = self.rows
+        rows, dens = self.rows, self.dens
         pivot_row = rows[row]
-        pivot_value = pivot_row[col]
-        if pivot_value != 1:
-            inv = _ONE / pivot_value
-            for j, entry in enumerate(pivot_row):
-                if entry:
-                    pivot_row[j] = entry * inv
-            self.rhs[row] *= inv
+        pivot_num = pivot_row[col]
+        if pivot_num < 0:
+            pivot_row[:] = [-entry for entry in pivot_row]
+            pivot_num = -pivot_num
+        # Entries num/den divided by pivot_num/den are num/pivot_num.
+        g = gcd(*pivot_row)
+        if g != 1:
+            pivot_row[:] = [entry // g for entry in pivot_row]
+        pivot_den = dens[row] = pivot_num // g
         support = [(j, entry) for j, entry in enumerate(pivot_row) if entry]
-        pivot_rhs = self.rhs[row]
         for r, other in enumerate(rows):
             factor = other[col]
             if r == row or not factor:
                 continue
-            for j, entry in support:
-                other[j] -= factor * entry
-            if pivot_rhs:
-                self.rhs[r] -= factor * pivot_rhs
+            dens[r] = _eliminate(other, dens[r], factor, dens[r], support, pivot_den)
         self.basis[row] = col
-        return support
+        return support, pivot_den
 
-    def run_phase(self, costs: Sequence[Rational]) -> int | None:
+    def run_phase(self, costs: Sequence[Number]) -> int | None:
         """Pivot to optimality for ``costs``; Bland's rule in both choices.
 
         Returns None on optimality, or the entering column index when the
         objective is unbounded below (no leaving row exists).
         """
         art_start = self.art_start
-        reduced = list(costs[:art_start])
+        rows = self.rows
+        # Reduced costs: one more int row over art_start columns.
+        den = lcm(*(c.denominator for c in costs[:art_start]))
+        reduced = [c.numerator * (den // c.denominator) for c in costs[:art_start]]
         for r, basic in enumerate(self.basis):
             cost = costs[basic]
-            if not cost:
-                continue
-            row = self.rows[r]
-            for j in range(art_start):
-                entry = row[j]
-                if entry:
-                    reduced[j] -= cost * entry
+            if cost:
+                row = rows[r]
+                support = [(j, row[j]) for j in range(art_start) if row[j]]
+                den = _eliminate(
+                    reduced, den, cost.numerator, cost.denominator,
+                    support, self.dens[r],
+                )
         while True:
             entering = next((j for j in range(art_start) if reduced[j] < 0), None)
             if entering is None:
                 return None
+            # Row r's ratio is rows[r][-1] / rows[r][entering]: the shared
+            # denominator cancels, and candidates have positive divisors, so
+            # ratios compare by cross-multiplication.
             leaving = None
-            best_ratio = None
-            for r in range(self.num_rows):
-                coeff = self.rows[r][entering]
+            best_rhs = best_coeff = 0
+            for r, row in enumerate(rows):
+                coeff = row[entering]
                 if coeff > 0:
-                    ratio = self.rhs[r] / coeff
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = r
+                    if leaving is None:
+                        leaving, best_rhs, best_coeff = r, row[-1], coeff
+                        continue
+                    lhs = row[-1] * best_coeff
+                    rhs = best_rhs * coeff
+                    tie = lhs == rhs and self.basis[r] < self.basis[leaving]
+                    if lhs < rhs or tie:
+                        leaving, best_rhs, best_coeff = r, row[-1], coeff
             if leaving is None:
                 return entering
-            delta = reduced[entering]
-            for j, entry in self.pivot(leaving, entering):
-                if j < art_start:
-                    reduced[j] -= delta * entry
+            support, pivot_den = self.pivot(leaving, entering)
+            den = _eliminate(
+                reduced,
+                den,
+                reduced[entering],
+                den,
+                [(j, entry) for j, entry in support if j < art_start],
+                pivot_den,
+            )
 
     def drive_out_artificials(self) -> None:
         """After phase one at value zero, remove basic artificials where possible.
@@ -221,28 +282,35 @@ class _Tableau:
             if col is not None:
                 self.pivot(r, col)
 
-    def duals(self, costs: Sequence[Rational]) -> list[Rational]:
+    def entry(self, r: int, col: int) -> Rational:
+        """The value of row ``r`` in column ``col`` (``-1`` for the rhs)."""
+        return Rational(self.rows[r][col], self.dens[r])
+
+    def duals(self, costs: Sequence[Number]) -> list[Rational]:
         """Row duals for ``costs``, in input-row order and input-row signs."""
         costed = [
-            (self.rows[r], costs[basic])
+            (self.rows[r], cost.numerator, cost.denominator * self.dens[r])
             for r, basic in enumerate(self.basis)
-            if costs[basic]
+            if (cost := costs[basic])
         ]
         values = []
         for i in range(self.num_rows):
             art_col = self.art_start + i
-            y = _ZERO
-            for row, cost in costed:
+            num, den = 0, 1
+            for row, cost_num, cost_den in costed:
                 entry = row[art_col]
                 if entry:
-                    y += cost * entry
-            values.append(self.flips[i] * y)
+                    common = lcm(den, cost_den)
+                    num *= common // den
+                    num += cost_num * entry * (common // cost_den)
+                    den = common
+            values.append(Rational(self.flips[i] * num, den))
         return values
 
     def column_value(self, col: int) -> Rational:
         for r in range(self.num_rows):
             if self.basis[r] == col:
-                return self.rhs[r]
+                return self.entry(r, -1)
         return _ZERO
 
     def point(self) -> list[Rational]:
@@ -290,7 +358,7 @@ def solve_lp(
     unbounded_col = tableau.run_phase(phase1_costs)
     _require(unbounded_col is None, "phase one must be bounded below by zero")
     infeasibility_gap = sum(
-        (phase1_costs[tableau.basis[r]] * tableau.rhs[r] for r in range(m)),
+        (phase1_costs[tableau.basis[r]] * tableau.entry(r, -1) for r in range(m)),
         _ZERO,
     )
     if infeasibility_gap > 0:
@@ -314,7 +382,7 @@ def solve_lp(
         direction[unbounded_col] = _ONE
         for r in range(m):
             if tableau.basis[r] < tableau.art_start:
-                direction[tableau.basis[r]] = -tableau.rows[r][unbounded_col]
+                direction[tableau.basis[r]] = -tableau.entry(r, unbounded_col)
         ray = [
             direction[v] - direction[num_variables + v] for v in range(num_variables)
         ]

@@ -35,7 +35,9 @@ instead of branching further.
 
 Every emitted derivation is re-validated at emission time against the same
 inference rules the checker enforces, so a bug in the emission logic fails
-fast at its source rather than as a distant verification failure.
+fast at its source rather than as a distant verification failure. These
+self-checks raise :class:`SolverCheckError`; they are explicit checks, not
+``assert`` statements, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ __all__ = [
     "SolveConfig",
     "SolveResult",
     "NodeLimitError",
+    "SolverCheckError",
     "select_branch_variable",
     "solve",
 ]
@@ -83,6 +86,20 @@ _ONE = Rational(1)
 
 class NodeLimitError(RuntimeError):
     """Raised when branch and bound exceeds the configured node budget."""
+
+
+class SolverCheckError(RuntimeError):
+    """A solver self-check failed: a defect in the solver, never bad input.
+
+    Raised when an emitted derivation breaks the checker's rules or the
+    search reaches an impossible state. The checks are explicit, so they
+    also run under ``python -O``.
+    """
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise SolverCheckError(message)
 
 
 class _RootUnbounded(Exception):
@@ -205,7 +222,7 @@ class _Builder:
         combined = linear_combine(
             [(self.row(i), m) for i, m in clean], constraint.sense
         )
-        assert dominates(combined, constraint), "emitted combination too weak"
+        _require(dominates(combined, constraint), "emitted combination too weak")
         return self._push(constraint, Lin(clean), self._combined_assumptions(clean))
 
     def add_rnd(
@@ -216,19 +233,28 @@ class _Builder:
             [(self.row(i), m) for i, m in clean], constraint.sense
         )
         rounded = round_constraint(combined, self.problem.integer_set)
-        assert dominates(rounded, constraint), "emitted rounding too weak"
+        _require(dominates(rounded, constraint), "emitted rounding too weak")
         return self._push(constraint, Rnd(clean), self._combined_assumptions(clean))
 
     def add_uns(
         self, i1: int, a1: int, i2: int, a2: int, constraint: Constraint
     ) -> int:
-        assert self.is_assumption(a1) and self.is_assumption(a2)
-        assert a1 in self.assumption_sets[i1] and a2 in self.assumption_sets[i2]
-        assert check_disjunction_pair(
-            self.row(a1), self.row(a2), self.problem.integer_set
-        ), "branch rows are not a split disjunction"
-        assert dominates(self.row(i1), constraint), "first branch row too weak"
-        assert dominates(self.row(i2), constraint), "second branch row too weak"
+        _require(
+            self.is_assumption(a1) and self.is_assumption(a2),
+            "unsplit cites a row that is not an assumption",
+        )
+        _require(
+            a1 in self.assumption_sets[i1] and a2 in self.assumption_sets[i2],
+            "branch row does not depend on its assumption",
+        )
+        _require(
+            check_disjunction_pair(
+                self.row(a1), self.row(a2), self.problem.integer_set
+            ),
+            "branch rows are not a split disjunction",
+        )
+        _require(dominates(self.row(i1), constraint), "first branch row too weak")
+        _require(dominates(self.row(i2), constraint), "second branch row too weak")
         assumptions = (
             self.assumption_sets[i1] | self.assumption_sets[i2]
         ) - {a1, a2}
@@ -295,7 +321,7 @@ class _Solver:
         gap = sum(
             (mult * con.rhs for (_, con), mult in zip(rows, farkas)), _ZERO
         )
-        assert gap > 0, "Farkas multipliers must witness a positive gap"
+        _require(gap > 0, "Farkas multipliers must witness a positive gap")
         scale = _ONE / gap
         terms = [
             (index, mult * scale)
@@ -326,7 +352,7 @@ class _Solver:
         if isinstance(outcome, LpUnbounded):
             # Children inherit the parent's finite LP bound, so an unbounded
             # relaxation can only appear at the root.
-            assert not path, "unbounded relaxation below the root"
+            _require(not path, "unbounded relaxation below the root")
             raise _RootUnbounded
         point, value = outcome.point, outcome.value
 
@@ -449,10 +475,10 @@ def solve(problem: Problem, config: SolveConfig = SolveConfig()) -> SolveResult:
 
     builder = solver.builder
     root_row = builder.row(root_index)
-    assert not builder.assumption_sets[root_index], "root bound under assumptions"
+    _require(not builder.assumption_sets[root_index], "root bound under assumptions")
 
     if is_absurd(root_row):
-        assert solver.incumbent_value is None, "incumbent in an infeasible problem"
+        _require(solver.incumbent_value is None, "incumbent in an infeasible problem")
         certificate = Certificate(
             problem=problem,
             goal=InfeasibleGoal(),
@@ -467,11 +493,14 @@ def solve(problem: Problem, config: SolveConfig = SolveConfig()) -> SolveResult:
             num_nodes=solver.num_nodes,
         )
 
-    assert solver.incumbent_value is not None, "bounded tree without incumbent"
-    assert solver.incumbent_point is not None
     internal_value = solver.incumbent_value
-    assert solver._internal_rhs(root_row) == internal_value, (
-        "root bound must land exactly on the incumbent value"
+    _require(
+        internal_value is not None and solver.incumbent_point is not None,
+        "bounded tree without incumbent",
+    )
+    _require(
+        solver._internal_rhs(root_row) == internal_value,
+        "root bound must land exactly on the incumbent value",
     )
     value = internal_value if solver.minimize else -internal_value
     assignment = SparseVec.from_dict(

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from conftest import DATA_DIR, golden_text, load_golden
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mipcert
 from mipcert.certfile import read_certificate, write_problem
@@ -263,3 +269,70 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+# --- byte fuzz: every subcommand exits 0, 1 or 2 and raises nothing ----------
+
+GOLDEN_BYTES = tuple(
+    (DATA_DIR / f"{name}.crt").read_bytes()
+    for name in ("small_range", "rounding_chain", "split_infeasible")
+)
+# The problem part of each golden file, as ``solve`` reads it.
+PROBLEM_BYTES = tuple(data[: data.index(b"RTP")] for data in GOLDEN_BYTES)
+FUZZ_TOKENS = (
+    b"0", b"1", b"-1", b"2", b"7/3", b"-1/2", b"1/0", b"0/5", b"99999999999999999999",
+    b"G", b"L", b"E", b"{", b"}", b"lin", b"rnd", b"uns", b"asm", b"sol", b"infeas",
+    b"range", b"min", b"max", b"-inf", b"inf", b"VAR", b"CON", b"DER", b"", b"\n",
+)
+
+
+@st.composite
+def mutated_bytes(draw, seeds):
+    """A golden file with a few token swaps and byte splices."""
+    # Even positions hold tokens, odd ones the whitespace between them.
+    pieces = re.split(rb"(\s+)", draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        position = 2 * draw(st.integers(min_value=0, max_value=len(pieces) // 2))
+        pieces[position] = draw(st.sampled_from(FUZZ_TOKENS))
+    data = b"".join(pieces)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        start = draw(st.integers(min_value=0, max_value=len(data)))
+        end = draw(st.integers(min_value=start, max_value=min(len(data), start + 8)))
+        data = data[:start] + draw(st.binary(max_size=8)) + data[end:]
+    return data
+
+
+def fuzz_inputs(seeds):
+    return st.one_of(st.binary(max_size=200), mutated_bytes(seeds))
+
+
+def run_on_bytes(command: str, data: bytes) -> tuple[int, str]:
+    """``main`` on a file holding ``data``; its exit code and standard error."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        source = Path(directory, "in")
+        source.write_bytes(data)
+        output = str(Path(directory, "out"))
+        argv = {
+            "check": ["check", str(source), "--stats"],
+            "ttn": ["ttn", str(source), output, "--prune"],
+            "html": ["html", str(source), output],
+            "solve": ["solve", str(source), output, "--node-limit", "200"],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(("check", "ttn", "html")), fuzz_inputs(GOLDEN_BYTES)),
+        st.tuples(st.just("solve"), fuzz_inputs(PROBLEM_BYTES)),
+    )
+)
+def test_byte_fuzz_exits_0_1_or_2(case) -> None:
+    command, data = case
+    code, err = run_on_bytes(command, data)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

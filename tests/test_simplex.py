@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from conftest import load_golden
@@ -445,3 +446,150 @@ def test_corrupted_multipliers_raise_under_optimize_flag() -> None:
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout == "refused: duals must reconstruct the objective\n"
+
+
+# --- the int tableau against a dense Fraction reference, pivot by pivot ------
+
+
+class ReferenceTableau:
+    """A dense Fraction tableau with the same layout and pivoting rules.
+
+    It recomputes reduced costs from scratch before every choice, so it
+    shares no bookkeeping with the int tableau beyond the rules themselves.
+    """
+
+    def __init__(self, num_variables, constraints) -> None:
+        n = num_variables
+        m = len(constraints)
+        num_ineq = sum(1 for c in constraints if c.sense is not Sense.EQ)
+        self.art_start = 2 * n + num_ineq
+        width = self.art_start + m
+        self.rows = []
+        self.basis = []
+        ineq_seen = 0
+        for i, constraint in enumerate(constraints):
+            flip = R(1) if constraint.rhs >= 0 else R(-1)
+            row = [R(0)] * (width + 1)
+            for index, coeff in constraint.lhs:
+                row[index] = flip * coeff
+                row[n + index] = -flip * coeff
+            if constraint.sense is not Sense.EQ:
+                row[2 * n + ineq_seen] = flip if constraint.sense is Sense.LE else -flip
+                ineq_seen += 1
+            row[self.art_start + i] = R(1)
+            row[-1] = flip * constraint.rhs
+            self.rows.append(row)
+            self.basis.append(self.art_start + i)
+
+    def pivot(self, row: int, col: int) -> None:
+        pivot_value = self.rows[row][col]
+        self.rows[row] = [entry / pivot_value for entry in self.rows[row]]
+        for r, other in enumerate(self.rows):
+            if r != row and other[col] != 0:
+                factor = other[col]
+                self.rows[r] = [a - factor * b for a, b in zip(other, self.rows[row])]
+        self.basis[row] = col
+
+    def choose(self, costs):
+        """Bland's (row, column) choice, ``(None, col)`` if unbounded, or None."""
+        for j in range(self.art_start):
+            reduced = costs[j] - sum(
+                costs[basic] * self.rows[r][j] for r, basic in enumerate(self.basis)
+            )
+            if reduced < 0:
+                break
+        else:
+            return None
+        candidates = [
+            (self.rows[r][-1] / self.rows[r][j], self.basis[r], r)
+            for r in range(len(self.rows))
+            if self.rows[r][j] > 0
+        ]
+        return (min(candidates)[2] if candidates else None), j
+
+    def run_phase(self, costs, pivots: list) -> None:
+        while (choice := self.choose(costs)) is not None and choice[0] is not None:
+            self.pivot(*choice)
+            pivots.append((choice, [list(row) for row in self.rows], list(self.basis)))
+
+    def reference_pivots(self, num_variables, objective) -> list:
+        """Every pivot ``solve_lp`` makes, with the tableau after it."""
+        m = len(self.rows)
+        pivots: list = []
+        phase_one = [R(0)] * self.art_start + [R(1)] * m
+        self.run_phase(phase_one, pivots)
+        gap = sum(phase_one[basic] * self.rows[r][-1] for r, basic in enumerate(self.basis))
+        if gap > 0:
+            return pivots
+        for r in range(m):
+            if self.basis[r] >= self.art_start:
+                col = next((j for j in range(self.art_start) if self.rows[r][j] != 0), None)
+                if col is not None:
+                    self.pivot(r, col)
+                    pivots.append(((r, col), [list(row) for row in self.rows], list(self.basis)))
+        phase_two = [R(0)] * (self.art_start + m)
+        for index, coeff in objective:
+            phase_two[index] = coeff
+            phase_two[num_variables + index] = -coeff
+        self.run_phase(phase_two, pivots)
+        return pivots
+
+
+# ``int``, plus the integer type of the rational backend (``mpz`` under gmpy2).
+INTEGER_TYPES = (int, type(R(1, 2).numerator))
+
+
+def check_int_state(tableau: _Tableau, reference_rows, reference_basis) -> None:
+    assert tableau.basis == reference_basis
+    assert len(tableau.rows) == len(tableau.dens) == len(reference_rows)
+    for row, den, expected in zip(tableau.rows, tableau.dens, reference_rows):
+        assert type(den) in INTEGER_TYPES and den > 0, den
+        assert len(row) == len(expected)
+        for num, value in zip(row, expected):
+            assert type(num) in INTEGER_TYPES, f"{num!r} is a {type(num).__name__}"
+            assert R(num, den) == value
+
+
+fractional = st.tuples(
+    st.integers(min_value=-7, max_value=7), st.integers(min_value=1, max_value=6)
+).map(lambda p: R(*p))
+
+
+@st.composite
+def fractional_lp(draw):
+    """Up to 4 free variables and 7 rows, every coefficient a small fraction."""
+    num_variables = draw(st.integers(min_value=1, max_value=4))
+    rows = []
+    for r in range(draw(st.integers(min_value=1, max_value=7))):
+        values = draw(st.lists(fractional, min_size=num_variables, max_size=num_variables))
+        entries = tuple((i, value) for i, value in enumerate(values) if value)
+        sense = draw(st.sampled_from((Sense.GE, Sense.LE, Sense.EQ)))
+        rows.append(Constraint(f"R{r}", sense, SparseVec(entries), draw(fractional)))
+    values = draw(st.lists(fractional, min_size=num_variables, max_size=num_variables))
+    objective = SparseVec(tuple((i, value) for i, value in enumerate(values) if value))
+    return num_variables, rows, objective
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractional_lp())
+def test_int_tableau_tracks_a_fraction_reference(case) -> None:
+    num_variables, rows, objective = case
+    reference = ReferenceTableau(num_variables, rows)
+    check_int_state(_Tableau(num_variables, rows), reference.rows, reference.basis)
+    expected = reference.reference_pivots(num_variables, objective)
+
+    seen = []
+    original = _Tableau.pivot
+
+    def checked_pivot(self, row, col):
+        assert len(seen) < len(expected), "the int tableau pivots more often"
+        choice, reference_rows, reference_basis = expected[len(seen)]
+        assert (row, col) == choice
+        seen.append(choice)
+        result = original(self, row, col)
+        check_int_state(self, reference_rows, reference_basis)
+        return result
+
+    with patch.object(_Tableau, "pivot", checked_pivot):
+        solve_lp(num_variables, rows, objective)
+    assert seen == [choice for choice, _, _ in expected]

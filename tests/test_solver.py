@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import load_golden
+
+import mipcert
 
 from mipcert.certfile import parse_problem, write_problem
 from mipcert.checker import verify_certificate
@@ -31,6 +39,7 @@ from mipcert.model import (
 from mipcert.numeric import Rational as R
 from mipcert.simplex import LpInfeasible, LpOptimal, solve_lp
 from mipcert.solve import NodeLimitError, SolveConfig, SolveResult, select_branch_variable, solve
+from mipcert.solve import SolverCheckError
 
 CG = SolveConfig(cg_objective=True)
 
@@ -427,3 +436,133 @@ def test_linear_combine_keeps_integral_results_int() -> None:
     assert combined.rhs == -3 * capacity.rhs
     halves = linear_combine([(lo0, R(1, 2)), (lo0, R(3, 2))], Sense.GE)
     assert halves.lhs.entries == ((0, 2),) and type(halves.lhs.entries[0][1]) is int
+
+
+# --- self-checks are real checks, with or without -O -------------------------
+
+
+def frac_knapsack() -> Problem:
+    """Six 0/1 items with fractional weights, values and capacity."""
+    weights = (R(7, 3), R(5, 2), R(9, 4), R(11, 5), R(13, 6), R(8, 3))
+    values = (R(9, 2), R(5), R(17, 4), R(4), R(7, 2), R(16, 3))
+    rows = [Constraint("cap", Sense.LE, SparseVec(tuple(enumerate(weights))), R(17, 2))]
+    for j in range(len(weights)):
+        rows += [con(f"lo{j}", Sense.GE, 0, (j, 1)), con(f"hi{j}", Sense.LE, 1, (j, 1))]
+    objective = SparseVec(tuple(enumerate(values)))
+    return problem_of(objective, ObjectiveSense.MAX, rows, integers=range(len(weights)))
+
+
+def doubled_duals(outcome):
+    if isinstance(outcome, LpOptimal):
+        return dataclasses.replace(outcome, duals=tuple(2 * y for y in outcome.duals))
+    return outcome
+
+
+def zero_farkas(outcome):
+    if isinstance(outcome, LpInfeasible):
+        return LpInfeasible(farkas=tuple(R(0) for _ in outcome.farkas))
+    return outcome
+
+
+@pytest.mark.parametrize(
+    ("make", "corrupt", "message"),
+    (
+        (knapsack10, doubled_duals, "emitted combination too weak"),
+        (parity10, zero_farkas, "must witness a positive gap"),
+    ),
+    ids=("doubled-duals", "zero-farkas"),
+)
+def test_corrupted_lp_results_raise(monkeypatch, make, corrupt, message) -> None:
+    # ``mipcert.solve`` is the function; the module is under its full name.
+    solve_module = importlib.import_module("mipcert.solve")
+    monkeypatch.setattr(
+        solve_module, "solve_lp", lambda *args: corrupt(solve_lp(*args))
+    )
+    with pytest.raises(SolverCheckError, match=message):
+        solve(make())
+
+
+def run_optimized(script: str, stdin: str = "") -> str:
+    """Run ``script`` under ``python -O`` with the package importable."""
+    src = str(Path(mipcert.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+def problem_text(problem: Problem) -> str:
+    sink = io.StringIO()
+    write_problem(problem, sink)
+    return sink.getvalue()
+
+
+def test_corrupted_duals_raise_under_optimize_flag() -> None:
+    script = """
+        import importlib, io, sys
+        from dataclasses import replace
+        from mipcert.certfile import parse_problem
+        from mipcert.simplex import LpOptimal, solve_lp
+
+        assert False, "assert statements must be stripped by -O"
+
+        def doubled(*args):
+            outcome = solve_lp(*args)
+            if isinstance(outcome, LpOptimal):
+                outcome = replace(outcome, duals=tuple(2 * y for y in outcome.duals))
+            return outcome
+
+        solve_module = importlib.import_module("mipcert.solve")
+        solve_module.solve_lp = doubled
+        problem = parse_problem(io.StringIO(sys.stdin.read()))
+        try:
+            result = solve_module.solve(problem)
+        except solve_module.SolverCheckError as exc:
+            print("refused:", exc)
+        else:
+            print("returned a certificate:", result.status)
+        """
+    out = run_optimized(script, problem_text(knapsack10()))
+    assert out == "refused: emitted combination too weak\n"
+
+
+OPTIMIZED_SOLVES = (knapsack10, parity10, frac_knapsack)
+
+
+def test_solver_under_optimize_flag() -> None:
+    """Under ``-O`` every certificate verifies, with the same node counts."""
+    script = """
+        import io, sys
+        from mipcert.certfile import parse_problem
+        from mipcert.checker import verify_certificate
+        from mipcert.solve import SolveConfig, solve
+
+        assert False, "assert statements must be stripped by -O"
+
+        for text in sys.stdin.read().split("\\n\\n"):
+            problem = parse_problem(io.StringIO(text))
+            for cg in (False, True):
+                result = solve(problem, SolveConfig(cg_objective=cg))
+                report = verify_certificate(result.certificate)
+                if not report.verified:
+                    print("rejected:", report.failure)
+                print(result.status, result.value, result.num_nodes)
+        """
+    texts = [problem_text(make()).strip() for make in OPTIMIZED_SOLVES]
+    out = run_optimized(script, "\n\n".join(texts))
+    expected = []
+    for text in texts:
+        problem = parse_problem(io.StringIO(text))
+        for config in (SolveConfig(), CG):
+            result = solve(problem, config)
+            assert verify_certificate(result.certificate).verified
+            expected.append(f"{result.status} {result.value} {result.num_nodes}")
+    assert out.splitlines() == expected
+    assert [line.split()[-1] for line in expected] == ["23", "23", "41", "39", "69", "69"]
