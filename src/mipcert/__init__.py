@@ -7,6 +7,11 @@ optimal-value range), claimed solutions, and a list of derived constraints,
 each justified as an assumption, a suitable linear combination of earlier
 rows, a rounding of such a combination, or the unsplitting of two rows
 proved under complementary branch assumptions.
+
+Importing the package loads the parser, the checker and the tightener only.
+The renderer, the exact simplex and the solver are imported from their own
+modules (``mipcert.render``, ``mipcert.simplex``, ``mipcert.solve``), so a
+program that only checks certificates never loads them.
 """
 
 from .certfile import (
@@ -48,6 +53,7 @@ from .model import (
     dominates,
     evaluate_solution,
     format_constraint,
+    format_linear,
     is_absurd,
     linear_combine,
     round_constraint,
@@ -59,15 +65,6 @@ from .numeric import (
     parse_rational,
     rational_ceil,
     rational_floor,
-)
-from .render import render_html
-from .simplex import LpInfeasible, LpOptimal, LpResult, LpUnbounded, solve_lp
-from .solve import (
-    NodeLimitError,
-    SolveConfig,
-    SolveResult,
-    select_branch_variable,
-    solve,
 )
 from .tighten import compute_last_use, prune_unused, tighten
 
@@ -84,11 +81,6 @@ __all__ = [
     "Derivation",
     "InfeasibleGoal",
     "Lin",
-    "LpInfeasible",
-    "LpOptimal",
-    "LpResult",
-    "LpUnbounded",
-    "NodeLimitError",
     "ObjectiveSense",
     "ParseError",
     "Problem",
@@ -100,8 +92,6 @@ __all__ = [
     "RuleViolation",
     "Sense",
     "Solution",
-    "SolveConfig",
-    "SolveResult",
     "SparseVec",
     "Uns",
     "VerificationReport",
@@ -110,6 +100,7 @@ __all__ = [
     "dominates",
     "evaluate_solution",
     "format_constraint",
+    "format_linear",
     "format_rational",
     "is_absurd",
     "is_integral",
@@ -121,11 +112,7 @@ __all__ = [
     "rational_ceil",
     "rational_floor",
     "read_certificate",
-    "render_html",
     "round_constraint",
-    "select_branch_variable",
-    "solve",
-    "solve_lp",
     "verify_certificate",
     "verify_certificate_file",
     "write_certificate",

@@ -11,6 +11,10 @@ sets as it goes:
   rows must dominate the stated row, each must actually depend on its
   assumption, and the two assumptions must form a split disjunction.
 
+This module is the only implementation of these rules: the solver emits its
+rows through a :class:`CheckerState`, and the renderer's assumption sets come
+from :func:`assumptions_of`.
+
 Whenever a derivation's assumption set is empty it is tested against the
 goal: an infeasibility goal needs an absurdity, a range goal needs the row to
 dominate the objective-bound constraint on the dual side. A certificate as a
@@ -26,7 +30,7 @@ included) is reported in the statistics.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .certfile import (
@@ -41,6 +45,7 @@ from .certfile import (
 from .model import (
     KEEP_UNTIL_END,
     Asm,
+    AssumptionSet,
     Certificate,
     Constraint,
     Derivation,
@@ -49,6 +54,7 @@ from .model import (
     ObjectiveSense,
     Problem,
     RangeGoal,
+    Reason,
     Rnd,
     RtpGoal,
     RuleViolation,
@@ -68,7 +74,9 @@ __all__ = [
     "CheckFailure",
     "CheckStats",
     "CheckerState",
+    "Rejection",
     "VerificationReport",
+    "assumptions_of",
     "check_goal",
     "verify_certificate",
     "verify_certificate_file",
@@ -117,8 +125,12 @@ class VerificationReport:
         return "verified" if self.verified else "rejected"
 
 
-class _Rejection(Exception):
-    """Internal: carries a CheckFailure up to the report builder."""
+class Rejection(Exception):
+    """A certificate broke a rule; carries the :class:`CheckFailure` saying why.
+
+    :func:`verify_certificate` turns it into the report's failure; a direct
+    user of :class:`CheckerState` sees it raised.
+    """
 
     def __init__(self, failure: CheckFailure) -> None:
         super().__init__(failure.message)
@@ -132,33 +144,53 @@ class _LiveRow:
     is_assumption: bool
 
 
+def _goal_sides(
+    problem: Problem, goal: RtpGoal
+) -> tuple[Rational | None, Rational | None]:
+    """The range goal's (dual, primal) bounds; None for an infinite side.
+
+    The dual side is the lower bound when minimizing and the upper bound when
+    maximizing; the primal side is the other one. An infeasibility goal has
+    neither.
+    """
+    if isinstance(goal, InfeasibleGoal):
+        return None, None
+    if problem.objective_sense == ObjectiveSense.MIN:
+        return goal.lower, goal.upper
+    return goal.upper, goal.lower
+
+
 def check_goal(problem: Problem, goal: RtpGoal, constraint: Constraint) -> bool:
     """Does this empty-assumption constraint prove the goal?
 
-    Infeasibility goals need an absurdity. A range goal's dual side is the
-    lower bound when minimizing and the upper bound when maximizing; the
-    constraint must dominate the objective bounded by it. An infinite dual
-    bound is vacuously proven.
+    Infeasibility goals need an absurdity. A range goal's constraint must
+    dominate the objective bounded by the dual side (see :func:`_goal_sides`);
+    an infinite dual bound is vacuously proven.
     """
     if isinstance(goal, InfeasibleGoal):
         return is_absurd(constraint)
-    if problem.objective_sense == ObjectiveSense.MIN:
-        if goal.lower is None:
-            return True
-        target = Constraint("_goal", Sense.GE, problem.objective, goal.lower)
-    else:
-        if goal.upper is None:
-            return True
-        target = Constraint("_goal", Sense.LE, problem.objective, goal.upper)
-    return dominates(constraint, target)
+    dual, _ = _goal_sides(problem, goal)
+    if dual is None:
+        return True
+    sense = Sense.GE if problem.objective_sense == ObjectiveSense.MIN else Sense.LE
+    return dominates(constraint, Constraint("_goal", sense, problem.objective, dual))
 
 
-def _dual_side_vacuous(problem: Problem, goal: RtpGoal) -> bool:
-    if isinstance(goal, InfeasibleGoal):
-        return False
-    if problem.objective_sense == ObjectiveSense.MIN:
-        return goal.lower is None
-    return goal.upper is None
+def assumptions_of(
+    reason: Reason, index: int, lookup: Callable[[int], AssumptionSet]
+) -> AssumptionSet:
+    """The assumption set of derivation ``index``, justified by ``reason``.
+
+    ``lookup`` returns the assumption set of an earlier row. An assumption
+    depends on itself; a combination or rounding on the union of its terms'
+    sets; an unsplit on the union of its two branches' sets, minus the two
+    assumptions it discharges. The rules themselves are not checked here.
+    """
+    if isinstance(reason, Asm):
+        return frozenset((index,))
+    if isinstance(reason, (Lin, Rnd)):
+        return frozenset().union(*(lookup(reference) for reference, _ in reason.terms))
+    return (lookup(reason.i1) | lookup(reason.i2)) - {reason.a1, reason.a2}
 
 
 class CheckerState:
@@ -185,7 +217,9 @@ class CheckerState:
         self.goal = goal
         self.use_eviction = use_eviction
         self.stats = CheckStats()
-        self._goal_vacuous = _dual_side_vacuous(problem, goal)
+        self._goal_vacuous = (
+            not isinstance(goal, InfeasibleGoal) and _goal_sides(problem, goal)[0] is None
+        )
         self.goal_proven = self._goal_vacuous
         self.goal_proven_by: list[int] = []
         self.assumption_sets: dict[int, frozenset[int]] | None = (
@@ -198,6 +232,14 @@ class CheckerState:
             self._store[index] = _LiveRow(constraint, frozenset(), False)
         self.stats.peak_live = len(self._store)
 
+    def row(self, index: int) -> Constraint:
+        """The live row at combined ``index``; KeyError if evicted or unknown."""
+        return self._store[index].constraint
+
+    def assumptions(self, index: int) -> AssumptionSet:
+        """The assumption set of the live row at ``index``; KeyError if absent."""
+        return self._store[index].assumptions
+
     def _describe(self, constraint: Constraint) -> str:
         return format_constraint(constraint, self.problem.variable_names)
 
@@ -209,49 +251,46 @@ class CheckerState:
             msg = f"reference to row {reference}, already evicted past its last use"
         else:
             msg = f"reference to row {reference}, which is not an earlier row"
-        raise _Rejection(CheckFailure(index, rule, msg))
+        raise Rejection(CheckFailure(index, rule, msg))
 
     def _combination(
         self, terms: tuple[tuple[int, Rational], ...], stated: Constraint, index: int, rule: str
-    ) -> tuple[Constraint, frozenset[int]]:
-        rows = [(self._lookup(ref, index, rule), multiplier) for ref, multiplier in terms]
+    ) -> Constraint:
+        rows = [
+            (self._lookup(ref, index, rule).constraint, multiplier) for ref, multiplier in terms
+        ]
         try:
-            combined = linear_combine(
-                [(row.constraint, multiplier) for row, multiplier in rows], stated.sense
-            )
+            return linear_combine(rows, stated.sense)
         except RuleViolation as exc:
-            raise _Rejection(CheckFailure(index, rule, str(exc))) from exc
-        assumptions = frozenset().union(*(row.assumptions for row, _ in rows))
-        return combined, assumptions
+            raise Rejection(CheckFailure(index, rule, str(exc))) from exc
 
     def verify_derivation(self, derivation: Derivation, index: int) -> None:
         """Check one derivation, record it as live, and apply evictions."""
         if index != self.next_index:
             msg = f"derivation arrived with index {index}, expected {self.next_index}"
-            raise _Rejection(CheckFailure(index, "order", msg))
+            raise Rejection(CheckFailure(index, "order", msg))
         stated = derivation.constraint
         reason = derivation.reason
         if derivation.last_use != KEEP_UNTIL_END and derivation.last_use <= index:
             msg = f"last_use {derivation.last_use} not beyond the row's own index"
-            raise _Rejection(CheckFailure(index, "order", msg))
+            raise Rejection(CheckFailure(index, "order", msg))
 
         if isinstance(reason, Asm):
             kind = "asm"
-            assumptions = frozenset((index,))
         elif isinstance(reason, (Lin, Rnd)):
             kind = "lin" if isinstance(reason, Lin) else "rnd"
-            combined, assumptions = self._combination(reason.terms, stated, index, kind)
+            combined = self._combination(reason.terms, stated, index, kind)
             if isinstance(reason, Rnd):
                 try:
                     combined = round_constraint(combined, self.problem.integer_set)
                 except RuleViolation as exc:
-                    raise _Rejection(CheckFailure(index, kind, str(exc))) from exc
+                    raise Rejection(CheckFailure(index, kind, str(exc))) from exc
             if not dominates(combined, stated):
                 msg = (
                     f"combination yields {self._describe(combined)}, which does not "
                     f"dominate the stated {self._describe(stated)}"
                 )
-                raise _Rejection(CheckFailure(index, kind, msg))
+                raise Rejection(CheckFailure(index, kind, msg))
         elif isinstance(reason, Uns):
             kind = "uns"
             branch1 = self._lookup(reason.i1, index, kind)
@@ -261,7 +300,7 @@ class CheckerState:
             if not asm1.is_assumption or not asm2.is_assumption:
                 offender = reason.a1 if not asm1.is_assumption else reason.a2
                 msg = f"row {offender} is not an assumption"
-                raise _Rejection(CheckFailure(index, kind, msg))
+                raise Rejection(CheckFailure(index, kind, msg))
             if not check_disjunction_pair(
                 asm1.constraint, asm2.constraint, self.problem.integer_set
             ):
@@ -269,29 +308,26 @@ class CheckerState:
                     f"rows {reason.a1} and {reason.a2} do not form a split "
                     f"disjunction pair"
                 )
-                raise _Rejection(CheckFailure(index, kind, msg))
+                raise Rejection(CheckFailure(index, kind, msg))
             for branch, asm_index, branch_index in (
                 (branch1, reason.a1, reason.i1),
                 (branch2, reason.a2, reason.i2),
             ):
                 if asm_index not in branch.assumptions:
                     msg = f"row {branch_index} does not depend on assumption {asm_index}"
-                    raise _Rejection(CheckFailure(index, kind, msg))
+                    raise Rejection(CheckFailure(index, kind, msg))
             for branch_index, branch in ((reason.i1, branch1), (reason.i2, branch2)):
                 if not dominates(branch.constraint, stated):
                     msg = (
                         f"row {branch_index} ({self._describe(branch.constraint)}) does "
                         f"not dominate the stated {self._describe(stated)}"
                     )
-                    raise _Rejection(CheckFailure(index, kind, msg))
-            assumptions = (branch1.assumptions | branch2.assumptions) - {
-                reason.a1,
-                reason.a2,
-            }
+                    raise Rejection(CheckFailure(index, kind, msg))
         else:  # pragma: no cover - exhaustive over Reason
             msg = f"unknown reason {reason!r}"
-            raise _Rejection(CheckFailure(index, "reason", msg))
+            raise Rejection(CheckFailure(index, "reason", msg))
 
+        assumptions = assumptions_of(reason, index, self.assumptions)
         self.stats.reason_counts[kind] += 1
         self.stats.num_derivations += 1
         if self.assumption_sets is not None:
@@ -356,7 +392,7 @@ def verify_certificate(
                 state.verify_derivation(event.derivation, event.index)
             elif isinstance(event, End):
                 _check_final(state, best_value)
-    except _Rejection as rejection:
+    except Rejection as rejection:
         failure = rejection.failure
 
     if state is None:
@@ -380,11 +416,11 @@ def _check_solution(
 ) -> Rational | None:
     if isinstance(state.goal, InfeasibleGoal):
         msg = "solutions are not allowed with an infeasibility goal"
-        raise _Rejection(CheckFailure(ordinal, "solution", msg))
+        raise Rejection(CheckFailure(ordinal, "solution", msg))
     feasible, value = evaluate_solution(state.problem, event.solution)
     if not feasible:
         msg = f"solution {event.solution.name!r} is not feasible"
-        raise _Rejection(CheckFailure(ordinal, "solution", msg))
+        raise Rejection(CheckFailure(ordinal, "solution", msg))
     if best_value is None:
         return value
     if state.problem.objective_sense == ObjectiveSense.MIN:
@@ -392,23 +428,15 @@ def _check_solution(
     return max(best_value, value)
 
 
-def _primal_bound(problem: Problem, goal: RtpGoal) -> Rational | None:
-    if isinstance(goal, InfeasibleGoal):
-        return None
-    if problem.objective_sense == ObjectiveSense.MIN:
-        return goal.upper
-    return goal.lower
-
-
 def _check_final(state: CheckerState, best_value: Rational | None) -> None:
     if not state.goal_proven:
         msg = "no empty-assumption derivation proves the goal"
-        raise _Rejection(CheckFailure(None, "goal", msg))
-    bound = _primal_bound(state.problem, state.goal)
+        raise Rejection(CheckFailure(None, "goal", msg))
+    _, bound = _goal_sides(state.problem, state.goal)
     if bound is not None:
         if best_value is None:
             msg = "the goal claims a finite primal bound but no solution is given"
-            raise _Rejection(CheckFailure(None, "solution", msg))
+            raise Rejection(CheckFailure(None, "solution", msg))
         meets = (
             best_value <= bound
             if state.problem.objective_sense == ObjectiveSense.MIN
@@ -419,7 +447,7 @@ def _check_final(state: CheckerState, best_value: Rational | None) -> None:
                 f"no solution meets the claimed primal bound "
                 f"{format_rational(bound)} (best is {format_rational(best_value)})"
             )
-            raise _Rejection(CheckFailure(None, "solution", msg))
+            raise Rejection(CheckFailure(None, "solution", msg))
 
 
 def verify_certificate_file(

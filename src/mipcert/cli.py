@@ -23,8 +23,6 @@ from .certfile import ParseError, parse_problem, read_certificate, write_certifi
 from .checker import VerificationReport, verify_certificate_file
 from .model import Certificate, InfeasibleGoal
 from .numeric import format_rational
-from .render import render_html
-from .solve import NodeLimitError, SolveConfig, solve
 from .tighten import tighten
 
 __all__ = ["main"]
@@ -137,6 +135,8 @@ def _cmd_ttn(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_html(args: argparse.Namespace, out: TextIO) -> int:
+    from .render import render_html  # here, so check and ttn never load it
+
     certificate = _read_certificate_file(args.input)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(render_html(certificate))
@@ -145,6 +145,8 @@ def _cmd_html(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
+    from .solve import NodeLimitError, SolveConfig, solve  # here, as for render_html
+
     with open(args.problem, encoding="utf-8") as handle:
         problem = parse_problem(handle)
     config = SolveConfig(node_limit=args.node_limit, cg_objective=args.cg_objective)

@@ -61,6 +61,7 @@ __all__ = [
     "dominates",
     "evaluate_solution",
     "format_constraint",
+    "format_linear",
     "is_absurd",
     "linear_combine",
     "round_constraint",
@@ -505,13 +506,11 @@ def check_disjunction_pair(
 _SENSE_TEXT = {Sense.GE: ">=", Sense.LE: "<=", Sense.EQ: "="}
 
 
-def format_constraint(
-    constraint: Constraint, variable_names: Sequence[str] | None = None
-) -> str:
-    """Render a constraint as a conventional inequality, e.g. ``2x + y >= 1``.
+def format_linear(vec: SparseVec, variable_names: Sequence[str] | None = None) -> str:
+    """Render a linear expression conventionally, e.g. ``2x + y``.
 
     Variables are shown by name when ``variable_names`` is given, else as
-    ``x<i>``; unit coefficients are elided and an empty left-hand side reads 0.
+    ``x<i>``; unit coefficients are elided and an empty expression reads 0.
     """
 
     def var(index: int) -> str:
@@ -520,7 +519,7 @@ def format_constraint(
         return f"x{index}"
 
     parts: list[str] = []
-    for index, coeff in constraint.lhs:
+    for index, coeff in vec:
         if coeff == 1:
             term = var(index)
         elif coeff == -1:
@@ -533,7 +532,17 @@ def format_constraint(
             parts.append(f" - {term[1:]}")
         else:
             parts.append(f" + {term}")
-    lhs_text = "".join(parts) if parts else "0"
+    return "".join(parts) if parts else "0"
+
+
+def format_constraint(
+    constraint: Constraint, variable_names: Sequence[str] | None = None
+) -> str:
+    """Render a constraint as a conventional inequality, e.g. ``2x + y >= 1``.
+
+    The left-hand side is written by :func:`format_linear`.
+    """
+    lhs_text = format_linear(constraint.lhs, variable_names)
     return f"{lhs_text} {_SENSE_TEXT[constraint.sense]} {format_rational(constraint.rhs)}"
 
 

@@ -4,8 +4,9 @@ The output is a deterministic, self-contained document with no scripts: one
 table row per original constraint, per claimed solution, and per derivation.
 Constraints are shown as conventional inequalities (``2x + y >= 1``), every
 reason's referenced rows are intra-document links to the referenced row
-anchors, and each derivation's assumption set (computed exactly as the
-checker computes it) is displayed alongside.
+anchors, and each derivation's assumption set is displayed alongside. The
+sets come from :func:`mipcert.checker.assumptions_of`, the checker's own
+rule, with a missing reference read as the empty set.
 
 Rendering only requires the certificate to parse — a certificate that fails
 verification still renders, which is precisely when a human wants to look.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import html
 
+from .checker import assumptions_of
 from .model import (
     Asm,
     AssumptionSet,
@@ -22,9 +24,9 @@ from .model import (
     InfeasibleGoal,
     Lin,
     Rnd,
-    Uns,
     evaluate_solution,
     format_constraint,
+    format_linear,
 )
 from .numeric import Number, format_rational
 
@@ -40,25 +42,17 @@ caption { font-weight: bold; text-align: left; padding: 0.3em 0; }
 
 
 def _assumption_sets(certificate: Certificate) -> dict[int, AssumptionSet]:
-    """Per-derivation assumption sets, by the checker's rules."""
+    """Every row's assumption set; a reference to no earlier row adds nothing."""
     sets: dict[int, AssumptionSet] = {
         index: frozenset() for index in range(certificate.num_original)
     }
+
+    def lookup(reference: int) -> AssumptionSet:
+        return sets.get(reference, frozenset())
+
     for position, derivation in enumerate(certificate.derivations):
         index = certificate.num_original + position
-        reason = derivation.reason
-        if isinstance(reason, Asm):
-            sets[index] = frozenset((index,))
-        elif isinstance(reason, (Lin, Rnd)):
-            union: frozenset = frozenset()
-            for reference, _ in reason.terms:
-                union |= sets.get(reference, frozenset())
-            sets[index] = union
-        elif isinstance(reason, Uns):
-            union = sets.get(reason.i1, frozenset()) | sets.get(reason.i2, frozenset())
-            sets[index] = union - {reason.a1, reason.a2}
-        else:  # pragma: no cover - exhaustive over Reason
-            sets[index] = frozenset()
+        sets[index] = assumptions_of(derivation.reason, index, lookup)
     return sets
 
 
@@ -130,7 +124,7 @@ def render_html(certificate: Certificate) -> str:
     emit(f"<li>Variables: {integer_marks if names else '(none)'}</li>")
     emit(
         f"<li>Objective: {problem.objective_sense.value} "
-        f"{html.escape(_expression(problem))}</li>"
+        f"{html.escape(format_linear(problem.objective, names))}</li>"
     )
     emit(f"<li>Goal: {html.escape(_goal_text(certificate))}</li>")
     emit("</ul>")
@@ -184,23 +178,3 @@ def render_html(certificate: Certificate) -> str:
     emit("</body>")
     emit("</html>")
     return "\n".join(out) + "\n"
-
-
-def _expression(problem) -> str:
-    """The objective as a bare linear expression."""
-    parts: list[str] = []
-    for index, coeff in problem.objective:
-        name = problem.variable_names[index]
-        if coeff == 1:
-            term = name
-        elif coeff == -1:
-            term = f"-{name}"
-        else:
-            term = f"{format_rational(coeff)}{name}"
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(f" - {term[1:]}")
-        else:
-            parts.append(f" + {term}")
-    return "".join(parts) if parts else "0"

@@ -33,21 +33,23 @@ rows yields a fractional bound whose rounding makes the node LP-infeasible,
 the node closes with the chain combination -> rounding -> Farkas absurdity
 instead of branching further.
 
-Every emitted derivation is re-validated at emission time against the same
-inference rules the checker enforces, so a bug in the emission logic fails
-fast at its source rather than as a distant verification failure. These
-self-checks raise :class:`SolverCheckError`; they are explicit checks, not
+Every derivation is emitted through the checker itself: the solver keeps one
+:class:`~mipcert.checker.CheckerState` with a vacuous goal and feeds it each
+row as it is made, so a bug in the emission logic fails fast at its source
+rather than as a distant verification failure, and the rules and assumption
+sets exist only in the checker. A rejected row, like every other self-check
+here, raises :class:`SolverCheckError`; these are explicit checks, not
 ``assert`` statements, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from .checker import CheckerState, Rejection
 from .model import (
     Asm,
-    AssumptionSet,
     Certificate,
     Constraint,
     Derivation,
@@ -62,11 +64,7 @@ from .model import (
     Solution,
     SparseVec,
     Uns,
-    check_disjunction_pair,
-    dominates,
     is_absurd,
-    linear_combine,
-    round_constraint,
 )
 from .numeric import Rational, is_integral, rational_ceil, rational_floor
 from .simplex import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
@@ -160,14 +158,12 @@ def select_branch_variable(
 
 
 class _Builder:
-    """Accumulates derivations, validating each against the checker's rules."""
+    """Accumulates derivations, each verified by the checker as it is emitted."""
 
     def __init__(self, problem: Problem) -> None:
-        self.problem = problem
         self.derivations: list[Derivation] = []
-        self.assumption_sets: dict[int, AssumptionSet] = {
-            index: frozenset() for index in range(problem.num_constraints)
-        }
+        # The vacuous goal: every row is checked by the rules, none against a goal.
+        self.state = CheckerState(problem, RangeGoal(None, None))
         self._names = {c.name for c in problem.constraints}
         self._counters = {"A": 0, "D": 0}
 
@@ -178,26 +174,16 @@ class _Builder:
             if name not in self._names:
                 return name
 
-    @property
-    def next_index(self) -> int:
-        return self.problem.num_constraints + len(self.derivations)
-
-    def row(self, index: int) -> Constraint:
-        m = self.problem.num_constraints
-        if index < m:
-            return self.problem.constraints[index]
-        return self.derivations[index - m].constraint
-
-    def is_assumption(self, index: int) -> bool:
-        m = self.problem.num_constraints
-        return index >= m and isinstance(self.derivations[index - m].reason, Asm)
-
-    def _push(
-        self, constraint: Constraint, reason: Reason, assumptions: AssumptionSet
-    ) -> int:
-        index = self.next_index
-        self.derivations.append(Derivation(constraint, reason))
-        self.assumption_sets[index] = assumptions
+    def emit(self, constraint: Constraint, reason: Reason) -> int:
+        """Append one derivation after the checker accepts it; its index."""
+        derivation = Derivation(constraint, reason)
+        index = self.state.next_index
+        try:
+            self.state.verify_derivation(derivation, index)
+        except Rejection as rejection:
+            refusal = _REFUSALS.get(rejection.failure.rule, "emitted row rejected")
+            raise SolverCheckError(refusal) from rejection
+        self.derivations.append(derivation)
         self._names.add(constraint.name)
         return index
 
@@ -205,60 +191,25 @@ class _Builder:
         constraint = Constraint(
             self.fresh_name("A"), sense, SparseVec(((variable, _ONE),)), bound
         )
-        return self._push(constraint, Asm(), frozenset((self.next_index,)))
+        return self.emit(constraint, Asm())
 
-    def _combined_assumptions(
-        self, terms: Sequence[tuple[int, Rational]]
-    ) -> AssumptionSet:
-        union: AssumptionSet = frozenset()
-        for index, _ in terms:
-            union |= self.assumption_sets[index]
-        return union
 
-    def add_lin(
-        self, terms: Sequence[tuple[int, Rational]], constraint: Constraint
-    ) -> int:
-        clean = tuple(sorted((i, m) for i, m in terms if m != 0))
-        combined = linear_combine(
-            [(self.row(i), m) for i, m in clean], constraint.sense
-        )
-        _require(dominates(combined, constraint), "emitted combination too weak")
-        return self._push(constraint, Lin(clean), self._combined_assumptions(clean))
+#: What the solver reports when the checker rejects one of its rows, by rule;
+#: the checker's own reason is the exception's ``__cause__``.
+_REFUSALS = {
+    "lin": "emitted combination too weak",
+    "rnd": "emitted rounding too weak",
+    "uns": "emitted unsplit is invalid",
+}
 
-    def add_rnd(
-        self, terms: Sequence[tuple[int, Rational]], constraint: Constraint
-    ) -> int:
-        clean = tuple(sorted((i, m) for i, m in terms if m != 0))
-        combined = linear_combine(
-            [(self.row(i), m) for i, m in clean], constraint.sense
-        )
-        rounded = round_constraint(combined, self.problem.integer_set)
-        _require(dominates(rounded, constraint), "emitted rounding too weak")
-        return self._push(constraint, Rnd(clean), self._combined_assumptions(clean))
 
-    def add_uns(
-        self, i1: int, a1: int, i2: int, a2: int, constraint: Constraint
-    ) -> int:
-        _require(
-            self.is_assumption(a1) and self.is_assumption(a2),
-            "unsplit cites a row that is not an assumption",
-        )
-        _require(
-            a1 in self.assumption_sets[i1] and a2 in self.assumption_sets[i2],
-            "branch row does not depend on its assumption",
-        )
-        _require(
-            check_disjunction_pair(
-                self.row(a1), self.row(a2), self.problem.integer_set
-            ),
-            "branch rows are not a split disjunction",
-        )
-        _require(dominates(self.row(i1), constraint), "first branch row too weak")
-        _require(dominates(self.row(i2), constraint), "second branch row too weak")
-        assumptions = (
-            self.assumption_sets[i1] | self.assumption_sets[i2]
-        ) - {a1, a2}
-        return self._push(constraint, Uns(i1, a1, i2, a2), assumptions)
+def _terms(
+    rows: Sequence[tuple[int, Constraint]], multipliers: Iterable[Rational]
+) -> tuple[tuple[int, Rational], ...]:
+    """Combination terms: each row's index with its multiplier, zeros dropped."""
+    return tuple(
+        sorted((index, mult) for (index, _), mult in zip(rows, multipliers) if mult != 0)
+    )
 
 
 class _Solver:
@@ -302,15 +253,11 @@ class _Solver:
         internal_value: Rational,
     ) -> int:
         multipliers = duals if self.minimize else [-d for d in duals]
-        terms = [
-            (index, mult)
-            for (index, _), mult in zip(rows, multipliers)
-            if mult != 0
-        ]
-        bound_index = self.builder.add_lin(terms, self._bound_row(internal_value))
+        bound_row = self._bound_row(internal_value)
+        bound_index = self.builder.emit(bound_row, Lin(_terms(rows, multipliers)))
         if self.config.cg_objective and self.objective_roundable:
             rounded = self._bound_row(rational_ceil(internal_value))
-            bound_index = self.builder.add_rnd([(bound_index, _ONE)], rounded)
+            bound_index = self.builder.emit(rounded, Rnd(((bound_index, _ONE),)))
         return bound_index
 
     def _emit_farkas(
@@ -323,18 +270,14 @@ class _Solver:
         )
         _require(gap > 0, "Farkas multipliers must witness a positive gap")
         scale = _ONE / gap
-        terms = [
-            (index, mult * scale)
-            for (index, _), mult in zip(rows, farkas)
-            if mult != 0
-        ]
-        return self.builder.add_lin(terms, self._absurd_row())
+        terms = _terms(rows, (mult * scale for mult in farkas))
+        return self.builder.emit(self._absurd_row(), Lin(terms))
 
     # -- search ------------------------------------------------------------
 
     def _node_rows(self, path: Sequence[int]) -> list[tuple[int, Constraint]]:
         rows = list(enumerate(self.problem.constraints))
-        rows.extend((index, self.builder.row(index)) for index in path)
+        rows.extend((index, self.builder.state.row(index)) for index in path)
         return rows
 
     def solve_node(self, path: list[int]) -> int:
@@ -374,8 +317,8 @@ class _Solver:
         floor = rational_floor(point[branch_variable])
         down_asm = self.builder.add_assumption(branch_variable, Sense.LE, floor)
         down_index = self.solve_node(path + [down_asm])
-        down_row = self.builder.row(down_index)
-        if down_asm not in self.builder.assumption_sets[down_index] and is_absurd(
+        down_row = self.builder.state.row(down_index)
+        if down_asm not in self.builder.state.assumptions(down_index) and is_absurd(
             down_row
         ):
             # The refutation never used the branch assumption, so it already
@@ -384,17 +327,17 @@ class _Solver:
 
         up_asm = self.builder.add_assumption(branch_variable, Sense.GE, floor + 1)
         up_index = self.solve_node(path + [up_asm])
-        up_row = self.builder.row(up_index)
+        up_row = self.builder.state.row(up_index)
 
         # A child bound that does not depend on its own branch assumption
         # already holds for this node; unsplitting would even be illegal.
-        if up_asm not in self.builder.assumption_sets[up_index]:
+        if up_asm not in self.builder.state.assumptions(up_index):
             return up_index
-        if down_asm not in self.builder.assumption_sets[down_index]:
+        if down_asm not in self.builder.state.assumptions(down_index):
             return down_index
 
         stated = self._stated_row(down_row, up_row)
-        return self.builder.add_uns(down_index, down_asm, up_index, up_asm, stated)
+        return self.builder.emit(stated, Uns(down_index, down_asm, up_index, up_asm))
 
     def _stated_row(self, down_row: Constraint, up_row: Constraint) -> Constraint:
         down_absurd = is_absurd(down_row)
@@ -438,20 +381,15 @@ class _Solver:
             )
             if not isinstance(refutation, LpInfeasible):
                 continue
-            lin_terms = [
-                (index, mult)
-                for (index, _), mult in zip(rows, aux.duals)
-                if mult != 0
-            ]
-            lin_index = self.builder.add_lin(
-                lin_terms,
+            lin_index = self.builder.emit(
                 Constraint(self.builder.fresh_name("D"), Sense.GE, unit, low),
+                Lin(_terms(rows, aux.duals)),
             )
-            rnd_index = self.builder.add_rnd(
-                [(lin_index, _ONE)],
+            rnd_index = self.builder.emit(
                 Constraint(self.builder.fresh_name("D"), Sense.GE, unit, lifted),
+                Rnd(((lin_index, _ONE),)),
             )
-            farkas_rows = rows + [(rnd_index, self.builder.row(rnd_index))]
+            farkas_rows = rows + [(rnd_index, self.builder.state.row(rnd_index))]
             return self._emit_farkas(refutation.farkas, farkas_rows)
         return None
 
@@ -474,8 +412,8 @@ def solve(problem: Problem, config: SolveConfig = SolveConfig()) -> SolveResult:
         )
 
     builder = solver.builder
-    root_row = builder.row(root_index)
-    _require(not builder.assumption_sets[root_index], "root bound under assumptions")
+    root_row = builder.state.row(root_index)
+    _require(not builder.state.assumptions(root_index), "root bound under assumptions")
 
     if is_absurd(root_row):
         _require(solver.incumbent_value is None, "incumbent in an infeasible problem")

@@ -13,7 +13,13 @@ from conftest import DATA_DIR, GOLDEN_NAMES, golden_text, load_golden
 
 import mipcert
 from mipcert.certfile import DerivationEvent, events_from_certificate, parse_certificate
-from mipcert.checker import check_goal, verify_certificate, verify_certificate_file
+from mipcert.checker import (
+    CheckerState,
+    Rejection,
+    check_goal,
+    verify_certificate,
+    verify_certificate_file,
+)
 from mipcert.model import (
     Asm,
     Certificate,
@@ -429,6 +435,30 @@ class TestGoalSemantics:
 
 
 # --- malformed event streams -------------------------------------------------
+
+
+class TestCheckerState:
+    def test_rows_and_assumption_sets_of_live_rows(self) -> None:
+        certificate = load_golden("split_infeasible")
+        state = CheckerState(certificate.problem, certificate.goal)
+        for position, derivation in enumerate(certificate.derivations):
+            state.verify_derivation(derivation, certificate.num_original + position)
+        expected = recursive_assumption_sets(certificate)
+        for index in range(certificate.num_original, certificate.num_rows):
+            assert state.row(index) == certificate.constraint_at(index)
+            assert state.assumptions(index) == expected[index]
+        assert state.assumptions(0) == frozenset()
+
+    def test_rejected_derivation_raises_with_its_failure(self) -> None:
+        certificate = load_golden("split_infeasible")
+        state = CheckerState(certificate.problem, certificate.goal)
+        wrong_sign = replace(certificate.derivations[3], reason=Lin(((0, R(-1)),)))
+        with pytest.raises(Rejection) as caught:
+            state.verify_derivation(wrong_sign, certificate.num_original)
+        failure = caught.value.failure
+        assert (failure.index, failure.rule) == (certificate.num_original, "lin")
+        assert str(caught.value) == failure.message
+        assert state.next_index == certificate.num_original
 
 
 class TestEventStream:

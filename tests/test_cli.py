@@ -239,6 +239,31 @@ def test_non_ascii_numbers_exit_2(capsys, tmp_path, command, lineno, replacement
     assert not output.exists()
 
 
+@pytest.mark.parametrize("command", ("check", "ttn"))
+def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
+    script = (
+        "import sys\n"
+        "from mipcert.cli import main\n"
+        "code = main()\n"
+        "heavy = ('mipcert.render', 'mipcert.simplex', 'mipcert.solve')\n"
+        "print(code, [name for name in heavy if name in sys.modules])\n"
+    )
+    argv = [command, golden_path("split_infeasible")]
+    if command == "ttn":
+        argv.append(str(tmp_path / "out.crt"))
+    src = str(Path(mipcert.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "0 []"
+
+
 def test_superscript_count_prints_no_traceback(tmp_path) -> None:
     """The same case through a real interpreter, where a traceback would show."""
     bad = tmp_path / "bad.crt"

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import html
 import re
 from dataclasses import replace
 
-from conftest import load_golden
+import pytest
+from conftest import GOLDEN_NAMES, load_golden
 
+from mipcert.checker import verify_certificate
 from mipcert.model import (
     Certificate,
     Constraint,
@@ -26,6 +29,22 @@ from mipcert.tighten import compute_last_use
 
 ID_PATTERN = re.compile(r'id="([cs])-([^"]*)"')
 HREF_PATTERN = re.compile(r'href="#c-([^"]*)"')
+CELL_PATTERN = re.compile(r"<td>(.*?)</td>")
+
+
+def rendered_assumption_sets(certificate: Certificate) -> dict[int, frozenset[int]]:
+    """The Assumptions column of every derivation row, as sets of row indices."""
+    by_name = {
+        certificate.constraint_at(index).name: index
+        for index in range(certificate.num_rows)
+    }
+    sets: dict[int, frozenset[int]] = {}
+    for line in render_html(certificate).splitlines():
+        cells = CELL_PATTERN.findall(line)
+        if line.startswith('<tr id="c-') and len(cells) == 6:
+            names = HREF_PATTERN.findall(cells[4])
+            sets[int(cells[0])] = frozenset(by_name[html.unescape(n)] for n in names)
+    return sets
 
 
 class TestDocumentShape:
@@ -120,6 +139,34 @@ class TestCells:
         zero = replace(certificate, solutions=(Solution("z", SparseVec(())),))
         document = render_html(zero)
         assert "all zero" in document
+
+
+class TestAssumptionColumn:
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_matches_the_checker(self, name: str) -> None:
+        certificate = load_golden(name)
+        report = verify_certificate(certificate, collect_assumption_sets=True)
+        assert report.verified
+        assert rendered_assumption_sets(certificate) == report.assumption_sets
+
+    def test_rejected_certificate_renders_a_set_for_every_row(self) -> None:
+        golden = load_golden("split_infeasible")
+        derivations = list(golden.derivations)
+        assert derivations[6].constraint.name == "C6"  # row 9
+        # C6 cites the later row C9, which no file could say but memory can.
+        forward = Lin(((1, R(-1, 4)), (12, R(3, 4))))
+        derivations[6] = replace(derivations[6], reason=forward)
+        certificate = replace(golden, derivations=tuple(derivations))
+        report = verify_certificate(certificate, collect_assumption_sets=True)
+        assert not report.verified and report.failure.index == 9
+        rendered = rendered_assumption_sets(certificate)
+        assert sorted(rendered) == list(
+            range(certificate.num_original, certificate.num_rows)
+        )
+        assert {index: rendered[index] for index in report.assumption_sets} == (
+            report.assumption_sets
+        )
+        assert rendered[9] == frozenset()  # the missing reference adds nothing
 
 
 class TestEscaping:

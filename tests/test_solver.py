@@ -458,6 +458,12 @@ def doubled_duals(outcome):
     return outcome
 
 
+def negated_duals(outcome):
+    if isinstance(outcome, LpOptimal):
+        return dataclasses.replace(outcome, duals=tuple(-y for y in outcome.duals))
+    return outcome
+
+
 def zero_farkas(outcome):
     if isinstance(outcome, LpInfeasible):
         return LpInfeasible(farkas=tuple(R(0) for _ in outcome.farkas))
@@ -468,9 +474,10 @@ def zero_farkas(outcome):
     ("make", "corrupt", "message"),
     (
         (knapsack10, doubled_duals, "emitted combination too weak"),
+        (knapsack10, negated_duals, "emitted combination too weak"),
         (parity10, zero_farkas, "must witness a positive gap"),
     ),
-    ids=("doubled-duals", "zero-farkas"),
+    ids=("doubled-duals", "negated-duals", "zero-farkas"),
 )
 def test_corrupted_lp_results_raise(monkeypatch, make, corrupt, message) -> None:
     # ``mipcert.solve`` is the function; the module is under its full name.
