@@ -26,7 +26,10 @@ derivations) and must point strictly before the referencing derivation.
 declared solutions, each derivation in file order, then :class:`End` — it
 never materializes the whole derivation list, so arbitrarily long
 certificates can be verified in bounded memory. Every parse error carries the
-1-based line number where it was detected.
+1-based line number where it was detected. The order and nonzero rules of a
+sparse vector or a combination are enforced by the model's constructors once
+the whole vector has been read, so their errors carry the line where the
+vector ends.
 """
 
 from __future__ import annotations
@@ -127,34 +130,27 @@ class _Tokens:
         self.line = 0
 
     def next(self, expected: str) -> str:
-        while self._position >= len(self._buffer):
-            try:
-                raw = next(self._lines)
-            except StopIteration:
-                msg = f"unexpected end of input while reading {expected}"
-                raise ParseError(msg, self.line) from None
-            self.line += 1
-            comment_start = raw.find("%")
-            if comment_start != -1:
-                raw = raw[:comment_start]
-            self._buffer = raw.split()
-            self._position = 0
+        if self._position >= len(self._buffer) and not self._fill():
+            msg = f"unexpected end of input while reading {expected}"
+            raise ParseError(msg, self.line)
         token = self._buffer[self._position]
         self._position += 1
         return token
 
     def at_end(self) -> bool:
-        while self._position >= len(self._buffer):
-            try:
-                raw = next(self._lines)
-            except StopIteration:
-                return True
+        return self._position >= len(self._buffer) and not self._fill()
+
+    def _fill(self) -> bool:
+        """Load the next line holding a token; False when the input ends first."""
+        for raw in self._lines:
             self.line += 1
             comment_start = raw.find("%")
             if comment_start != -1:
                 raw = raw[:comment_start]
             self._buffer = raw.split()
             self._position = 0
+            if self._buffer:
+                return True
         return False
 
     def error(self, message: str) -> ParseError:
@@ -165,17 +161,14 @@ class _Tokens:
         if token != literal:
             raise self.error(f"expected {literal!r} {context}, found {token!r}")
 
-    def take_count(self, what: str) -> int:
+    def take_count(self, what: str, kind: str = "count") -> int:
         token = self.next(what)
         if not (token.isascii() and token.isdigit()):
-            raise self.error(f"expected a nonnegative count for {what}, found {token!r}")
+            raise self.error(f"expected a nonnegative {kind} for {what}, found {token!r}")
         return int_from_digits(token)
 
     def take_index(self, what: str, upper: int) -> int:
-        token = self.next(what)
-        if not (token.isascii() and token.isdigit()):
-            raise self.error(f"expected a nonnegative index for {what}, found {token!r}")
-        index = int_from_digits(token)
+        index = self.take_count(what, "index")
         if index >= upper:
             raise self.error(
                 f"{what} {format_rational(index)} out of range (must be < {upper})"
@@ -203,17 +196,13 @@ class _Tokens:
     def take_sparse(self, num_variables: int, what: str) -> SparseVec:
         length = self.take_count(f"{what} length")
         entries: list[tuple[int, Number]] = []
-        previous = -1
         for _ in range(length):
             index = self.take_index(f"{what} variable index", num_variables)
-            if index <= previous:
-                raise self.error(f"{what} indices not strictly increasing at {index}")
-            value = self.take_rational(f"{what} coefficient")
-            if value == 0:
-                raise self.error(f"{what} stores a zero coefficient at index {index}")
-            entries.append((index, value))
-            previous = index
-        return SparseVec(tuple(entries))
+            entries.append((index, self.take_rational(f"{what} coefficient")))
+        try:
+            return SparseVec(tuple(entries))
+        except ValueError as exc:
+            raise self.error(f"{what}: {exc}") from exc
 
 
 def _parse_problem_sections(tokens: _Tokens) -> Problem:
@@ -283,25 +272,23 @@ def _parse_goal(tokens: _Tokens) -> RtpGoal:
         return InfeasibleGoal()
     if kind != "range":
         raise tokens.error(f"expected 'infeas' or 'range', found {kind!r}")
-    lower_token = tokens.next("range lower bound")
-    if lower_token == "-inf":
-        lower = None
-    else:
-        try:
-            lower = parse_rational(lower_token)
-        except ValueError as exc:
-            raise tokens.error(f"range lower bound: {exc}") from exc
-    upper_token = tokens.next("range upper bound")
-    if upper_token == "inf":
-        upper = None
-    else:
-        try:
-            upper = parse_rational(upper_token)
-        except ValueError as exc:
-            raise tokens.error(f"range upper bound: {exc}") from exc
-    if lower is not None and upper is not None and lower > upper:
-        raise tokens.error("range lower bound exceeds upper bound")
-    return RangeGoal(lower, upper)
+    lower = _take_bound(tokens, "-inf", "range lower bound")
+    upper = _take_bound(tokens, "inf", "range upper bound")
+    try:
+        return RangeGoal(lower, upper)
+    except ValueError as exc:
+        raise tokens.error(str(exc)) from exc
+
+
+def _take_bound(tokens: _Tokens, infinite: str, what: str) -> Number | None:
+    """A range bound: a rational, or None for the ``infinite`` token."""
+    token = tokens.next(what)
+    if token == infinite:
+        return None
+    try:
+        return parse_rational(token)
+    except ValueError as exc:
+        raise tokens.error(f"{what}: {exc}") from exc
 
 
 def _parse_reason(tokens: _Tokens, own_index: int) -> Reason:
@@ -313,17 +300,13 @@ def _parse_reason(tokens: _Tokens, own_index: int) -> Reason:
     elif keyword in ("lin", "rnd"):
         count = tokens.take_count("combination terms")
         terms: list[tuple[int, Number]] = []
-        previous = -1
         for _ in range(count):
             index = tokens.take_index("combination row index", own_index)
-            if index <= previous:
-                raise tokens.error(f"combination indices not strictly increasing at {index}")
-            multiplier = tokens.take_rational("combination multiplier")
-            if multiplier == 0:
-                raise tokens.error(f"zero multiplier on row {index}")
-            terms.append((index, multiplier))
-            previous = index
-        reason = Lin(tuple(terms)) if keyword == "lin" else Rnd(tuple(terms))
+            terms.append((index, tokens.take_rational("combination multiplier")))
+        try:
+            reason = Lin(tuple(terms)) if keyword == "lin" else Rnd(tuple(terms))
+        except ValueError as exc:
+            raise tokens.error(f"{keyword} reason: {exc}") from exc
     elif keyword == "uns":
         i1 = tokens.take_index("unsplit row reference", own_index)
         a1 = tokens.take_index("unsplit assumption reference", own_index)
@@ -386,19 +369,16 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
 
 def read_certificate(source: Iterable[str] | TextIO) -> Certificate:
     """Parse certificate text into an in-memory :class:`Certificate`."""
-    problem: Problem | None = None
-    goal: RtpGoal | None = None
+    events = parse_certificate(source)
+    header = next(events)  # the parser yields the Header first or raises
     solutions: list[Solution] = []
     derivations: list[Derivation] = []
-    for event in parse_certificate(source):
-        if isinstance(event, Header):
-            problem, goal = event.problem, event.goal
-        elif isinstance(event, SolutionEvent):
+    for event in events:
+        if isinstance(event, SolutionEvent):
             solutions.append(event.solution)
         elif isinstance(event, DerivationEvent):
             derivations.append(event.derivation)
-    assert problem is not None and goal is not None
-    return Certificate(problem, goal, tuple(solutions), tuple(derivations))
+    return Certificate(header.problem, header.goal, tuple(solutions), tuple(derivations))
 
 
 def events_from_certificate(certificate: Certificate) -> Iterator[Event]:

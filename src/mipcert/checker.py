@@ -22,10 +22,13 @@ whole is verified when every claimed solution is exactly feasible, some
 solution meets the finite primal bound (if any), every derivation checks, and
 the goal was proven.
 
-Rows whose declared last-use index has passed are evicted from memory, so
-certificates far larger than memory stream through; referencing an evicted
-row is a hard error. The peak number of simultaneously live rows (originals
-included) is reported in the statistics.
+Rows whose declared last-use index has passed are always evicted from memory,
+so certificates far larger than memory stream through; referencing an evicted
+row is a hard error, and a row whose last use is -1 is kept to the end. The
+peak number of simultaneously live rows (originals included) is reported in
+the statistics. The report holds no per-row assumption sets; a caller that
+wants them drives a :class:`CheckerState` and reads
+:meth:`CheckerState.assumptions` while the row is live.
 """
 
 from __future__ import annotations
@@ -118,7 +121,6 @@ class VerificationReport:
     stats: CheckStats
     goal: RtpGoal | None
     goal_proven_by: tuple[int, ...] = ()
-    assumption_sets: dict[int, frozenset[int]] | None = None
 
     @property
     def verdict(self) -> str:
@@ -196,35 +198,24 @@ def assumptions_of(
 class CheckerState:
     """Live-row store and goal progress for one verification run.
 
-    With ``use_eviction`` on (the default), a derived row is dropped from the
-    store right after the derivation whose index equals its declared last-use
-    has been processed; original constraints are never evicted. For a
-    certificate whose last-use annotations are consistent (no row is
-    referenced after its declared last use), disabling eviction changes only
-    the peak memory, never the verdict; an inconsistent annotation is the
-    certificate's fault and is rejected when eviction is on.
+    A derived row is dropped from the store right after the derivation whose
+    index equals its declared last use has been processed; original
+    constraints and rows with last use -1 stay until the end. A reference to
+    a row past its declared last use is the certificate's fault and is
+    rejected. :meth:`row` and :meth:`assumptions` read a live row, so a caller
+    that wants every row's assumption set reads it right after that row's
+    :meth:`verify_derivation`.
     """
 
-    def __init__(
-        self,
-        problem: Problem,
-        goal: RtpGoal,
-        *,
-        use_eviction: bool = True,
-        collect_assumption_sets: bool = False,
-    ) -> None:
+    def __init__(self, problem: Problem, goal: RtpGoal) -> None:
         self.problem = problem
         self.goal = goal
-        self.use_eviction = use_eviction
         self.stats = CheckStats()
         self._goal_vacuous = (
             not isinstance(goal, InfeasibleGoal) and _goal_sides(problem, goal)[0] is None
         )
         self.goal_proven = self._goal_vacuous
         self.goal_proven_by: list[int] = []
-        self.assumption_sets: dict[int, frozenset[int]] | None = (
-            {} if collect_assumption_sets else None
-        )
         self._store: dict[int, _LiveRow] = {}
         self._evict_at: dict[int, list[int]] = {}
         self.next_index = problem.num_constraints
@@ -330,29 +321,21 @@ class CheckerState:
         assumptions = assumptions_of(reason, index, self.assumptions)
         self.stats.reason_counts[kind] += 1
         self.stats.num_derivations += 1
-        if self.assumption_sets is not None:
-            self.assumption_sets[index] = assumptions
         if not assumptions and not self._goal_vacuous:
             if check_goal(self.problem, self.goal, stated):
                 self.goal_proven = True
                 self.goal_proven_by.append(index)
 
         self._store[index] = _LiveRow(stated, assumptions, isinstance(reason, Asm))
-        if derivation.last_use != KEEP_UNTIL_END and self.use_eviction:
+        if derivation.last_use != KEEP_UNTIL_END:
             self._evict_at.setdefault(derivation.last_use, []).append(index)
         self.stats.peak_live = max(self.stats.peak_live, len(self._store))
         self.next_index += 1
-        if self.use_eviction:
-            for victim in self._evict_at.pop(index, ()):
-                del self._store[victim]
+        for victim in self._evict_at.pop(index, ()):
+            del self._store[victim]
 
 
-def verify_certificate(
-    source: Certificate | Iterable[Event],
-    *,
-    use_eviction: bool = True,
-    collect_assumption_sets: bool = False,
-) -> VerificationReport:
+def verify_certificate(source: Certificate | Iterable[Event]) -> VerificationReport:
     """Verify a certificate (in-memory or as a parsed event stream).
 
     Returns a report rather than raising: the verdict is ``verified`` only if
@@ -376,12 +359,7 @@ def verify_certificate(
     try:
         for event in events:
             if isinstance(event, Header):
-                state = CheckerState(
-                    event.problem,
-                    event.goal,
-                    use_eviction=use_eviction,
-                    collect_assumption_sets=collect_assumption_sets,
-                )
+                state = CheckerState(event.problem, event.goal)
             elif state is None:
                 break
             elif isinstance(event, SolutionEvent):
@@ -404,7 +382,6 @@ def verify_certificate(
         stats=state.stats,
         goal=state.goal,
         goal_proven_by=tuple(state.goal_proven_by),
-        assumption_sets=state.assumption_sets,
     )
 
 
@@ -450,16 +427,7 @@ def _check_final(state: CheckerState, best_value: Rational | None) -> None:
             raise Rejection(CheckFailure(None, "solution", msg))
 
 
-def verify_certificate_file(
-    path: str,
-    *,
-    use_eviction: bool = True,
-    collect_assumption_sets: bool = False,
-) -> VerificationReport:
+def verify_certificate_file(path: str) -> VerificationReport:
     """Open, parse, and verify a certificate file as a stream."""
     with open(path, encoding="utf-8") as handle:
-        return verify_certificate(
-            parse_certificate(handle),
-            use_eviction=use_eviction,
-            collect_assumption_sets=collect_assumption_sets,
-        )
+        return verify_certificate(parse_certificate(handle))

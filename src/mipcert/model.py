@@ -290,7 +290,7 @@ class RangeGoal:
 
     def __post_init__(self) -> None:
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
-            msg = "goal range has lower bound above upper bound"
+            msg = "range lower bound exceeds upper bound"
             raise ValueError(msg)
 
 

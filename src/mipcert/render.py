@@ -4,7 +4,8 @@ The output is a deterministic, self-contained document with no scripts: one
 table row per original constraint, per claimed solution, and per derivation.
 Constraints are shown as conventional inequalities (``2x + y >= 1``), every
 reason's referenced rows are intra-document links to the referenced row
-anchors, and each derivation's assumption set is displayed alongside. The
+anchors (a reference to no row at all, possible only in memory, is plain
+text such as ``row 99``), and each derivation's assumption set is displayed alongside. The
 sets come from :func:`mipcert.checker.assumptions_of`, the checker's own
 rule, with a missing reference read as the empty set.
 
@@ -56,12 +57,11 @@ def _assumption_sets(certificate: Certificate) -> dict[int, AssumptionSet]:
     return sets
 
 
-def _row_name(certificate: Certificate, index: int) -> str:
-    return certificate.constraint_at(index).name
-
-
 def _link(certificate: Certificate, index: int) -> str:
-    name = _row_name(certificate, index)
+    """A link to row ``index``; plain text when no such row exists."""
+    if not 0 <= index < certificate.num_rows:
+        return html.escape(f"row {index}")
+    name = certificate.constraint_at(index).name
     return f'<a href="#c-{html.escape(name, quote=True)}">{html.escape(name)}</a>'
 
 

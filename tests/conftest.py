@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from mipcert import Certificate, read_certificate
+from mipcert import KEEP_UNTIL_END, Certificate, read_certificate
+from mipcert.checker import CheckerState, Rejection
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -21,6 +23,33 @@ def load_golden(name: str) -> Certificate:
 
 def golden_text(name: str) -> str:
     return (DATA_DIR / f"{name}.crt").read_text(encoding="utf-8")
+
+
+def keep_every_row(certificate: Certificate) -> Certificate:
+    """The certificate with every last use cleared to -1, so no row is evicted."""
+    derivations = tuple(
+        replace(derivation, last_use=KEEP_UNTIL_END) for derivation in certificate.derivations
+    )
+    return replace(certificate, derivations=derivations)
+
+
+def checked_assumption_sets(certificate: Certificate) -> dict[int, frozenset[int]]:
+    """Each derivation's assumption set as the checker computes it.
+
+    A :class:`CheckerState` checks the derivations in order, and each set is
+    read right after its row is checked, while the row is live. Collection
+    stops at the first rejected row.
+    """
+    state = CheckerState(certificate.problem, certificate.goal)
+    sets: dict[int, frozenset[int]] = {}
+    for position, derivation in enumerate(certificate.derivations):
+        index = certificate.num_original + position
+        try:
+            state.verify_derivation(derivation, index)
+        except Rejection:
+            break
+        sets[index] = state.assumptions(index)
+    return sets
 
 
 @pytest.fixture(scope="session")

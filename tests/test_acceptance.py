@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import GOLDEN_NAMES, DATA_DIR, golden_text, load_golden
+from conftest import GOLDEN_NAMES, DATA_DIR, checked_assumption_sets, golden_text, load_golden
 from test_tighten import fig_junk, inject_junk
 
 from mipcert.certfile import parse_certificate, read_certificate, write_certificate, ParseError
@@ -72,7 +72,7 @@ def test_criterion_2() -> None:
 
 def test_criterion_3() -> None:
     certificate = load_golden("split_infeasible")
-    report = verify_certificate(certificate, collect_assumption_sets=True)
+    report = verify_certificate(certificate)
     assert report.verified
     index_of = {
         d.constraint.name: certificate.num_original + position
@@ -95,7 +95,7 @@ def test_criterion_3() -> None:
         "C9": named("A1"),
         "C10": frozenset(),
     }
-    assert report.assumption_sets == {
+    assert checked_assumption_sets(certificate) == {
         index_of[name]: assumption_set for name, assumption_set in expected.items()
     }
     assert report.goal_proven_by == (index_of["C10"],)
@@ -316,7 +316,7 @@ def test_criterion_7() -> None:
         assert baseline.verified
         for prune in (False, True):
             tightened = tighten(certificate, prune=prune)
-            replay = verify_certificate(tightened, use_eviction=True)
+            replay = verify_certificate(tightened)
             assert replay.verified  # verdict preserved; eviction never faults
             assert replay.stats.peak_live <= baseline.stats.peak_live
             assert tighten(tightened, prune=prune) == tightened
@@ -412,6 +412,6 @@ def test_criterion_9() -> None:
     assert report.stats.peak_live == 10_001  # nothing evicted without hints
 
     tightened = tighten(read_certificate(iter(lines)))
-    replay = verify_certificate(tightened, use_eviction=True)
+    replay = verify_certificate(tightened)
     assert replay.verified
     assert replay.stats.peak_live < 100

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import GOLDEN_NAMES, golden_text, load_golden
+
+import mipcert
 
 from mipcert.certfile import (
     DerivationEvent,
@@ -201,6 +208,10 @@ INVALID_CASES = [
     pytest.param(_der("lin 2 0 1 1 -1", last_use="\u0665"), 14, "integer last_use", id="last-use-arabic-indic"),
     pytest.param(_der("lin 2 0 1 1 -1", last_use="-01"), 14, "integer last_use", id="last-use-padded-minus-one"),
     pytest.param(_der("lin 2 0 1 1 -1", last_use="-2"), 14, "integer last_use", id="last-use-negative"),
+    # Order and nonzero rules are checked once the whole vector is read, so
+    # a zero on the first of two lines is reported on the second.
+    pytest.param(_splice(6, "2 0 0", "1 1"), 7, "zero coefficient", id="zero-coefficient-line-before-end"),
+    pytest.param(_splice(14, "obj G 1 2 0 2 1 1 { lin 2 0 0", "1 -1 } -1"), 15, "zero multiplier", id="zero-multiplier-line-before-end"),
 ]
 
 
@@ -212,6 +223,38 @@ class TestParseErrors:
         assert excinfo.value.line == line
         assert fragment in excinfo.value.message
         assert str(excinfo.value).startswith(f"line {line}:")
+
+    def test_every_case_keeps_its_position_under_python_o(self) -> None:
+        cases = {case.id: case.values for case in INVALID_CASES}
+        script = (
+            "import json, sys\n"
+            "from mipcert.certfile import ParseError, read_certificate\n"
+            "found = {}\n"
+            "for case_id, lines in json.load(sys.stdin).items():\n"
+            "    try:\n"
+            "        read_certificate(lines)\n"
+            "    except ParseError as exc:\n"
+            "        found[case_id] = [exc.line, exc.message]\n"
+            "json.dump({'optimize': sys.flags.optimize, 'found': found}, sys.stdout)\n"
+        )
+        src = str(Path(mipcert.__file__).resolve().parent.parent)
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            input=json.dumps({case_id: lines for case_id, (lines, _, _) in cases.items()}),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+            check=False,
+        )
+        assert completed.returncode == 0, completed.stderr
+        output = json.loads(completed.stdout)
+        assert output["optimize"] == 1
+        assert sorted(output["found"]) == sorted(cases)
+        for case_id, (_, line, fragment) in cases.items():
+            found_line, message = output["found"][case_id]
+            assert found_line == line, case_id
+            assert fragment in message, case_id
 
     def test_parse_problem_rejects_certificate_tail(self) -> None:
         with pytest.raises(ParseError) as excinfo:

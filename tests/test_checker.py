@@ -9,7 +9,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import DATA_DIR, GOLDEN_NAMES, golden_text, load_golden
+from conftest import (
+    DATA_DIR,
+    GOLDEN_NAMES,
+    checked_assumption_sets,
+    golden_text,
+    keep_every_row,
+    load_golden,
+)
 
 import mipcert
 from mipcert.certfile import DerivationEvent, events_from_certificate, parse_certificate
@@ -39,8 +46,8 @@ from mipcert.model import (
 from mipcert.numeric import Rational as R
 
 
-def verify_lines(lines: list[str], **kwargs):
-    return verify_certificate(parse_certificate(lines), **kwargs)
+def verify_lines(lines: list[str]):
+    return verify_certificate(parse_certificate(lines))
 
 
 def recursive_assumption_sets(certificate: Certificate) -> dict[int, frozenset[int]]:
@@ -108,7 +115,6 @@ class TestGoldens:
 
     def test_split_infeasible_assumption_sets(self) -> None:
         certificate = load_golden("split_infeasible")
-        report = verify_certificate(certificate, collect_assumption_sets=True)
         index_of = {
             derivation.constraint.name: certificate.num_original + position
             for position, derivation in enumerate(certificate.derivations)
@@ -117,7 +123,7 @@ class TestGoldens:
         def named(*names: str) -> frozenset[int]:
             return frozenset(index_of[name] for name in names)
 
-        assert report.assumption_sets == {
+        assert checked_assumption_sets(certificate) == {
             index_of["A1"]: named("A1"),
             index_of["A2"]: named("A2"),
             index_of["A3"]: named("A3"),
@@ -134,14 +140,13 @@ class TestGoldens:
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_assumption_sets_match_reference_recomputation(self, name: str) -> None:
         certificate = load_golden(name)
-        report = verify_certificate(certificate, collect_assumption_sets=True)
-        assert report.assumption_sets == recursive_assumption_sets(certificate)
+        assert checked_assumption_sets(certificate) == recursive_assumption_sets(certificate)
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_eviction_toggle_changes_nothing_on_goldens(self, name: str) -> None:
         certificate = load_golden(name)
-        with_eviction = verify_certificate(certificate, use_eviction=True)
-        without = verify_certificate(certificate, use_eviction=False)
+        with_eviction = verify_certificate(certificate)
+        without = verify_certificate(keep_every_row(certificate))
         assert with_eviction.verified and without.verified
         assert with_eviction.stats == without.stats  # no last_use set, so equal peaks
         assert with_eviction.goal_proven_by == without.goal_proven_by
@@ -150,10 +155,6 @@ class TestGoldens:
     def test_verify_certificate_file(self, name: str) -> None:
         report = verify_certificate_file(str(DATA_DIR / f"{name}.crt"))
         assert report.verified
-
-    def test_assumption_sets_not_collected_by_default(self) -> None:
-        report = verify_certificate(load_golden("split_infeasible"))
-        assert report.assumption_sets is None
 
 
 # --- eviction behavior ------------------------------------------------------
@@ -173,8 +174,8 @@ def annotated_rounding_chain() -> Certificate:
 class TestEviction:
     def test_eviction_lowers_peak_not_verdict(self) -> None:
         certificate = annotated_rounding_chain()
-        with_eviction = verify_certificate(certificate, use_eviction=True)
-        without = verify_certificate(certificate, use_eviction=False)
+        with_eviction = verify_certificate(certificate)
+        without = verify_certificate(keep_every_row(certificate))
         assert with_eviction.verified and without.verified
         assert with_eviction.stats.peak_live == 4
         assert without.stats.peak_live == 6
@@ -189,14 +190,14 @@ class TestEviction:
         )
         derivations.append(late_reference)
         bad = replace(certificate, derivations=tuple(derivations))
-        report = verify_certificate(bad, use_eviction=True)
+        report = verify_certificate(bad)
         assert not report.verified
         assert report.failure.index == 6
         assert report.failure.rule == "lin"
         assert "evicted" in report.failure.message
         # The annotation was the only thing wrong with the certificate, so
         # replaying it without eviction verifies.
-        assert verify_certificate(bad, use_eviction=False).verified
+        assert verify_certificate(keep_every_row(bad)).verified
 
 
 # --- targeted rejections ----------------------------------------------------

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from mipcert.model import (
     Constraint,
+    Lin,
     ObjectiveSense,
     Problem,
     RangeGoal,
+    Rnd,
     RuleViolation,
     Sense,
     Solution,
@@ -64,6 +66,24 @@ class TestSparseVec:
         assert v.evaluate({0: R(1, 2), 3: R(4)}) == R(-3)
         assert v.evaluate({}) == R(0)
         assert SparseVec(()).is_zero
+
+
+class TestCombinationTerms:
+    @pytest.mark.parametrize("reason", [Lin, Rnd])
+    def test_rejects_unsorted_indices(self, reason) -> None:
+        with pytest.raises(ValueError, match="not strictly increasing at index 0"):
+            reason(((1, R(1)), (0, R(1))))
+
+    @pytest.mark.parametrize("reason", [Lin, Rnd])
+    def test_rejects_duplicate_indices(self, reason) -> None:
+        with pytest.raises(ValueError, match="not strictly increasing at index 1"):
+            reason(((1, R(1)), (1, R(2))))
+
+    @pytest.mark.parametrize("reason", [Lin, Rnd])
+    @pytest.mark.parametrize("zero", [0, R(0)])
+    def test_rejects_zero_multiplier(self, reason, zero) -> None:
+        with pytest.raises(ValueError, match="zero multiplier on row 2"):
+            reason(((0, R(1)), (2, zero)))
 
 
 class TestLinearCombine:

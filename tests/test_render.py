@@ -7,7 +7,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_NAMES, load_golden
+from conftest import GOLDEN_NAMES, checked_assumption_sets, load_golden
 
 from mipcert.checker import verify_certificate
 from mipcert.model import (
@@ -22,6 +22,7 @@ from mipcert.model import (
     Sense,
     Solution,
     SparseVec,
+    Uns,
 )
 from mipcert.numeric import Rational as R
 from mipcert.render import render_html
@@ -71,6 +72,30 @@ class TestDocumentShape:
             targets = set(HREF_PATTERN.findall(document))
             assert targets <= anchors
             assert targets  # at least one reference rendered as a link
+
+
+class TestReferencesToNoRow:
+    """In-memory certificates may cite indices no file could: no link is made."""
+
+    def with_reason(self, position: int, reason) -> Certificate:
+        golden = load_golden("split_infeasible")
+        derivations = list(golden.derivations)
+        derivations[position] = replace(derivations[position], reason=reason)
+        return replace(golden, derivations=tuple(derivations))
+
+    def test_reference_past_the_end_is_plain_text(self) -> None:
+        certificate = self.with_reason(6, Lin(((1, R(-1, 4)), (99, R(3, 4)))))  # C6
+        document = render_html(certificate)
+        assert 'lin: (-1/4)&middot;<a href="#c-C2">C2</a> + 3/4&middot;row 99</td>' in document
+
+    def test_negative_reference_is_plain_text(self) -> None:
+        certificate = self.with_reason(9, Uns(-1, 5, 8, 7))  # C9
+        document = render_html(certificate)
+        expected = (
+            'unsplit row -1, <a href="#c-C5">C5</a>'
+            ' on <a href="#c-A3">A3</a>, <a href="#c-A4">A4</a>'
+        )
+        assert expected in document
 
 
 class TestCells:
@@ -145,9 +170,8 @@ class TestAssumptionColumn:
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_matches_the_checker(self, name: str) -> None:
         certificate = load_golden(name)
-        report = verify_certificate(certificate, collect_assumption_sets=True)
-        assert report.verified
-        assert rendered_assumption_sets(certificate) == report.assumption_sets
+        assert verify_certificate(certificate).verified
+        assert rendered_assumption_sets(certificate) == checked_assumption_sets(certificate)
 
     def test_rejected_certificate_renders_a_set_for_every_row(self) -> None:
         golden = load_golden("split_infeasible")
@@ -157,15 +181,14 @@ class TestAssumptionColumn:
         forward = Lin(((1, R(-1, 4)), (12, R(3, 4))))
         derivations[6] = replace(derivations[6], reason=forward)
         certificate = replace(golden, derivations=tuple(derivations))
-        report = verify_certificate(certificate, collect_assumption_sets=True)
+        report = verify_certificate(certificate)
         assert not report.verified and report.failure.index == 9
+        checked = checked_assumption_sets(certificate)
         rendered = rendered_assumption_sets(certificate)
         assert sorted(rendered) == list(
             range(certificate.num_original, certificate.num_rows)
         )
-        assert {index: rendered[index] for index in report.assumption_sets} == (
-            report.assumption_sets
-        )
+        assert {index: rendered[index] for index in checked} == checked
         assert rendered[9] == frozenset()  # the missing reference adds nothing
 
 

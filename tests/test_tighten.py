@@ -109,7 +109,7 @@ class TestComputeLastUse:
         certificate = load_golden(name)
         baseline = verify_certificate(certificate)
         tight = compute_last_use(certificate)
-        replay = verify_certificate(tight, use_eviction=True)
+        replay = verify_certificate(tight)
         assert replay.verified
         assert replay.goal_proven_by == baseline.goal_proven_by
         assert replay.stats.peak_live <= baseline.stats.peak_live
@@ -146,7 +146,7 @@ class TestPrune:
         spliced = inject_junk(load_golden("split_infeasible"), 4, fig_junk())
         baseline = verify_certificate(spliced)
         pruned = prune_unused(spliced)
-        replay = verify_certificate(pruned, use_eviction=True)
+        replay = verify_certificate(pruned)
         assert baseline.verified and replay.verified
         assert replay.stats.peak_live <= baseline.stats.peak_live
 
