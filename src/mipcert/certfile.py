@@ -24,7 +24,7 @@ derivations) and must point strictly before the referencing derivation.
 
 :func:`parse_certificate` is a generator emitting one :class:`Header`, the
 declared solutions, each derivation in file order, then :class:`End` — it
-never materializes the whole derivation list, so arbitrarily long
+never materializes the solution or derivation lists, so arbitrarily long
 certificates can be verified in bounded memory. Every parse error carries the
 1-based line number where it was detected. The order and nonzero rules of a
 sparse vector or a combination are enforced by the model's constructors once
@@ -323,8 +323,8 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
     """Stream events from certificate text: Header, solutions, derivations, End.
 
     Raises :class:`ParseError` (with a 1-based line number) on any grammar or
-    invariant violation. Derivations are yielded one at a time and never
-    retained here.
+    invariant violation. The Header comes once the SOL count is read; each
+    solution and derivation is yielded as parsed and never retained here.
     """
     tokens = _Tokens(source)
     problem = _parse_problem_sections(tokens)
@@ -334,7 +334,7 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
     num_solutions = tokens.take_count("solutions")
     if isinstance(goal, InfeasibleGoal) and num_solutions != 0:
         raise tokens.error("an infeasibility goal admits no solutions (SOL must be 0)")
-    solutions: list[Solution] = []
+    yield Header(problem, goal)
     seen_solution_names: set[str] = set()
     for _ in range(num_solutions):
         name = tokens.next("solution name")
@@ -342,11 +342,7 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
             raise tokens.error(f"duplicate solution name {name!r}")
         seen_solution_names.add(name)
         assignment = tokens.take_sparse(problem.num_variables, "solution")
-        solutions.append(Solution(name, assignment))
-
-    yield Header(problem, goal)
-    for solution in solutions:
-        yield SolutionEvent(solution)
+        yield SolutionEvent(Solution(name, assignment))
 
     tokens.expect("DER", "after SOL section")
     num_derivations = tokens.take_count("derivations")

@@ -65,6 +65,7 @@ __all__ = [
     "is_absurd",
     "linear_combine",
     "round_constraint",
+    "satisfies",
 ]
 
 #: Sentinel last_use value: the row is never evicted before the end.
@@ -328,7 +329,10 @@ class Certificate:
         return self.num_original + len(self.derivations)
 
     def constraint_at(self, index: int) -> Constraint:
-        """The constraint at a combined index (original or derived)."""
+        """The constraint at a combined index; IndexError outside ``[0, num_rows)``."""
+        if not 0 <= index < self.num_rows:
+            msg = f"row {index} is outside [0, {self.num_rows})"
+            raise IndexError(msg)
         if index < self.num_original:
             return self.problem.constraints[index]
         return self.derivations[index - self.num_original].constraint
@@ -363,7 +367,6 @@ def _reduced(numerator: int, denominator: int) -> Number:
 def linear_combine(
     terms: Sequence[tuple[Constraint, Number]],
     target_sense: Sense,
-    name: str = "_combined",
 ) -> Constraint:
     """Combine constraints with multipliers into one constraint of the target sense.
 
@@ -417,7 +420,7 @@ def linear_combine(
         if pair[0]
     )
     return Constraint(
-        name, target_sense, SparseVec(entries), _reduced(rhs_numerator, rhs_denominator)
+        "_combined", target_sense, SparseVec(entries), _reduced(rhs_numerator, rhs_denominator)
     )
 
 
@@ -546,7 +549,8 @@ def format_constraint(
     return f"{lhs_text} {_SENSE_TEXT[constraint.sense]} {format_rational(constraint.rhs)}"
 
 
-def _satisfies(constraint: Constraint, point: Mapping[int, Number]) -> bool:
+def satisfies(constraint: Constraint, point: Mapping[int, Number]) -> bool:
+    """True iff ``point`` meets the constraint exactly (missing coordinates are 0)."""
     activity = constraint.lhs.evaluate(point)
     if constraint.sense == Sense.GE:
         return activity >= constraint.rhs
@@ -562,7 +566,7 @@ def evaluate_solution(problem: Problem, solution: Solution) -> tuple[bool, Numbe
     value is integral; the objective value is returned either way.
     """
     point = dict(solution.assignment.entries)
-    feasible = all(_satisfies(constraint, point) for constraint in problem.constraints)
+    feasible = all(satisfies(constraint, point) for constraint in problem.constraints)
     if feasible:
         for index in problem.integer_set:
             value = point.get(index)

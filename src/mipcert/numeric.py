@@ -96,11 +96,12 @@ def _join_digits(digits: str) -> int:
     return high * 10**low_length + _join_digits(digits[-low_length:])
 
 
-def _long_int_text(value: int) -> str:
-    """``str(value)`` for an int too long for it (see :func:`int_from_digits`)."""
-    if value < 0:
-        return "-" + _split_digits(-value)
-    return _split_digits(value)
+def _int_text(value: int) -> str:
+    """``str(value)`` for an int of any length (see :func:`int_from_digits`)."""
+    try:
+        return str(value)
+    except ValueError:  # beyond the interpreter's int-string limit
+        return "-" + _split_digits(-value) if value < 0 else _split_digits(value)
 
 
 def _split_digits(value: int) -> str:
@@ -133,15 +134,10 @@ def parse_rational(token: str) -> Number:
 
 
 def format_rational(value: Number) -> str:
-    """Render a value in canonical token form (``p`` or ``p/q``)."""
-    try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:  # beyond the interpreter's int-string limit
-        if value.denominator == 1:
-            return _long_int_text(value.numerator)
-        return f"{_long_int_text(value.numerator)}/{_long_int_text(value.denominator)}"
+    """Render a value of any length in canonical token form (``p`` or ``p/q``)."""
+    if value.denominator == 1:
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
 def rational_floor(value: Number) -> int:

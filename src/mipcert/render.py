@@ -59,9 +59,10 @@ def _assumption_sets(certificate: Certificate) -> dict[int, AssumptionSet]:
 
 def _link(certificate: Certificate, index: int) -> str:
     """A link to row ``index``; plain text when no such row exists."""
-    if not 0 <= index < certificate.num_rows:
+    try:
+        name = certificate.constraint_at(index).name
+    except IndexError:
         return html.escape(f"row {index}")
-    name = certificate.constraint_at(index).name
     return f'<a href="#c-{html.escape(name, quote=True)}">{html.escape(name)}</a>'
 
 

@@ -54,11 +54,11 @@ sign discipline, and a failed check raises :class:`LpWitnessError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .model import Constraint, RuleViolation, Sense, SparseVec, linear_combine
+from .model import Constraint, RuleViolation, Sense, SparseVec, linear_combine, satisfies
 from .numeric import Number, Rational
 
 __all__ = [
@@ -79,7 +79,7 @@ class LpOptimal:
     """An optimal solution with exact dual multipliers, one per input row."""
 
     point: tuple[Rational, ...]
-    value: Rational
+    value: Number
     duals: tuple[Rational, ...]
 
 
@@ -318,13 +318,6 @@ class _Tableau:
         return [self.column_value(v) - self.column_value(n + v) for v in range(n)]
 
 
-def _dense_objective(num_variables: int, objective: SparseVec) -> list[Rational]:
-    dense = [_ZERO] * num_variables
-    for index, coeff in objective:
-        dense[index] = coeff
-    return dense
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise LpWitnessError(message)
@@ -349,7 +342,8 @@ def solve_lp(
 
     Every outcome is verified against its defining exact identities before
     being returned, so callers may rely on the multipliers unconditionally.
-    Raises :class:`LpWitnessError` if one of those identities fails.
+    Points, and rays against rows with a zero right-hand side, are tested with
+    :func:`~mipcert.model.satisfies`. Raises :class:`LpWitnessError` if a check fails.
     """
     tableau = _Tableau(num_variables, constraints)
     m = tableau.num_rows
@@ -370,11 +364,10 @@ def solve_lp(
 
     tableau.drive_out_artificials()
 
-    dense_objective = _dense_objective(num_variables, objective)
     phase2_costs = [_ZERO] * tableau.width
-    for v in range(num_variables):
-        phase2_costs[v] = dense_objective[v]
-        phase2_costs[num_variables + v] = -dense_objective[v]
+    for v, coeff in objective:
+        phase2_costs[v] = coeff
+        phase2_costs[num_variables + v] = -coeff
 
     unbounded_col = tableau.run_phase(phase2_costs)
     if unbounded_col is not None:
@@ -386,32 +379,19 @@ def solve_lp(
         ray = [
             direction[v] - direction[num_variables + v] for v in range(num_variables)
         ]
-        _require(
-            sum((c * d for c, d in zip(dense_objective, ray)), _ZERO) < 0,
-            "ray must improve the objective",
-        )
+        along = dict(enumerate(ray))
+        _require(objective.evaluate(along) < 0, "ray must improve the objective")
         for con in constraints:
-            along = sum((coeff * ray[index] for index, coeff in con.lhs), _ZERO)
-            if con.sense is Sense.GE:
-                _require(along >= 0, "ray must respect >= rows")
-            elif con.sense is Sense.LE:
-                _require(along <= 0, "ray must respect <= rows")
-            else:
-                _require(along == 0, "ray must respect = rows")
+            _require(satisfies(replace(con, rhs=0), along), f"ray must respect row {con.name!r}")
         return LpUnbounded(ray=tuple(ray))
 
     point = tableau.point()
-    value = sum((c * x for c, x in zip(dense_objective, point)), _ZERO)
+    at_point = dict(enumerate(point))
+    value = objective.evaluate(at_point)
     duals = tableau.duals(phase2_costs)
     combined = _witness_row(constraints, duals)
     _require(combined.lhs == objective, "duals must reconstruct the objective")
     _require(combined.rhs == value, "duals must reconstruct the optimal value")
     for con in constraints:
-        activity = sum((coeff * point[index] for index, coeff in con.lhs), _ZERO)
-        if con.sense is Sense.GE:
-            _require(activity >= con.rhs, "optimal point must be feasible")
-        elif con.sense is Sense.LE:
-            _require(activity <= con.rhs, "optimal point must be feasible")
-        else:
-            _require(activity == con.rhs, "optimal point must be feasible")
+        _require(satisfies(con, at_point), "optimal point must be feasible")
     return LpOptimal(point=tuple(point), value=value, duals=tuple(duals))

@@ -340,17 +340,12 @@ class _Solver:
         return self.builder.emit(stated, Uns(down_index, down_asm, up_index, up_asm))
 
     def _stated_row(self, down_row: Constraint, up_row: Constraint) -> Constraint:
-        down_absurd = is_absurd(down_row)
-        up_absurd = is_absurd(up_row)
-        if down_absurd and up_absurd:
-            return self._absurd_row()
-        if down_absurd:
-            return self._bound_row(self._internal_rhs(up_row))
-        if up_absurd:
-            return self._bound_row(self._internal_rhs(down_row))
-        return self._bound_row(
-            min(self._internal_rhs(down_row), self._internal_rhs(up_row))
-        )
+        """The weaker of the non-absurd child bounds, or the absurd row if none.
+
+        An absurd child row bounds nothing, so it never weakens the other.
+        """
+        bounds = [self._internal_rhs(row) for row in (down_row, up_row) if not is_absurd(row)]
+        return self._bound_row(min(bounds)) if bounds else self._absurd_row()
 
     def _try_probe(
         self, rows: list[tuple[int, Constraint]], point: Sequence[Rational]

@@ -8,9 +8,9 @@ carry no last-use slot and are never evicted.
 
 ``prune_unused`` keeps exactly the derivations backward-reachable from the
 goal-proving empty-assumption derivations (through combination terms and all
-four unsplit references), renumbers the combined index space contiguously,
-rewrites references, and recomputes last-use indices. It is defined only for
-certificates that verify.
+four unsplit references), found by one backward sweep over the derivations,
+renumbers the combined index space contiguously, rewrites references, and
+recomputes last-use indices. It is defined only for certificates that verify.
 
 ``tighten`` composes the two; the result is idempotent and verification-
 preserving, and replaying the checker with eviction on a tightened
@@ -24,7 +24,6 @@ from dataclasses import replace
 from .checker import verify_certificate
 from .model import (
     KEEP_UNTIL_END,
-    Asm,
     Certificate,
     Derivation,
     Lin,
@@ -42,6 +41,15 @@ def _references(reason: Reason) -> tuple[int, ...]:
     if isinstance(reason, Uns):
         return (reason.i1, reason.a1, reason.i2, reason.a2)
     return ()
+
+
+def _renumbered(reason: Reason, new_index: list[int]) -> Reason:
+    """``reason`` with every reference ``r`` replaced by ``new_index[r]``."""
+    if isinstance(reason, Uns):
+        return Uns(*(new_index[r] for r in _references(reason)))
+    if isinstance(reason, (Lin, Rnd)):
+        return type(reason)(tuple((new_index[r], mult) for r, mult in reason.terms))
+    return reason
 
 
 def compute_last_use(certificate: Certificate) -> Certificate:
@@ -69,8 +77,9 @@ def prune_unused(certificate: Certificate) -> Certificate:
     """Drop derivations not needed for the goal proof; renumber the rest.
 
     Keeps the derivations backward-reachable from all goal-proving
-    empty-assumption derivations, rewrites references into the compacted
-    combined index space, and recomputes last_use. Raises ValueError when the
+    empty-assumption derivations, marked in one backward sweep, rewrites
+    references into the compacted combined index space with
+    :func:`_renumbered`, and recomputes last_use. Raises ValueError when the
     certificate does not verify (pruning is only defined for valid input).
     """
     report = verify_certificate(certificate)
@@ -79,39 +88,21 @@ def prune_unused(certificate: Certificate) -> Certificate:
         msg = f"cannot prune a certificate that does not verify ({failure.rule}: {failure.message})"
         raise ValueError(msg)
 
+    # References point backwards, so a row's mark is final when the sweep reaches it.
     num_original = certificate.num_original
-    needed: set[int] = set()
-    stack = [index for index in report.goal_proven_by]
-    while stack:
-        index = stack.pop()
-        if index in needed or index < num_original:
-            continue
-        needed.add(index)
-        derivation = certificate.derivations[index - num_original]
-        stack.extend(_references(derivation.reason))
+    needed = set(report.goal_proven_by)
+    for index in reversed(range(num_original, certificate.num_rows)):
+        if index in needed:
+            needed.update(_references(certificate.derivations[index - num_original].reason))
 
-    kept_old_indices = sorted(needed)
-    new_index: dict[int, int] = {old: old for old in range(num_original)}
-    for position, old in enumerate(kept_old_indices):
-        new_index[old] = num_original + position
-
+    # A dropped row's entry in new_index is never read: no kept row cites it.
+    new_index = list(range(num_original))
     derivations = []
-    for old in kept_old_indices:
-        derivation = certificate.derivations[old - num_original]
-        reason = derivation.reason
-        if isinstance(reason, (Lin, Rnd)):
-            terms = tuple((new_index[ref], mult) for ref, mult in reason.terms)
-            reason = Lin(terms) if isinstance(reason, Lin) else Rnd(terms)
-        elif isinstance(reason, Uns):
-            reason = Uns(
-                new_index[reason.i1],
-                new_index[reason.a1],
-                new_index[reason.i2],
-                new_index[reason.a2],
-            )
-        derivations.append(
-            Derivation(derivation.constraint, reason, last_use=KEEP_UNTIL_END)
-        )
+    for index, derivation in enumerate(certificate.derivations, num_original):
+        new_index.append(num_original + len(derivations))
+        if index in needed:
+            reason = _renumbered(derivation.reason, new_index)
+            derivations.append(Derivation(derivation.constraint, reason))
     pruned = replace(certificate, derivations=tuple(derivations))
     return compute_last_use(pruned)
 

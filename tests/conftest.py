@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mipcert import KEEP_UNTIL_END, Certificate, read_certificate
-from mipcert.checker import CheckerState, Rejection
+from mipcert import KEEP_UNTIL_END, Certificate, Uns, read_certificate
+from mipcert.checker import CheckerState, Rejection, verify_certificate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -50,6 +50,52 @@ def checked_assumption_sets(certificate: Certificate) -> dict[int, frozenset[int
             break
         sets[index] = state.assumptions(index)
     return sets
+
+
+def _cited(reason) -> tuple[int, ...]:
+    if isinstance(reason, Uns):
+        return (reason.i1, reason.a1, reason.i2, reason.a2)
+    return tuple(index for index, _ in getattr(reason, "terms", ()))
+
+
+def goal_reachable(certificate: Certificate) -> set[int]:
+    """Combined indices the goal proof depends on, found by a fixpoint.
+
+    Starts from the rows the checker reports as proving the goal and adds
+    every row a reached derivation cites until nothing new is reached.
+    """
+    num_original = certificate.num_original
+    reached = set(verify_certificate(certificate).goal_proven_by)
+    while True:
+        grown = reached | {
+            cited
+            for index in reached
+            if index >= num_original
+            for cited in _cited(certificate.derivations[index - num_original].reason)
+        }
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def described_derivations(
+    certificate: Certificate, indices: set[int] | None = None
+) -> list[tuple]:
+    """Derivations in file order as (name, rule, cited names, multipliers).
+
+    Rows are named rather than numbered, so a certificate whose references
+    were renumbered describes the same rows. ``indices`` selects rows by
+    combined index; by default every derivation is described.
+    """
+    described = []
+    for position, derivation in enumerate(certificate.derivations):
+        if indices is not None and certificate.num_original + position not in indices:
+            continue
+        reason = derivation.reason
+        cited = tuple(certificate.constraint_at(i).name for i in _cited(reason))
+        multipliers = tuple(m for _, m in getattr(reason, "terms", ()))
+        described.append((derivation.constraint.name, type(reason).__name__, cited, multipliers))
+    return described
 
 
 @pytest.fixture(scope="session")

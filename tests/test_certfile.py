@@ -104,6 +104,16 @@ class TestEventStream:
             indices = [e.index for e in parse_certificate(f) if isinstance(e, DerivationEvent)]
         assert indices == list(range(3, 14))
 
+    def test_each_solution_is_yielded_before_the_next_is_read(self) -> None:
+        lines = golden_text("small_range").splitlines()
+        sol = lines.index("SOL 1")
+        lines[sol : sol + 2] = ["SOL 2", "first 1 0 2", "second 1 0 zz"]
+        events = parse_certificate(lines)
+        assert isinstance(next(events), Header)
+        assert next(events).solution.name == "first"
+        with pytest.raises(ParseError, match="line 13"):
+            next(events)
+
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_events_from_certificate_matches_parser(self, name: str) -> None:
         with open_golden(name) as f:

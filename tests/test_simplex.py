@@ -417,6 +417,44 @@ def test_corrupted_multipliers_raise(monkeypatch, rows, corrupt, message) -> Non
         solve_lp(1, rows, vec((0, 1)))
 
 
+def test_infeasible_optimal_point_raises(monkeypatch) -> None:
+    # min x0 does not look at x1, so moving x1 past its cap keeps the value
+    # and the duals valid, and only the feasibility check can object.
+    rows = [
+        con("LO", Sense.GE, 1, (0, 1)),
+        con("Y", Sense.GE, 0, (1, 1)),
+        con("YCAP", Sense.LE, 4, (1, 1)),
+    ]
+    original = _Tableau.point
+    monkeypatch.setattr(
+        _Tableau, "point", lambda self: [x + 5 * v for v, x in enumerate(original(self))]
+    )
+    with pytest.raises(LpWitnessError, match="optimal point must be feasible"):
+        solve_lp(2, rows, vec((0, 1)))
+
+
+@pytest.mark.parametrize(
+    ("objective", "message"),
+    (
+        # The true ray is x0 = 1; the shifted one is x0 = -1, uphill for -x0.
+        (vec((0, -1)), "ray must improve the objective"),
+        # The true ray is x1 = -1; the shifted one also moves x0 to -2 < 0.
+        (vec((1, 1)), "ray must respect"),
+    ),
+    ids=("uphill-ray", "ray-leaving-a-row"),
+)
+def test_corrupted_ray_raises(monkeypatch, objective, message) -> None:
+    original = _Tableau.entry
+
+    def shifted(self, r: int, col: int) -> R:
+        value = original(self, r, col)
+        return value if col == -1 else value + 2
+
+    monkeypatch.setattr(_Tableau, "entry", shifted)
+    with pytest.raises(LpWitnessError, match=message):
+        solve_lp(2, [con("B", Sense.GE, 0, (0, 1))], objective)
+
+
 def test_corrupted_multipliers_raise_under_optimize_flag() -> None:
     script = textwrap.dedent(
         """

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import load_golden
+from conftest import described_derivations, goal_reachable, load_golden
 
 import mipcert
 
@@ -40,6 +40,7 @@ from mipcert.numeric import Rational as R
 from mipcert.simplex import LpInfeasible, LpOptimal, solve_lp
 from mipcert.solve import NodeLimitError, SolveConfig, SolveResult, select_branch_variable, solve
 from mipcert.solve import SolverCheckError
+from mipcert.tighten import prune_unused
 
 CG = SolveConfig(cg_objective=True)
 
@@ -273,6 +274,15 @@ def test_pinned_search(make, config: SolveConfig, nodes: int, optimum) -> None:
         assert result.status == "infeasible"
         assert result.certificate.goal == InfeasibleGoal()
         assert verify_certificate(result.certificate).verified
+
+
+@pytest.mark.parametrize("config", (SolveConfig(), CG), ids=("plain", "cg"))
+@pytest.mark.parametrize("make", (knapsack10, parity10))
+def test_pruning_keeps_what_the_goal_reaches(make, config: SolveConfig) -> None:
+    certificate = solve(make(), config).certificate
+    pruned = prune_unused(certificate)
+    expected = described_derivations(certificate, goal_reachable(certificate))
+    assert described_derivations(pruned) == expected
 
 
 # --- randomized cross-check against exhaustive enumeration ------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_NAMES, load_golden
+from conftest import GOLDEN_NAMES, described_derivations, goal_reachable, load_golden
 
 from mipcert.checker import verify_certificate
 from mipcert.model import (
@@ -136,6 +136,11 @@ class TestPrune:
         assert len(pruned.derivations) == 11
         assert {d.constraint.name for d in pruned.derivations}.isdisjoint({"J1", "J2", "J3"})
         assert pruned == prune_unused(certificate)
+
+    def test_kept_rows_match_a_fixpoint_reachability(self) -> None:
+        spliced = inject_junk(load_golden("split_infeasible"), 4, fig_junk())
+        expected = described_derivations(spliced, goal_reachable(spliced))
+        assert described_derivations(prune_unused(spliced)) == expected
 
     def test_prune_is_idempotent(self) -> None:
         spliced = inject_junk(load_golden("split_infeasible"), 4, fig_junk())
