@@ -22,14 +22,15 @@ references use the combined row index space (originals first, then
 derivations) and must point strictly before the referencing derivation.
 ``last_use`` is ``-1`` or a combined index greater than the derivation's own.
 
-:func:`parse_certificate` is a generator emitting one :class:`Header`, the
-declared solutions, each derivation in file order, then :class:`End` — it
-never materializes the solution or derivation lists, so arbitrarily long
-certificates can be verified in bounded memory. Every parse error carries the
-1-based line number where it was detected. The order and nonzero rules of a
-sparse vector or a combination are enforced by the model's constructors once
-the whole vector has been read, so their errors carry the line where the
-vector ends.
+:func:`parse_certificate` is a generator emitting one :class:`Header`, then
+each declared :class:`~mipcert.model.Solution` and each
+:class:`~mipcert.model.Derivation` in file order, and returns once the file
+has ended cleanly. It never materializes the solution or derivation lists, so
+arbitrarily long certificates can be verified in bounded memory. Every parse
+error carries the 1-based line number where it was detected. The order and
+nonzero rules of a sparse vector or a combination are enforced by the model's
+constructors once the whole vector has been read, so their errors carry the
+line where the vector ends.
 """
 
 from __future__ import annotations
@@ -57,16 +58,14 @@ from .model import (
     Solution,
     SparseVec,
     Uns,
+    format_bounds,
 )
 from .numeric import Number, format_rational, int_from_digits, parse_rational
 
 __all__ = [
-    "DerivationEvent",
-    "End",
     "Event",
     "Header",
     "ParseError",
-    "SolutionEvent",
     "events_from_certificate",
     "parse_certificate",
     "parse_problem",
@@ -93,30 +92,8 @@ class Header:
     goal: RtpGoal
 
 
-@dataclass(frozen=True)
-class SolutionEvent:
-    """One claimed solution, in file order."""
+Event = Union[Header, Solution, Derivation]
 
-    solution: Solution
-
-
-@dataclass(frozen=True)
-class DerivationEvent:
-    """One derivation, in file order, with its combined row index."""
-
-    derivation: Derivation
-    index: int
-
-
-@dataclass(frozen=True)
-class End:
-    """The file ended cleanly after the declared number of derivations."""
-
-
-Event = Union[Header, SolutionEvent, DerivationEvent, End]
-
-_SENSE_BY_CODE = {"G": Sense.GE, "L": Sense.LE, "E": Sense.EQ}
-_CODE_BY_SENSE = {sense: code for code, sense in _SENSE_BY_CODE.items()}
 _LAST_USE_RE = re.compile(r"-1|[0-9]+")
 
 
@@ -226,12 +203,10 @@ def _parse_problem_sections(tokens: _Tokens) -> Problem:
 
     tokens.expect("OBJ", "after INT section")
     sense_token = tokens.next("objective sense")
-    if sense_token == "min":
-        objective_sense = ObjectiveSense.MIN
-    elif sense_token == "max":
-        objective_sense = ObjectiveSense.MAX
-    else:
-        raise tokens.error(f"expected 'min' or 'max', found {sense_token!r}")
+    try:
+        objective_sense = ObjectiveSense(sense_token)
+    except ValueError:
+        raise tokens.error(f"expected 'min' or 'max', found {sense_token!r}") from None
     objective = tokens.take_sparse(num_variables, "objective")
 
     tokens.expect("CON", "after OBJ section")
@@ -257,9 +232,10 @@ def _parse_problem_sections(tokens: _Tokens) -> Problem:
 def _parse_constraint_core(tokens: _Tokens, num_variables: int, what: str) -> Constraint:
     name = tokens.next(f"{what} name")
     sense_code = tokens.next(f"{what} sense")
-    sense = _SENSE_BY_CODE.get(sense_code)
-    if sense is None:
-        raise tokens.error(f"unknown sense code {sense_code!r} (expected G, L, or E)")
+    try:
+        sense = Sense(sense_code)
+    except ValueError:
+        raise tokens.error(f"unknown sense code {sense_code!r} (expected G, L, or E)") from None
     rhs = tokens.take_rational(f"{what} right-hand side")
     lhs = tokens.take_sparse(num_variables, f"{what} left-hand side")
     return Constraint(name, sense, lhs, rhs)
@@ -320,11 +296,12 @@ def _parse_reason(tokens: _Tokens, own_index: int) -> Reason:
 
 
 def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
-    """Stream events from certificate text: Header, solutions, derivations, End.
+    """Stream events from certificate text: the Header, solutions, derivations.
 
     Raises :class:`ParseError` (with a 1-based line number) on any grammar or
     invariant violation. The Header comes once the SOL count is read; each
-    solution and derivation is yielded as parsed and never retained here.
+    solution and derivation is yielded as parsed and never retained here. The
+    generator returns after checking that nothing follows the DER section.
     """
     tokens = _Tokens(source)
     problem = _parse_problem_sections(tokens)
@@ -342,7 +319,7 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
             raise tokens.error(f"duplicate solution name {name!r}")
         seen_solution_names.add(name)
         assignment = tokens.take_sparse(problem.num_variables, "solution")
-        yield SolutionEvent(Solution(name, assignment))
+        yield Solution(name, assignment)
 
     tokens.expect("DER", "after SOL section")
     num_derivations = tokens.take_count("derivations")
@@ -356,11 +333,10 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
         seen_names.add(constraint.name)
         reason = _parse_reason(tokens, own_index)
         last_use = tokens.take_last_use(own_index)
-        yield DerivationEvent(Derivation(constraint, reason, last_use), own_index)
+        yield Derivation(constraint, reason, last_use)
 
     if not tokens.at_end():
         raise tokens.error(f"trailing tokens after the DER section: {tokens.next('')!r}")
-    yield End()
 
 
 def read_certificate(source: Iterable[str] | TextIO) -> Certificate:
@@ -370,22 +346,18 @@ def read_certificate(source: Iterable[str] | TextIO) -> Certificate:
     solutions: list[Solution] = []
     derivations: list[Derivation] = []
     for event in events:
-        if isinstance(event, SolutionEvent):
-            solutions.append(event.solution)
-        elif isinstance(event, DerivationEvent):
-            derivations.append(event.derivation)
+        if isinstance(event, Solution):
+            solutions.append(event)
+        else:
+            derivations.append(event)
     return Certificate(header.problem, header.goal, tuple(solutions), tuple(derivations))
 
 
 def events_from_certificate(certificate: Certificate) -> Iterator[Event]:
     """The event stream an in-memory certificate would parse to."""
     yield Header(certificate.problem, certificate.goal)
-    for solution in certificate.solutions:
-        yield SolutionEvent(solution)
-    num_original = certificate.num_original
-    for position, derivation in enumerate(certificate.derivations):
-        yield DerivationEvent(derivation, num_original + position)
-    yield End()
+    yield from certificate.solutions
+    yield from certificate.derivations
 
 
 def parse_problem(source: Iterable[str] | TextIO) -> Problem:
@@ -420,7 +392,7 @@ def _format_reason(reason: Reason) -> str:
 
 def _constraint_line(constraint: Constraint) -> str:
     return (
-        f"{constraint.name} {_CODE_BY_SENSE[constraint.sense]} "
+        f"{constraint.name} {constraint.sense.value} "
         f"{format_rational(constraint.rhs)} {_format_sparse(constraint.lhs)}"
     )
 
@@ -447,8 +419,7 @@ def write_certificate(certificate: Certificate, sink: TextIO) -> None:
     if isinstance(goal, InfeasibleGoal):
         sink.write("RTP infeas\n")
     else:
-        lower = "-inf" if goal.lower is None else format_rational(goal.lower)
-        upper = "inf" if goal.upper is None else format_rational(goal.upper)
+        lower, upper = format_bounds(goal)
         sink.write(f"RTP range {lower} {upper}\n")
     sink.write(f"SOL {len(certificate.solutions)}\n")
     for solution in certificate.solutions:

@@ -1,15 +1,17 @@
 """Sequential certificate verification with on-the-fly assumption tracking.
 
-The checker consumes the event stream of :mod:`mipcert.certfile` and verifies
-each derivation against the rows still live in memory, computing assumption
-sets as it goes:
+The checker consumes the stream of :mod:`mipcert.certfile` — a
+:class:`~mipcert.certfile.Header`, then plain solutions and derivations — and
+verifies each derivation against the rows still live in memory, numbering
+derivations itself and computing assumption sets as it goes:
 
 * ``asm`` rows are accepted verbatim; their assumption set is themselves;
 * ``lin``/``rnd`` rows must be dominated by the (rounded) combination of the
   referenced rows; their assumption set is the union of the referenced sets;
 * ``uns`` rows discharge a complementary assumption pair: both referenced
   rows must dominate the stated row, each must actually depend on its
-  assumption, and the two assumptions must form a split disjunction.
+  assumption, and the two assumptions must form a split disjunction; the
+  row's assumption set joins each branch's set less its own assumption.
 
 This module is the only implementation of these rules: the solver emits its
 rows through a :class:`CheckerState`, and the renderer's assumption sets come
@@ -20,7 +22,7 @@ goal: an infeasibility goal needs an absurdity, a range goal needs the row to
 dominate the objective-bound constraint on the dual side. A certificate as a
 whole is verified when every claimed solution is exactly feasible, some
 solution meets the finite primal bound (if any), every derivation checks, and
-the goal was proven.
+the goal was proven by the time the stream ends.
 
 Rows whose declared last-use index has passed are always evicted from memory,
 so certificates far larger than memory stream through; referencing an evicted
@@ -33,18 +35,10 @@ wants them drives a :class:`CheckerState` and reads
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .certfile import (
-    DerivationEvent,
-    End,
-    Event,
-    Header,
-    SolutionEvent,
-    events_from_certificate,
-    parse_certificate,
-)
+from .certfile import Event, Header, events_from_certificate, parse_certificate
 from .model import (
     KEEP_UNTIL_END,
     Asm,
@@ -62,6 +56,7 @@ from .model import (
     RtpGoal,
     RuleViolation,
     Sense,
+    Solution,
     Uns,
     check_disjunction_pair,
     dominates,
@@ -185,14 +180,14 @@ def assumptions_of(
 
     ``lookup`` returns the assumption set of an earlier row. An assumption
     depends on itself; a combination or rounding on the union of its terms'
-    sets; an unsplit on the union of its two branches' sets, minus the two
-    assumptions it discharges. The rules themselves are not checked here.
+    sets; an unsplit on the union of its branches' sets, each less only its
+    own branch assumption. The rules themselves are not checked here.
     """
     if isinstance(reason, Asm):
         return frozenset((index,))
     if isinstance(reason, (Lin, Rnd)):
         return frozenset().union(*(lookup(reference) for reference, _ in reason.terms))
-    return (lookup(reason.i1) | lookup(reason.i2)) - {reason.a1, reason.a2}
+    return (lookup(reason.i1) - {reason.a1}) | (lookup(reason.i2) - {reason.a2})
 
 
 class CheckerState:
@@ -341,41 +336,39 @@ def verify_certificate(source: Certificate | Iterable[Event]) -> VerificationRep
     Returns a report rather than raising: the verdict is ``verified`` only if
     every solution is exactly feasible, some solution meets the finite primal
     bound (when the goal states one), every derivation checks, and the goal
-    was proven by an empty-assumption derivation (or is vacuous). Parse errors
-    from an underlying file stream propagate as :class:`ParseError`.
+    was proven by an empty-assumption derivation (or is vacuous) once the
+    stream ends. Parse errors from an underlying file stream propagate as
+    :class:`ParseError`.
 
-    Raises ValueError when the stream has no :class:`Header` before its first
-    other event, or none at all (an empty stream).
+    Raises ValueError when the stream does not start with a :class:`Header`
+    (an empty one included) or holds a second one.
     """
     if isinstance(source, Certificate):
-        events: Iterable[Event] = events_from_certificate(source)
+        events: Iterator[Event] = events_from_certificate(source)
     else:
-        events = source
+        events = iter(source)
+    header = next(events, None)
+    if not isinstance(header, Header):
+        msg = "event stream has no header"
+        raise ValueError(msg)
 
-    state: CheckerState | None = None
+    state = CheckerState(header.problem, header.goal)
     best_value: Rational | None = None
-    solution_ordinal = 0
     failure: CheckFailure | None = None
     try:
         for event in events:
-            if isinstance(event, Header):
-                state = CheckerState(event.problem, event.goal)
-            elif state is None:
-                break
-            elif isinstance(event, SolutionEvent):
-                best_value = _check_solution(state, event, solution_ordinal, best_value)
+            if isinstance(event, Derivation):
+                state.verify_derivation(event, state.next_index)
+            elif isinstance(event, Solution):
+                best_value = _check_solution(state, event, best_value)
                 state.stats.num_solutions += 1
-                solution_ordinal += 1
-            elif isinstance(event, DerivationEvent):
-                state.verify_derivation(event.derivation, event.index)
-            elif isinstance(event, End):
-                _check_final(state, best_value)
+            else:
+                msg = "event stream has a second header"
+                raise ValueError(msg)
+        _check_final(state, best_value)
     except Rejection as rejection:
         failure = rejection.failure
 
-    if state is None:
-        msg = "event stream has no header"
-        raise ValueError(msg)
     return VerificationReport(
         verified=failure is None,
         failure=failure,
@@ -386,17 +379,15 @@ def verify_certificate(source: Certificate | Iterable[Event]) -> VerificationRep
 
 
 def _check_solution(
-    state: CheckerState,
-    event: SolutionEvent,
-    ordinal: int,
-    best_value: Rational | None,
+    state: CheckerState, solution: Solution, best_value: Rational | None
 ) -> Rational | None:
+    ordinal = state.stats.num_solutions
     if isinstance(state.goal, InfeasibleGoal):
         msg = "solutions are not allowed with an infeasibility goal"
         raise Rejection(CheckFailure(ordinal, "solution", msg))
-    feasible, value = evaluate_solution(state.problem, event.solution)
+    feasible, value = evaluate_solution(state.problem, solution)
     if not feasible:
-        msg = f"solution {event.solution.name!r} is not feasible"
+        msg = f"solution {solution.name!r} is not feasible"
         raise Rejection(CheckFailure(ordinal, "solution", msg))
     if best_value is None:
         return value

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, TextIO
 
 from .certfile import ParseError, parse_problem, read_certificate, write_certificate
 from .checker import VerificationReport, verify_certificate_file
-from .model import Certificate, InfeasibleGoal
+from .model import Certificate, InfeasibleGoal, format_bounds
 from .numeric import format_rational
 from .tighten import tighten
 
@@ -80,8 +80,7 @@ def _describe_goal(report: VerificationReport) -> str:
     goal = report.goal
     if isinstance(goal, InfeasibleGoal):
         return "infeasible"
-    lower = "-inf" if goal.lower is None else format_rational(goal.lower)
-    upper = "inf" if goal.upper is None else format_rational(goal.upper)
+    lower, upper = format_bounds(goal)
     return f"range [{lower}, {upper}]"
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "check_disjunction_pair",
     "dominates",
     "evaluate_solution",
+    "format_bounds",
     "format_constraint",
     "format_linear",
     "is_absurd",
@@ -547,6 +548,13 @@ def format_constraint(
     """
     lhs_text = format_linear(constraint.lhs, variable_names)
     return f"{lhs_text} {_SENSE_TEXT[constraint.sense]} {format_rational(constraint.rhs)}"
+
+
+def format_bounds(goal: RangeGoal) -> tuple[str, str]:
+    """A range goal's lower and upper bound as text; ``-inf``/``inf`` when absent."""
+    lower = "-inf" if goal.lower is None else format_rational(goal.lower)
+    upper = "inf" if goal.upper is None else format_rational(goal.upper)
+    return lower, upper
 
 
 def satisfies(constraint: Constraint, point: Mapping[int, Number]) -> bool:

@@ -26,6 +26,7 @@ from .model import (
     Lin,
     Rnd,
     evaluate_solution,
+    format_bounds,
     format_constraint,
     format_linear,
 )
@@ -97,8 +98,7 @@ def _goal_text(certificate: Certificate) -> str:
     goal = certificate.goal
     if isinstance(goal, InfeasibleGoal):
         return "prove infeasibility"
-    lower = "-inf" if goal.lower is None else format_rational(goal.lower)
-    upper = "inf" if goal.upper is None else format_rational(goal.upper)
+    lower, upper = format_bounds(goal)
     return f"prove the optimal value lies in [{lower}, {upper}]"
 
 

@@ -20,6 +20,10 @@ contained in the node's path:
   assumes ``x_v <= floor`` and ``x_v >= floor + 1`` in turn, and merges the
   two child bound rows by unsplitting, stating the weaker of the two bounds.
 
+The search is depth first, down child before up child. Each open node is a
+suspended generator on an explicit stack, so a deep tree costs no Python
+recursion.
+
 When a child's bound row does not actually depend on that child's branch
 assumption, the row already holds for the whole node and is adopted directly
 instead of unsplitting (unsplitting would be illegal there: it requires each
@@ -45,7 +49,7 @@ here, raises :class:`SolverCheckError`; these are explicit checks, not
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Generator, Iterable, Optional, Sequence
 
 from .checker import CheckerState, Rejection
 from .model import (
@@ -280,7 +284,27 @@ class _Solver:
         rows.extend((index, self.builder.state.row(index)) for index in path)
         return rows
 
-    def solve_node(self, path: list[int]) -> int:
+    def search(self) -> int:
+        """Run the tree from the root on an explicit stack; the root's bound row."""
+        stack = [self.solve_node([])]
+        child_index: Optional[int] = None
+        while True:
+            try:
+                child_path = stack[-1].send(child_index)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                child_index = done.value
+            else:
+                stack.append(self.solve_node(child_path))
+                child_index = None
+
+    def solve_node(self, path: list[int]) -> Generator[list[int], int, int]:
+        """Close the node at ``path``, returning the index of its bound row.
+
+        To branch, it yields each child's path and is sent that child's index.
+        """
         self.num_nodes += 1
         limit = self.config.node_limit
         if limit is not None and self.num_nodes > limit:
@@ -316,7 +340,7 @@ class _Solver:
 
         floor = rational_floor(point[branch_variable])
         down_asm = self.builder.add_assumption(branch_variable, Sense.LE, floor)
-        down_index = self.solve_node(path + [down_asm])
+        down_index = yield path + [down_asm]
         down_row = self.builder.state.row(down_index)
         if down_asm not in self.builder.state.assumptions(down_index) and is_absurd(
             down_row
@@ -326,7 +350,7 @@ class _Solver:
             return down_index
 
         up_asm = self.builder.add_assumption(branch_variable, Sense.GE, floor + 1)
-        up_index = self.solve_node(path + [up_asm])
+        up_index = yield path + [up_asm]
         up_row = self.builder.state.row(up_index)
 
         # A child bound that does not depend on its own branch assumption
@@ -396,7 +420,7 @@ def solve(problem: Problem, config: SolveConfig = SolveConfig()) -> SolveResult:
     """
     solver = _Solver(problem, config)
     try:
-        root_index = solver.solve_node([])
+        root_index = solver.search()
     except _RootUnbounded:
         return SolveResult(
             status="unbounded",

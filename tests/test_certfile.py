@@ -15,11 +15,8 @@ from conftest import GOLDEN_NAMES, golden_text, load_golden
 import mipcert
 
 from mipcert.certfile import (
-    DerivationEvent,
-    End,
     Header,
     ParseError,
-    SolutionEvent,
     events_from_certificate,
     parse_certificate,
     parse_problem,
@@ -27,7 +24,17 @@ from mipcert.certfile import (
     write_certificate,
     write_problem,
 )
-from mipcert.model import InfeasibleGoal, RangeGoal
+from mipcert.checker import verify_certificate
+from mipcert.model import (
+    Constraint,
+    Derivation,
+    InfeasibleGoal,
+    Lin,
+    RangeGoal,
+    Sense,
+    Solution,
+    SparseVec,
+)
 from mipcert.numeric import Rational as R
 
 
@@ -92,17 +99,23 @@ class TestEventStream:
     def test_order_and_indices(self) -> None:
         with open_golden("small_range") as f:
             events = list(parse_certificate(f))
-        assert [type(e) for e in events] == [Header, SolutionEvent, DerivationEvent, End]
+        assert [type(e) for e in events] == [Header, Solution, Derivation]
         header = events[0]
         assert header.problem.variable_names == ("x", "y")
         assert header.goal == RangeGoal(R(1), R(1))
-        assert events[1].solution.name == "x*"
-        assert events[2].index == header.problem.num_constraints == 2
+        assert events[1].name == "x*"
+        assert header.problem.num_constraints == 2
+        assert verify_certificate(iter(events)).goal_proven_by == (2,)
 
     def test_derivation_indices_follow_originals(self) -> None:
         with open_golden("split_infeasible") as f:
-            indices = [e.index for e in parse_certificate(f) if isinstance(e, DerivationEvent)]
-        assert indices == list(range(3, 14))
+            header, *derivations = parse_certificate(f)
+        unproven = Derivation(Constraint("bad", Sense.GE, SparseVec(()), 1), Lin(((0, 1),)))
+        indices = [
+            verify_certificate([header, *derivations[:position], unproven]).failure.index
+            for position in range(len(derivations) + 1)
+        ]
+        assert indices == list(range(3, 15))
 
     def test_each_solution_is_yielded_before_the_next_is_read(self) -> None:
         lines = golden_text("small_range").splitlines()
@@ -110,7 +123,7 @@ class TestEventStream:
         lines[sol : sol + 2] = ["SOL 2", "first 1 0 2", "second 1 0 zz"]
         events = parse_certificate(lines)
         assert isinstance(next(events), Header)
-        assert next(events).solution.name == "first"
+        assert next(events).name == "first"
         with pytest.raises(ParseError, match="line 13"):
             next(events)
 

@@ -19,7 +19,7 @@ from conftest import (
 )
 
 import mipcert
-from mipcert.certfile import DerivationEvent, events_from_certificate, parse_certificate
+from mipcert.certfile import Header, events_from_certificate, parse_certificate
 from mipcert.checker import (
     CheckerState,
     Rejection,
@@ -63,7 +63,7 @@ def recursive_assumption_sets(certificate: Certificate) -> dict[int, frozenset[i
         elif isinstance(reason, (Lin, Rnd)):
             current = frozenset().union(*(sets[ref] for ref, _ in reason.terms))
         elif isinstance(reason, Uns):
-            current = (sets[reason.i1] | sets[reason.i2]) - {reason.a1, reason.a2}
+            current = (sets[reason.i1] - {reason.a1}) | (sets[reason.i2] - {reason.a2})
         else:  # pragma: no cover
             raise AssertionError(reason)
         sets[index] = current
@@ -294,14 +294,11 @@ class TestRejections:
         assert "does not dominate" in report.failure.message
 
     def test_out_of_order_event_stream(self) -> None:
-        events = list(events_from_certificate(load_golden("small_range")))
-        events = [
-            replace(event, index=5) if isinstance(event, DerivationEvent) else event
-            for event in events
-        ]
-        report = verify_certificate(events)
-        assert not report.verified
-        assert report.failure.rule == "order"
+        certificate = load_golden("small_range")
+        state = CheckerState(certificate.problem, certificate.goal)
+        with pytest.raises(Rejection) as caught:
+            state.verify_derivation(certificate.derivations[0], 5)
+        assert (caught.value.failure.index, caught.value.failure.rule) == (5, "order")
 
     def test_bad_last_use_in_memory(self) -> None:
         certificate = load_golden("small_range")
@@ -466,6 +463,17 @@ class TestEventStream:
     def test_empty_stream_raises_value_error(self) -> None:
         with pytest.raises(ValueError, match="^event stream has no header$"):
             verify_certificate(iter([]))
+
+    def test_stream_ending_before_the_goal_is_proven_is_rejected(self) -> None:
+        problem = load_golden("small_range").problem  # feasible
+        report = verify_certificate([Header(problem, InfeasibleGoal())])
+        assert not report.verified
+        assert report.failure.rule == "goal"
+
+    def test_second_header_raises_value_error(self) -> None:
+        events = list(events_from_certificate(load_golden("small_range")))
+        with pytest.raises(ValueError, match="^event stream has a second header$"):
+            verify_certificate(iter(events + events))
 
     @pytest.mark.parametrize("skip", [1, 2])
     def test_stream_without_leading_header_raises_value_error(self, skip: int) -> None:

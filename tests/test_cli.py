@@ -79,6 +79,39 @@ class TestCheck:
         assert code == 1
         assert out.startswith("rejected (goal):")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(
+                "VER 1 VAR 1 x INT 1 0 OBJ min 0 CON 2 lo G 0 1 0 1 hi L 1 1 0 1\n"
+                "RTP infeas SOL 0 DER 4\n"
+                "A1 L 0 1 0 1 { asm } -1\n"
+                "A2 G 1 1 0 1 { asm } -1\n"
+                "R1 G 1 0 { lin 2 2 -1 3 1 } -1\n"
+                "R2 G 1 0 { uns 4 2 4 3 } -1\n",
+                id="infeasible",
+            ),
+            pytest.param(
+                "VER 1 VAR 1 x INT 1 0 OBJ min 1 0 1 CON 2 lo G 0 1 0 1 hi L 1 1 0 1\n"
+                "RTP range 1 1 SOL 1 x1 1 0 1 DER 5\n"
+                "A1 L 0 1 0 1 { asm } -1\n"
+                "A2 G 1 1 0 1 { asm } -1\n"
+                "R1 G 1 0 { lin 2 2 -1 3 1 } -1\n"
+                "R2 G 1 1 0 1 { lin 1 3 1 } -1\n"
+                "R3 G 1 1 0 1 { uns 4 2 5 3 } -1\n",
+                id="optimum-1",
+            ),
+        ],
+    )
+    def test_unsplit_branch_keeps_the_other_assumption(self, capsys, tmp_path, text) -> None:
+        # R1 rests on both assumptions, so as a branch it keeps the one it does
+        # not discharge, and the unsplit row is never free of assumptions.
+        path = tmp_path / "unsplit.crt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 1
+        assert out.startswith("rejected (goal):")
+
     def test_parse_error_exits_2(self, capsys, tmp_path) -> None:
         mangled = tmp_path / "mangled.crt"
         mangled.write_text("VER 2\n")

@@ -20,7 +20,7 @@ from conftest import described_derivations, goal_reachable, load_golden
 
 import mipcert
 
-from mipcert.certfile import parse_problem, write_problem
+from mipcert.certfile import parse_problem, write_certificate, write_problem
 from mipcert.checker import verify_certificate
 from mipcert.model import (
     Constraint,
@@ -244,13 +244,18 @@ def knapsack10() -> Problem:
     return problem_of(objective, ObjectiveSense.MAX, rows, integers=range(10))
 
 
-def parity10() -> Problem:
+def parity(hi: int) -> Problem:
+    """``min x`` subject to ``2x - 2y = 1``, ``y >= 0``, ``x <= hi``: one path of depth 2·hi."""
     rows = [
         con("par", Sense.EQ, 1, (0, 2), (1, -2)),
         con("ypos", Sense.GE, 0, (1, 1)),
-        con("xcap", Sense.LE, 10, (0, 1)),
+        con("xcap", Sense.LE, hi, (0, 1)),
     ]
     return problem_of(vec((0, 1)), ObjectiveSense.MIN, rows, integers=(0, 1))
+
+
+def parity10() -> Problem:
+    return parity(10)
 
 
 @pytest.mark.parametrize(
@@ -497,6 +502,29 @@ def test_corrupted_lp_results_raise(monkeypatch, make, corrupt, message) -> None
     )
     with pytest.raises(SolverCheckError, match=message):
         solve(make())
+
+
+def test_deep_tree_costs_no_python_recursion(tmp_path) -> None:
+    """Depth 80 under a recursion limit of 80: the CLI solve still succeeds."""
+    problem_path = tmp_path / "parity40.lp"
+    out = tmp_path / "parity40.crt"
+    with open(problem_path, "w", encoding="utf-8") as handle:
+        write_problem(parity(40), handle)
+    expected = io.StringIO()
+    write_certificate(solve(parity(40)).certificate, expected)
+    script = "import sys\nfrom mipcert.cli import main\nsys.setrecursionlimit(80)\nsys.exit(main())\n"
+    src = str(Path(mipcert.__file__).resolve().parent.parent)
+    completed = subprocess.run(
+        [sys.executable, "-c", script, "solve", str(problem_path), str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == f"infeasible\nwrote {out} (161 nodes)\n"
+    assert out.read_text(encoding="utf-8") == expected.getvalue()
 
 
 def run_optimized(script: str, stdin: str = "") -> str:
