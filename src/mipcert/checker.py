@@ -72,6 +72,7 @@ __all__ = [
     "CheckFailure",
     "CheckStats",
     "CheckerState",
+    "NO_ASSUMPTIONS",
     "Rejection",
     "VerificationReport",
     "assumptions_of",
@@ -134,7 +135,11 @@ class Rejection(Exception):
         self.failure = failure
 
 
-@dataclass
+#: The one empty assumption set, shared by every row that rests on no assumption.
+NO_ASSUMPTIONS: AssumptionSet = frozenset()
+
+
+@dataclass(slots=True)
 class _LiveRow:
     constraint: Constraint
     assumptions: frozenset[int]
@@ -181,13 +186,16 @@ def assumptions_of(
     ``lookup`` returns the assumption set of an earlier row. An assumption
     depends on itself; a combination or rounding on the union of its terms'
     sets; an unsplit on the union of its branches' sets, each less only its
-    own branch assumption. The rules themselves are not checked here.
+    own branch assumption. Every empty set is :data:`NO_ASSUMPTIONS`. The
+    rules themselves are not checked here.
     """
     if isinstance(reason, Asm):
         return frozenset((index,))
     if isinstance(reason, (Lin, Rnd)):
-        return frozenset().union(*(lookup(reference) for reference, _ in reason.terms))
-    return (lookup(reason.i1) - {reason.a1}) | (lookup(reason.i2) - {reason.a2})
+        assumptions = frozenset().union(*(lookup(reference) for reference, _ in reason.terms))
+    else:
+        assumptions = (lookup(reason.i1) - {reason.a1}) | (lookup(reason.i2) - {reason.a2})
+    return assumptions or NO_ASSUMPTIONS
 
 
 class CheckerState:
@@ -215,7 +223,7 @@ class CheckerState:
         self._evict_at: dict[int, list[int]] = {}
         self.next_index = problem.num_constraints
         for index, constraint in enumerate(problem.constraints):
-            self._store[index] = _LiveRow(constraint, frozenset(), False)
+            self._store[index] = _LiveRow(constraint, NO_ASSUMPTIONS, False)
         self.stats.peak_live = len(self._store)
 
     def row(self, index: int) -> Constraint:

@@ -92,7 +92,7 @@ class ObjectiveSense(Enum):
     MAX = "max"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparseVec:
     """Sparse rational vector: (index, coefficient) pairs.
 
@@ -150,7 +150,7 @@ class SparseVec:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """A named linear constraint ``lhs sense rhs``."""
 
@@ -195,12 +195,12 @@ class Problem:
         return len(self.constraints)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Asm:
     """Reason: the row is introduced as an assumption, without proof."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lin:
     """Reason: the row follows from a linear combination of earlier rows.
 
@@ -215,7 +215,7 @@ class Lin:
         _validate_terms(self.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rnd:
     """Reason: linear combination followed by right-hand-side rounding."""
 
@@ -226,7 +226,7 @@ class Rnd:
         _validate_terms(self.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Uns:
     """Reason: two rows proved under a complementary assumption pair merge.
 
@@ -255,7 +255,7 @@ def _validate_terms(terms: tuple[tuple[int, Number], ...]) -> None:
         previous = index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     """A derived constraint, the reason it holds, and its last-use index.
 

@@ -1,36 +1,27 @@
 """Certificate tightening: last-use indices and dead-derivation pruning.
 
-``compute_last_use`` scans every derivation's references and stamps each
-derivation with the largest index of any later derivation that references it
-(or -1 when never referenced), so the checker can evict rows early and keep
-peak memory at the number of simultaneously live rows. Original constraints
-carry no last-use slot and are never evicted.
-
-``prune_unused`` keeps exactly the derivations backward-reachable from the
-goal-proving empty-assumption derivations (through combination terms and all
-four unsplit references), found by one backward sweep over the derivations,
-renumbers the combined index space contiguously, rewrites references, and
-recomputes last-use indices. It is defined only for certificates that verify.
-
-``tighten`` composes the two; the result is idempotent and verification-
-preserving, and replaying the checker with eviction on a tightened
-certificate never touches an evicted row.
+Both run one plan. :func:`_schedule` sweeps the references once and gives each
+derivation its last use, the index of the last later row citing it (-1: none);
+original constraints are never evicted. ``prune_unused`` verifies with each
+last use set to the earlier of the row's own hint and the computed one, so
+the checker evicts as the tightened file will, while an early hint still
+evicts before a later reference and the verdict and failure message stay the
+input's own. One backward sweep then marks the rows reachable from the
+goal-proving empty-assumption rows (through combination terms and all four
+unsplit references); the kept rows are renumbered contiguously. Each output
+derivation is built once, sharing the input's constraint, and its reason when
+no reference moves. The result is idempotent and verification-preserving.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import replace
+from itertools import chain
 
+from .certfile import Header
 from .checker import verify_certificate
-from .model import (
-    KEEP_UNTIL_END,
-    Certificate,
-    Derivation,
-    Lin,
-    Reason,
-    Rnd,
-    Uns,
-)
+from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Reason, Rnd, Uns
 
 __all__ = ["compute_last_use", "prune_unused", "tighten"]
 
@@ -43,46 +34,61 @@ def _references(reason: Reason) -> tuple[int, ...]:
     return ()
 
 
-def _renumbered(reason: Reason, new_index: list[int]) -> Reason:
+def _renumbered(reason: Reason, new_index: array) -> Reason:
     """``reason`` with every reference ``r`` replaced by ``new_index[r]``."""
+    references = _references(reason)
+    if all(new_index[r] == r for r in references):
+        return reason
     if isinstance(reason, Uns):
-        return Uns(*(new_index[r] for r in _references(reason)))
-    if isinstance(reason, (Lin, Rnd)):
-        return type(reason)(tuple((new_index[r], mult) for r, mult in reason.terms))
-    return reason
+        return Uns(*(new_index[r] for r in references))
+    return type(reason)(tuple((new_index[r], mult) for r, mult in reason.terms))
 
 
-def compute_last_use(certificate: Certificate) -> Certificate:
-    """Fill in every derivation's last_use; all other content is unchanged.
-
-    A derivation's last_use becomes the largest combined index among the
-    derivations referencing it, or -1 when nothing references it.
-    """
+def _schedule(certificate: Certificate, kept: bytearray | None = None) -> tuple[array, array]:
+    """Each row's index once unkept derivations are dropped (None keeps all), and
+    each derivation's last use among kept rows, counting only later rows' citations."""
     num_original = certificate.num_original
-    last_use = [KEEP_UNTIL_END] * len(certificate.derivations)
-    for position, derivation in enumerate(certificate.derivations):
-        own_index = num_original + position
-        for reference in _references(derivation.reason):
-            if reference >= num_original:
-                target = reference - num_original
-                last_use[target] = max(last_use[target], own_index)
+    new_index = array("q", range(num_original))
+    last_use = array("q", [KEEP_UNTIL_END]) * len(certificate.derivations)
+    count = num_original
+    for own, derivation in enumerate(certificate.derivations, num_original):
+        new_index.append(count)
+        if kept is None or kept[own - num_original]:
+            for reference in _references(derivation.reason):
+                if num_original <= reference < own:
+                    last_use[reference - num_original] = count
+            count += 1
+    return new_index, last_use
+
+
+def _rebuilt(certificate: Certificate, kept: bytearray | None = None) -> Certificate:
+    new_index, last_use = _schedule(certificate, kept)
     derivations = tuple(
-        replace(derivation, last_use=last_use[position])
-        for position, derivation in enumerate(certificate.derivations)
+        Derivation(d.constraint, _renumbered(d.reason, new_index), last_use[position])
+        for position, d in enumerate(certificate.derivations)
+        if kept is None or kept[position]
     )
     return replace(certificate, derivations=derivations)
 
 
-def prune_unused(certificate: Certificate) -> Certificate:
-    """Drop derivations not needed for the goal proof; renumber the rest.
+def compute_last_use(certificate: Certificate) -> Certificate:
+    """Fill in every derivation's last_use; all other content is unchanged."""
+    return _rebuilt(certificate)
 
-    Keeps the derivations backward-reachable from all goal-proving
-    empty-assumption derivations, marked in one backward sweep, rewrites
-    references into the compacted combined index space with
-    :func:`_renumbered`, and recomputes last_use. Raises ValueError when the
-    certificate does not verify (pruning is only defined for valid input).
-    """
-    report = verify_certificate(certificate)
+
+def _earlier(hint: int, computed: int) -> int:
+    """The earlier of two last uses, where -1 (none) is never the earlier."""
+    return computed if hint == KEEP_UNTIL_END or KEEP_UNTIL_END < computed < hint else hint
+
+
+def prune_unused(certificate: Certificate) -> Certificate:
+    """Drop derivations the goal proof does not need; ValueError unless it verifies."""
+    scheduled = (
+        Derivation(derivation.constraint, derivation.reason, _earlier(derivation.last_use, last))
+        for derivation, last in zip(certificate.derivations, _schedule(certificate)[1])
+    )
+    header = Header(certificate.problem, certificate.goal)
+    report = verify_certificate(chain((header,), certificate.solutions, scheduled))
     if not report.verified:
         failure = report.failure
         msg = f"cannot prune a certificate that does not verify ({failure.rule}: {failure.message})"
@@ -90,25 +96,18 @@ def prune_unused(certificate: Certificate) -> Certificate:
 
     # References point backwards, so a row's mark is final when the sweep reaches it.
     num_original = certificate.num_original
-    needed = set(report.goal_proven_by)
-    for index in reversed(range(num_original, certificate.num_rows)):
-        if index in needed:
-            needed.update(_references(certificate.derivations[index - num_original].reason))
-
-    # A dropped row's entry in new_index is never read: no kept row cites it.
-    new_index = list(range(num_original))
-    derivations = []
-    for index, derivation in enumerate(certificate.derivations, num_original):
-        new_index.append(num_original + len(derivations))
-        if index in needed:
-            reason = _renumbered(derivation.reason, new_index)
-            derivations.append(Derivation(derivation.constraint, reason))
-    pruned = replace(certificate, derivations=tuple(derivations))
-    return compute_last_use(pruned)
+    kept = bytearray(len(certificate.derivations))
+    for index in report.goal_proven_by:
+        kept[index - num_original] = 1
+    del report
+    for position in reversed(range(len(kept))):
+        if kept[position]:
+            for reference in _references(certificate.derivations[position].reason):
+                if reference >= num_original:
+                    kept[reference - num_original] = 1
+    return _rebuilt(certificate, kept)
 
 
 def tighten(certificate: Certificate, *, prune: bool = False) -> Certificate:
     """Tighten a certificate: optional pruning, then last-use fill-in."""
-    if prune:
-        return prune_unused(certificate)
-    return compute_last_use(certificate)
+    return prune_unused(certificate) if prune else compute_last_use(certificate)

@@ -25,6 +25,26 @@ def golden_text(name: str) -> str:
     return (DATA_DIR / f"{name}.crt").read_text(encoding="utf-8")
 
 
+def chain_lines(length: int) -> list[str]:
+    """The criterion-9 chain: ``D_k: x >= 0`` from row ``k - 1``, every hint -1."""
+    lines = [
+        "VER 1",
+        "VAR 1",
+        "x",
+        "INT 0",
+        "OBJ min",
+        "1 0 1",
+        "CON 1",
+        "C1 G 0 1 0 1",
+        "RTP range 0 inf",
+        "SOL 0",
+        f"DER {length}",
+    ]
+    for step in range(1, length + 1):
+        lines.append(f"D{step} G 0 1 0 1 {{ lin 1 {step - 1} 1 }} -1")
+    return lines
+
+
 def keep_every_row(certificate: Certificate) -> Certificate:
     """The certificate with every last use cleared to -1, so no row is evicted."""
     derivations = tuple(

@@ -12,7 +12,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import GOLDEN_NAMES, DATA_DIR, checked_assumption_sets, golden_text, load_golden
+from conftest import (
+    GOLDEN_NAMES,
+    DATA_DIR,
+    chain_lines,
+    checked_assumption_sets,
+    golden_text,
+    load_golden,
+)
 from test_tighten import fig_junk, inject_junk
 
 from mipcert.certfile import parse_certificate, read_certificate, write_certificate, ParseError
@@ -380,25 +387,6 @@ def test_criterion_8(tmp_path) -> None:
             assert 0 <= excinfo.value.line <= prefix_length
             fuzz_cases += 1
     assert fuzz_cases > 300
-
-
-def chain_lines(length: int) -> list[str]:
-    lines = [
-        "VER 1",
-        "VAR 1",
-        "x",
-        "INT 0",
-        "OBJ min",
-        "1 0 1",
-        "CON 1",
-        "C1 G 0 1 0 1",
-        "RTP range 0 inf",
-        "SOL 0",
-        f"DER {length}",
-    ]
-    for step in range(1, length + 1):
-        lines.append(f"D{step} G 0 1 0 1 {{ lin 1 {step - 1} 1 }} -1")
-    return lines
 
 
 def test_criterion_9() -> None:

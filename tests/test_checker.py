@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     DATA_DIR,
     GOLDEN_NAMES,
+    chain_lines,
     checked_assumption_sets,
     golden_text,
     keep_every_row,
@@ -19,10 +20,12 @@ from conftest import (
 )
 
 import mipcert
-from mipcert.certfile import Header, events_from_certificate, parse_certificate
+from mipcert.certfile import Header, events_from_certificate, parse_certificate, read_certificate
 from mipcert.checker import (
+    NO_ASSUMPTIONS,
     CheckerState,
     Rejection,
+    _LiveRow,
     check_goal,
     verify_certificate,
     verify_certificate_file,
@@ -457,6 +460,31 @@ class TestCheckerState:
         assert (failure.index, failure.rule) == (certificate.num_original, "lin")
         assert str(caught.value) == failure.message
         assert state.next_index == certificate.num_original
+
+    def test_assumption_free_rows_share_one_empty_set(self) -> None:
+        certificate = read_certificate(iter(chain_lines(3)))
+        state = CheckerState(certificate.problem, certificate.goal)
+        for index, derivation in enumerate(certificate.derivations, certificate.num_original):
+            state.verify_derivation(derivation, index)
+        assert state.assumptions(1) is state.assumptions(2)
+        assert state.assumptions(0) is state.assumptions(3) is NO_ASSUMPTIONS
+        assert NO_ASSUMPTIONS == frozenset()
+
+    def test_per_row_records_have_no_instance_dict(self) -> None:
+        lhs = SparseVec(((0, 1),))
+        constraint = Constraint("c", Sense.GE, lhs, 0)
+        records = (
+            lhs,
+            constraint,
+            Asm(),
+            Lin(((0, 1),)),
+            Rnd(((0, 1),)),
+            Uns(1, 2, 3, 4),
+            Derivation(constraint, Asm()),
+            _LiveRow(constraint, NO_ASSUMPTIONS, False),
+        )
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 class TestEventStream:

@@ -9,10 +9,11 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import DATA_DIR, golden_text, load_golden
+from conftest import DATA_DIR, chain_lines, golden_text, load_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,16 @@ class TestCheck:
         assert err.startswith("error:")
 
 
+def padded_split_infeasible(tmp_path: Path) -> Path:
+    """The split_infeasible golden with one dead assumption appended."""
+    lines = golden_text("split_infeasible").splitlines()
+    lines[14] = "DER 12"
+    lines.append("J1 L 100 1 0 1 { asm } -1")
+    padded = tmp_path / "padded.crt"
+    padded.write_text("\n".join(lines) + "\n")
+    return padded
+
+
 class TestTighten:
     def test_tighten_writes_schedule(self, capsys, tmp_path) -> None:
         out_path = tmp_path / "tight.crt"
@@ -140,11 +151,7 @@ class TestTighten:
         assert verify_certificate_file(str(out_path)).verified
 
     def test_prune_reports_dropped_rows(self, capsys, tmp_path) -> None:
-        lines = golden_text("split_infeasible").splitlines()
-        lines[14] = "DER 12"
-        lines.append("J1 L 100 1 0 1 { asm } -1")
-        padded = tmp_path / "padded.crt"
-        padded.write_text("\n".join(lines) + "\n")
+        padded = padded_split_infeasible(tmp_path)
         out_path = tmp_path / "pruned.crt"
         code, out, _ = run(capsys, "ttn", str(padded), str(out_path), "--prune")
         assert code == 0
@@ -162,6 +169,63 @@ class TestTighten:
         assert out == ""
         assert err.startswith("error: cannot prune")
         assert not out_path.exists()
+
+    def test_prune_keeps_an_early_hint_of_the_file(self, capsys, tmp_path) -> None:
+        # A1 (row 3) is cited by rows 6, 8 and 13. Its hint 6 evicts it before
+        # row 8 cites it, so the file as given does not verify.
+        lines = golden_text("split_infeasible").splitlines()
+        assert lines[15] == "A1 L 0 1 0 1 { asm } -1"
+        lines[15] = "A1 L 0 1 0 1 { asm } 6"
+        early = tmp_path / "early.crt"
+        early.write_text("\n".join(lines) + "\n")
+        out_path = tmp_path / "pruned.crt"
+        code, out, err = run(capsys, "ttn", str(early), str(out_path), "--prune")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: cannot prune a certificate that does not verify "
+            "(lin: reference to row 3, already evicted past its last use)\n"
+        )
+        assert not out_path.exists()
+        code, out, _ = run(capsys, "check", str(early))
+        assert code == 1
+        assert out == (
+            "rejected at index 8 (lin): reference to row 3, already evicted past its last use\n"
+        )
+
+        lines[15] = "A1 L 0 1 0 1 { asm } -1"
+        early.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "ttn", str(early), str(out_path), "--prune")
+        assert (code, out) == (0, "tightened: 11 derivations (0 pruned)\n")
+        assert verify_certificate_file(str(out_path)).verified
+
+    def test_prune_in_place_reads_before_it_writes(self, capsys, tmp_path) -> None:
+        padded = padded_split_infeasible(tmp_path)
+        elsewhere = tmp_path / "pruned.crt"
+        assert run(capsys, "ttn", str(padded), str(elsewhere), "--prune")[0] == 0
+        code, out, _ = run(capsys, "ttn", str(padded), str(padded), "--prune")
+        assert (code, out) == (0, "tightened: 11 derivations (1 pruned)\n")
+        assert padded.read_text() == elsewhere.read_text()
+
+    def test_prune_holds_the_certificate_about_once(self, capsys, tmp_path) -> None:
+        # tracemalloc counts the same bytes on every run of one interpreter;
+        # RSS does not. The raw chain keeps no row live by its own hints.
+        chain = tmp_path / "chain.crt"
+        chain.write_text("\n".join(chain_lines(5_000)) + "\n")
+        tracemalloc.start()
+        try:
+            with open(chain, encoding="utf-8") as handle:
+                certificate = read_certificate(handle)
+            parsed = tracemalloc.get_traced_memory()[0]
+            del certificate
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = main(["ttn", str(chain), str(tmp_path / "pruned.crt"), "--prune"])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == "tightened: 5000 derivations (0 pruned)\n"
+        assert peak <= 1.4 * parsed, f"peak {peak} B for a {parsed} B certificate"
 
 
 class TestHtml:

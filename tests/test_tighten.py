@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import replace
 
 import pytest
-from conftest import GOLDEN_NAMES, described_derivations, goal_reachable, load_golden
+from conftest import GOLDEN_NAMES, chain_lines, described_derivations, goal_reachable, load_golden
 
+from mipcert.certfile import read_certificate
 from mipcert.checker import verify_certificate
 from mipcert.model import (
     KEEP_UNTIL_END,
@@ -164,6 +166,24 @@ class TestPrune:
         broken = replace(certificate, derivations=(broken_row,))
         with pytest.raises(ValueError, match="cannot prune"):
             prune_unused(broken)
+
+    def test_verifies_on_the_tightened_schedule(self, monkeypatch) -> None:
+        # Every hint of the raw chain is -1, so a check on the file's own
+        # hints keeps all 2,001 rows live; the tightened schedule keeps 3.
+        reports = []
+
+        def recording(source):
+            reports.append(verify_certificate(source))
+            return reports[-1]
+
+        tighten_module = importlib.import_module("mipcert.tighten")
+        monkeypatch.setattr(tighten_module, "verify_certificate", recording)
+        certificate = read_certificate(iter(chain_lines(2_000)))
+        pruned = prune_unused(certificate)
+        assert len(reports) == 1 and reports[0].verified
+        assert reports[0].stats.peak_live <= 3
+        assert verify_certificate(certificate).stats.peak_live == 2_001
+        assert pruned == compute_last_use(certificate)
 
     def test_junk_with_empty_assumptions_is_still_dead(self) -> None:
         # J2 has an empty assumption set but proves nothing (it is not
