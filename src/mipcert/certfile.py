@@ -31,11 +31,15 @@ error carries the 1-based line number where it was detected. The order and
 nonzero rules of a sparse vector or a combination are enforced by the model's
 constructors once the whole vector has been read, so their errors carry the
 line where the vector ends.
+
+Rows are read a field group at a time: one list of tokens, a slice of the
+line when the group sits on one line, whose fields are checked once, in file
+order. Error text is built only when a check fails. A group that runs over
+several lines keeps each token's line, so errors are positioned as before.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TextIO, Union
@@ -94,28 +98,49 @@ class Header:
 
 Event = Union[Header, Solution, Derivation]
 
-_LAST_USE_RE = re.compile(r"-1|[0-9]+")
+_SENSES = {sense.value: sense for sense in Sense}
+_LEFT_HAND_SIDES = {what: f"{what} left-hand side" for what in ("constraint", "derivation")}
+
+#: The most index/value pairs one take asks for, so that a count the input
+#: cannot back holds no more tokens than the pairs read so far.
+_PAIRS_PER_TAKE = 4096
 
 
 class _Tokens:
-    """Whitespace token stream over lines, tracking 1-based line numbers."""
+    """Whitespace token stream over lines, read one field group (a take) at a
+    time; the field checks below read :attr:`row`, the last take, in order."""
 
     def __init__(self, lines: Iterable[str]) -> None:
         self._lines = iter(lines)
         self._buffer: list[str] = []
         self._position = 0
+        self._row_lines: list[int] | None = None
+        self.row: list[str] = []
         self.line = 0
 
-    def next(self, expected: str) -> str:
-        if self._position >= len(self._buffer) and not self._fill():
-            msg = f"unexpected end of input while reading {expected}"
-            raise ParseError(msg, self.line)
-        token = self._buffer[self._position]
-        self._position += 1
-        return token
-
-    def at_end(self) -> bool:
-        return self._position >= len(self._buffer) and not self._fill()
+    def take(self, n: int) -> list[str]:
+        """The next ``n`` tokens, ended by ``""``, which no check accepts, if
+        the input ends first. They are a slice of the current line when they
+        all sit on it, else joined over lines, keeping each token's line."""
+        position = self._position
+        if n and position == len(self._buffer) and self._fill():
+            position = 0
+        if position + n <= len(self._buffer):
+            self._position, self._row_lines = position + n, None
+            self.row = self._buffer[position : position + n]
+            return self.row
+        row = self._buffer[position:]
+        lines = [self.line] * len(row)
+        self._position = len(self._buffer)
+        while len(row) < n and self._fill():
+            self._position = min(n - len(row), len(self._buffer))
+            row += self._buffer[: self._position]
+            lines += [self.line] * self._position
+        if len(row) < n:
+            row.append("")
+            lines.append(self.line)
+        self.row, self._row_lines = row, lines
+        return row
 
     def _fill(self) -> bool:
         """Load the next line holding a token; False when the input ends first."""
@@ -130,169 +155,225 @@ class _Tokens:
                 return True
         return False
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line)
+    def error(self, message: str, position: int = -1, what: str = "") -> ParseError:
+        """``message`` at the line of ``row[position]``; or, when that is the
+        ``""`` past the end of input, the end of input while reading ``what``."""
+        if what and not self.row[position]:
+            return self.ended(what)
+        lines = self._row_lines
+        return ParseError(message, self.line if lines is None else lines[position])
 
-    def expect(self, literal: str, context: str) -> None:
-        token = self.next(f"{literal!r} {context}")
+    def ended(self, what: str) -> ParseError:
+        return ParseError(f"unexpected end of input while reading {what}", self.line)
+
+    def expect(self, position: int, literal: str, context: str) -> None:
+        token = self.row[position]
         if token != literal:
-            raise self.error(f"expected {literal!r} {context}, found {token!r}")
+            what = f"{literal!r} {context}"
+            raise self.error(f"expected {what}, found {token!r}", position, what)
 
-    def take_count(self, what: str, kind: str = "count") -> int:
-        token = self.next(what)
-        if not (token.isascii() and token.isdigit()):
-            raise self.error(f"expected a nonnegative {kind} for {what}, found {token!r}")
-        return int_from_digits(token)
+    def natural(self, position: int, what: str, part: str = "", upper: int | None = None) -> int:
+        """A count, or with ``upper`` an index below it, named ``what + part``."""
+        token = self.row[position]
+        if token.isascii() and token.isdigit():
+            value = int_from_digits(token)
+            if upper is None or value < upper:
+                return value
+        raise self.natural_error(position, what, part, upper)
 
-    def take_index(self, what: str, upper: int) -> int:
-        index = self.take_count(what, "index")
-        if index >= upper:
-            raise self.error(
-                f"{what} {format_rational(index)} out of range (must be < {upper})"
-            )
-        return index
+    def natural_error(self, position: int, what: str, part: str, upper: int | None) -> ParseError:
+        token = self.row[position]
+        if token.isascii() and token.isdigit():
+            value = format_rational(int_from_digits(token))
+            return self.error(f"{what}{part} {value} out of range (must be < {upper})", position)
+        kind = "count" if upper is None else "index"
+        message = f"expected a nonnegative {kind} for {what}{part}, found {token!r}"
+        return self.error(message, position, what + part)
 
-    def take_rational(self, what: str) -> Number:
-        token = self.next(what)
+    def rational(self, position: int, what: str, part: str = "") -> Number:
         try:
-            return parse_rational(token)
+            return parse_rational(self.row[position])
         except ValueError as exc:
-            raise self.error(f"{what}: {exc}") from exc
+            raise self.rational_error(position, what, part, exc) from exc
 
-    def take_last_use(self, own_index: int) -> int:
-        token = self.next("last_use")
-        if _LAST_USE_RE.fullmatch(token) is None:
-            raise self.error(f"expected an integer last_use, found {token!r}")
-        value = int_from_digits(token)
-        if value != KEEP_UNTIL_END and value <= own_index:
-            raise self.error(
-                f"last_use {value} must be -1 or greater than the row's own index {own_index}"
-            )
-        return value
+    def rational_error(self, position: int, what: str, part: str, exc: ValueError) -> ParseError:
+        return self.error(f"{what}{part}: {exc}", position, what + part)
 
-    def take_sparse(self, num_variables: int, what: str) -> SparseVec:
-        length = self.take_count(f"{what} length")
-        entries: list[tuple[int, Number]] = []
-        for _ in range(length):
-            index = self.take_index(f"{what} variable index", num_variables)
-            entries.append((index, self.take_rational(f"{what} coefficient")))
-        try:
-            return SparseVec(tuple(entries))
-        except ValueError as exc:
-            raise self.error(f"{what}: {exc}") from exc
+    def count(self, keyword: str, context: str, what: str) -> int:
+        """A section header: ``keyword`` and the count of what follows."""
+        self.take(2)
+        self.expect(0, keyword, context)
+        return self.natural(1, what)
+
+
+def _take_pairs(
+    tokens: _Tokens, count: int, upper: int, what: str, parts: tuple[str, str], tail: int = 0
+) -> tuple[tuple[tuple[int, Number], ...], int]:
+    """``count`` pairs of an index below ``upper`` and a rational, named
+    ``what`` plus ``parts``, then ``tail`` more tokens. Returns the pairs and
+    where the tail starts in ``tokens.row``, just past the vector's end."""
+    pairs: list[tuple[int, Number]] = []
+    while True:
+        chunk = min(count, _PAIRS_PER_TAKE)
+        count -= chunk
+        row = tokens.take(2 * chunk if count else 2 * chunk + tail)
+        for position in range(0, 2 * chunk, 2):  # tokens.natural and .rational, inlined
+            token = row[position]
+            index = int_from_digits(token) if token.isascii() and token.isdigit() else upper
+            if index >= upper:
+                raise tokens.natural_error(position, what, parts[0], upper)
+            try:
+                pairs.append((index, parse_rational(row[position + 1])))
+            except ValueError as exc:
+                raise tokens.rational_error(position + 1, what, parts[1], exc) from exc
+        if not count:
+            return tuple(pairs), 2 * chunk
+
+
+def _take_sparse(
+    tokens: _Tokens, length: int, width: int, what: str, tail: int = 0
+) -> tuple[SparseVec, int]:
+    """A sparse vector, as :func:`_take_pairs` takes and returns pairs."""
+    parts = (" variable index", " coefficient")
+    pairs, end = _take_pairs(tokens, length, width, what, parts, tail)
+    try:
+        return SparseVec(pairs), end
+    except ValueError as exc:
+        raise tokens.error(f"{what}: {exc}", end - 1) from exc
+
+
+def _take_constraint(
+    tokens: _Tokens, width: int, what: str, seen: set[str], tail: int = 0
+) -> tuple[Constraint, int]:
+    """``<name> G|L|E <rhs> <sparse>`` of a ``what`` row, whose name must be
+    new, then ``tail`` more tokens, as :func:`_take_pairs` returns them."""
+    row = tokens.take(4)
+    name = row[0]
+    if not name:
+        raise tokens.ended(f"{what} name")
+    sense = _SENSES.get(row[1])
+    if sense is None:
+        message = f"unknown sense code {row[1]!r} (expected G, L, or E)"
+        raise tokens.error(message, 1, f"{what} sense")
+    rhs = tokens.rational(2, what, " right-hand side")
+    lhs = _LEFT_HAND_SIDES[what]
+    length = tokens.natural(3, lhs, " length")
+    line = tokens.line  # where an empty left-hand side ends
+    vector, end = _take_sparse(tokens, length, width, lhs, tail)
+    if name in seen:
+        message = f"duplicate constraint name {name!r}"
+        raise tokens.error(message, end - 1) if end else ParseError(message, line)
+    seen.add(name)
+    return Constraint(name, sense, vector, rhs), end
 
 
 def _parse_problem_sections(tokens: _Tokens) -> Problem:
-    tokens.expect("VER", "at start of file")
-    version = tokens.next("format version")
-    if version != "1":
-        raise tokens.error(f"unsupported format version {version!r}")
+    row = tokens.take(2)
+    tokens.expect(0, "VER", "at start of file")
+    if row[1] != "1":
+        raise tokens.error(f"unsupported format version {row[1]!r}", 1, "format version")
 
-    tokens.expect("VAR", "after VER section")
-    num_variables = tokens.take_count("variables")
-    variable_names = tuple(tokens.next("variable name") for _ in range(num_variables))
+    num_variables = tokens.count("VAR", "after VER section", "variables")
+    variable_names = tuple(tokens.take(num_variables))
+    if variable_names and not variable_names[-1]:
+        raise tokens.ended("variable name")
 
-    tokens.expect("INT", "after VAR section")
-    num_integers = tokens.take_count("integer variables")
+    num_integers = tokens.count("INT", "after VAR section", "integer variables")
+    # Past num_variables indices one repeats or is out of range, so the
+    # checks below fail within the first num_variables + 1.
+    tokens.take(min(num_integers, num_variables + 1))
     integer_set: set[int] = set()
-    for _ in range(num_integers):
-        index = tokens.take_index("integer variable index", num_variables)
+    for position in range(len(tokens.row)):
+        index = tokens.natural(position, "integer variable index", upper=num_variables)
         if index in integer_set:
-            raise tokens.error(f"duplicate integer variable index {index}")
+            raise tokens.error(f"duplicate integer variable index {index}", position)
         integer_set.add(index)
 
-    tokens.expect("OBJ", "after INT section")
-    sense_token = tokens.next("objective sense")
+    row = tokens.take(3)
+    tokens.expect(0, "OBJ", "after INT section")
     try:
-        objective_sense = ObjectiveSense(sense_token)
+        objective_sense = ObjectiveSense(row[1])
     except ValueError:
-        raise tokens.error(f"expected 'min' or 'max', found {sense_token!r}") from None
-    objective = tokens.take_sparse(num_variables, "objective")
+        message = f"expected 'min' or 'max', found {row[1]!r}"
+        raise tokens.error(message, 1, "objective sense") from None
+    length = tokens.natural(2, "objective length")
+    objective = _take_sparse(tokens, length, num_variables, "objective")[0]
 
-    tokens.expect("CON", "after OBJ section")
-    num_constraints = tokens.take_count("constraints")
-    constraints = []
+    num_constraints = tokens.count("CON", "after OBJ section", "constraints")
     seen_names: set[str] = set()
-    for _ in range(num_constraints):
-        constraint = _parse_constraint_core(tokens, num_variables, "constraint")
-        if constraint.name in seen_names:
-            raise tokens.error(f"duplicate constraint name {constraint.name!r}")
-        seen_names.add(constraint.name)
-        constraints.append(constraint)
-
-    return Problem(
-        variable_names=variable_names,
-        integer_set=frozenset(integer_set),
-        objective=objective,
-        objective_sense=objective_sense,
-        constraints=tuple(constraints),
+    constraints = tuple(
+        _take_constraint(tokens, num_variables, "constraint", seen_names)[0]
+        for _ in range(num_constraints)
     )
-
-
-def _parse_constraint_core(tokens: _Tokens, num_variables: int, what: str) -> Constraint:
-    name = tokens.next(f"{what} name")
-    sense_code = tokens.next(f"{what} sense")
-    try:
-        sense = Sense(sense_code)
-    except ValueError:
-        raise tokens.error(f"unknown sense code {sense_code!r} (expected G, L, or E)") from None
-    rhs = tokens.take_rational(f"{what} right-hand side")
-    lhs = tokens.take_sparse(num_variables, f"{what} left-hand side")
-    return Constraint(name, sense, lhs, rhs)
+    return Problem(variable_names, frozenset(integer_set), objective, objective_sense, constraints)
 
 
 def _parse_goal(tokens: _Tokens) -> RtpGoal:
-    tokens.expect("RTP", "after CON section")
-    kind = tokens.next("goal kind")
-    if kind == "infeas":
+    row = tokens.take(2)
+    tokens.expect(0, "RTP", "after CON section")
+    if row[1] == "infeas":
         return InfeasibleGoal()
-    if kind != "range":
-        raise tokens.error(f"expected 'infeas' or 'range', found {kind!r}")
-    lower = _take_bound(tokens, "-inf", "range lower bound")
-    upper = _take_bound(tokens, "inf", "range upper bound")
+    if row[1] != "range":
+        raise tokens.error(f"expected 'infeas' or 'range', found {row[1]!r}", 1, "goal kind")
+    row = tokens.take(2)
+    lower = None if row[0] == "-inf" else tokens.rational(0, "range lower bound")
+    upper = None if row[1] == "inf" else tokens.rational(1, "range upper bound")
     try:
         return RangeGoal(lower, upper)
     except ValueError as exc:
         raise tokens.error(str(exc)) from exc
 
 
-def _take_bound(tokens: _Tokens, infinite: str, what: str) -> Number | None:
-    """A range bound: a rational, or None for the ``infinite`` token."""
-    token = tokens.next(what)
-    if token == infinite:
-        return None
-    try:
-        return parse_rational(token)
-    except ValueError as exc:
-        raise tokens.error(f"{what}: {exc}") from exc
-
-
-def _parse_reason(tokens: _Tokens, own_index: int) -> Reason:
-    tokens.expect("{", "before derivation reason")
-    keyword = tokens.next("reason keyword")
+def _take_derivation(tokens: _Tokens, width: int, seen: set[str], own_index: int) -> Derivation:
+    """``<constraint> { <reason> } <last_use>``, the row at ``own_index``."""
+    constraint, at = _take_constraint(tokens, width, "derivation", seen, 3)
+    tokens.expect(at, "{", "before derivation reason")
+    keyword = tokens.row[at + 1]
     reason: Reason
-    if keyword == "asm":
-        reason = Asm()
-    elif keyword in ("lin", "rnd"):
-        count = tokens.take_count("combination terms")
-        terms: list[tuple[int, Number]] = []
-        for _ in range(count):
-            index = tokens.take_index("combination row index", own_index)
-            terms.append((index, tokens.take_rational("combination multiplier")))
+    if keyword == "lin" or keyword == "rnd":
+        count = tokens.natural(at + 2, "combination terms")
+        parts = (" row index", " multiplier")
+        terms, brace = _take_pairs(tokens, count, own_index, "combination", parts, 2)
         try:
-            reason = Lin(tuple(terms)) if keyword == "lin" else Rnd(tuple(terms))
+            reason = Lin(terms) if keyword == "lin" else Rnd(terms)
         except ValueError as exc:
-            raise tokens.error(f"{keyword} reason: {exc}") from exc
+            raise tokens.error(f"{keyword} reason: {exc}", brace - 1) from exc
+    elif keyword == "asm":
+        tokens.expect(at + 2, "}", "after derivation reason")
+        reason, brace = Asm(), -1  # its "}" sat in the head; last_use is taken next
+        tokens.take(1)
     elif keyword == "uns":
-        i1 = tokens.take_index("unsplit row reference", own_index)
-        a1 = tokens.take_index("unsplit assumption reference", own_index)
-        i2 = tokens.take_index("unsplit row reference", own_index)
-        a2 = tokens.take_index("unsplit assumption reference", own_index)
-        reason = Uns(i1, a1, i2, a2)
+        i1 = tokens.natural(at + 2, "unsplit row reference", upper=own_index)
+        tokens.take(5)
+        reason = Uns(
+            i1,
+            tokens.natural(0, "unsplit assumption reference", upper=own_index),
+            tokens.natural(1, "unsplit row reference", upper=own_index),
+            tokens.natural(2, "unsplit assumption reference", upper=own_index),
+        )
+        brace = 3
     else:
-        raise tokens.error(f"unknown reason keyword {keyword!r}")
-    tokens.expect("}", "after derivation reason")
-    return reason
+        message = f"unknown reason keyword {keyword!r}"
+        raise tokens.error(message, at + 1, "reason keyword")
+    if brace >= 0:
+        tokens.expect(brace, "}", "after derivation reason")
+    position = brace + 1
+    token = tokens.row[position]
+    if token == "-1":
+        return Derivation(constraint, reason, KEEP_UNTIL_END)
+    if not (token.isascii() and token.isdigit()):
+        raise tokens.error(f"expected an integer last_use, found {token!r}", position, "last_use")
+    last_use = int_from_digits(token)
+    if last_use <= own_index:
+        message = f"last_use {last_use} must be -1 or greater than the row's own index {own_index}"
+        raise tokens.error(message, position)
+    return Derivation(constraint, reason, last_use)
+
+
+def _expect_end(tokens: _Tokens, section: str) -> None:
+    extra = tokens.take(1)[0]
+    if extra:
+        raise tokens.error(f"trailing tokens after the {section} section: {extra!r}")
 
 
 def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
@@ -306,37 +387,30 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
     tokens = _Tokens(source)
     problem = _parse_problem_sections(tokens)
     goal = _parse_goal(tokens)
+    num_variables = problem.num_variables
 
-    tokens.expect("SOL", "after RTP section")
-    num_solutions = tokens.take_count("solutions")
+    num_solutions = tokens.count("SOL", "after RTP section", "solutions")
     if isinstance(goal, InfeasibleGoal) and num_solutions != 0:
         raise tokens.error("an infeasibility goal admits no solutions (SOL must be 0)")
     yield Header(problem, goal)
     seen_solution_names: set[str] = set()
     for _ in range(num_solutions):
-        name = tokens.next("solution name")
+        name = tokens.take(2)[0]
+        if not name:
+            raise tokens.ended("solution name")
         if name in seen_solution_names:
-            raise tokens.error(f"duplicate solution name {name!r}")
+            raise tokens.error(f"duplicate solution name {name!r}", 0)
         seen_solution_names.add(name)
-        assignment = tokens.take_sparse(problem.num_variables, "solution")
-        yield Solution(name, assignment)
+        length = tokens.natural(1, "solution length")
+        yield Solution(name, _take_sparse(tokens, length, num_variables, "solution")[0])
 
-    tokens.expect("DER", "after SOL section")
-    num_derivations = tokens.take_count("derivations")
+    num_derivations = tokens.count("DER", "after SOL section", "derivations")
     seen_names = {constraint.name for constraint in problem.constraints}
     num_original = problem.num_constraints
-    for position in range(num_derivations):
-        own_index = num_original + position
-        constraint = _parse_constraint_core(tokens, problem.num_variables, "derivation")
-        if constraint.name in seen_names:
-            raise tokens.error(f"duplicate constraint name {constraint.name!r}")
-        seen_names.add(constraint.name)
-        reason = _parse_reason(tokens, own_index)
-        last_use = tokens.take_last_use(own_index)
-        yield Derivation(constraint, reason, last_use)
+    for own_index in range(num_original, num_original + num_derivations):
+        yield _take_derivation(tokens, num_variables, seen_names, own_index)
 
-    if not tokens.at_end():
-        raise tokens.error(f"trailing tokens after the DER section: {tokens.next('')!r}")
+    _expect_end(tokens, "DER")
 
 
 def read_certificate(source: Iterable[str] | TextIO) -> Certificate:
@@ -364,8 +438,7 @@ def parse_problem(source: Iterable[str] | TextIO) -> Problem:
     """Parse a problem file: the VER/VAR/INT/OBJ/CON sections only."""
     tokens = _Tokens(source)
     problem = _parse_problem_sections(tokens)
-    if not tokens.at_end():
-        raise tokens.error(f"trailing tokens after the CON section: {tokens.next('')!r}")
+    _expect_end(tokens, "CON")
     return problem
 
 

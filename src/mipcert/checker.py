@@ -169,13 +169,21 @@ def check_goal(problem: Problem, goal: RtpGoal, constraint: Constraint) -> bool:
     dominate the objective bounded by the dual side (see :func:`_goal_sides`);
     an infinite dual bound is vacuously proven.
     """
+    proves = _goal_test(problem, goal)
+    return proves is None or proves(constraint)
+
+
+def _goal_test(problem: Problem, goal: RtpGoal) -> Callable[[Constraint], bool] | None:
+    """The test of :func:`check_goal`, with the goal's row built once; None
+    when the goal is vacuous."""
     if isinstance(goal, InfeasibleGoal):
-        return is_absurd(constraint)
+        return is_absurd
     dual, _ = _goal_sides(problem, goal)
     if dual is None:
-        return True
+        return None
     sense = Sense.GE if problem.objective_sense == ObjectiveSense.MIN else Sense.LE
-    return dominates(constraint, Constraint("_goal", sense, problem.objective, dual))
+    goal_row = Constraint("_goal", sense, problem.objective, dual)
+    return lambda constraint: dominates(constraint, goal_row)
 
 
 def assumptions_of(
@@ -214,10 +222,8 @@ class CheckerState:
         self.problem = problem
         self.goal = goal
         self.stats = CheckStats()
-        self._goal_vacuous = (
-            not isinstance(goal, InfeasibleGoal) and _goal_sides(problem, goal)[0] is None
-        )
-        self.goal_proven = self._goal_vacuous
+        self._proves_goal = _goal_test(problem, goal)
+        self.goal_proven = self._proves_goal is None
         self.goal_proven_by: list[int] = []
         self._store: dict[int, _LiveRow] = {}
         self._evict_at: dict[int, list[int]] = {}
@@ -324,10 +330,9 @@ class CheckerState:
         assumptions = assumptions_of(reason, index, self.assumptions)
         self.stats.reason_counts[kind] += 1
         self.stats.num_derivations += 1
-        if not assumptions and not self._goal_vacuous:
-            if check_goal(self.problem, self.goal, stated):
-                self.goal_proven = True
-                self.goal_proven_by.append(index)
+        if not assumptions and self._proves_goal is not None and self._proves_goal(stated):
+            self.goal_proven = True
+            self.goal_proven_by.append(index)
 
         self._store[index] = _LiveRow(stated, assumptions, isinstance(reason, Asm))
         if derivation.last_use != KEEP_UNTIL_END:

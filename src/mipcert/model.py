@@ -103,10 +103,13 @@ class SparseVec:
     entries: tuple[tuple[int, Number], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple((index, coeff) for index, coeff in self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
+        normal = type(entries) is tuple
+        if not normal:
+            entries = tuple(entries)
         previous = -1
-        for index, coeff in entries:
+        for entry in entries:
+            index, coeff = entry
             if index <= previous:
                 msg = f"sparse indices not strictly increasing at index {index}"
                 raise ValueError(msg)
@@ -114,6 +117,10 @@ class SparseVec:
                 msg = f"zero coefficient stored at index {index}"
                 raise ValueError(msg)
             previous = index
+            normal = normal and type(entry) is tuple
+        if not normal:
+            entries = tuple((index, coeff) for index, coeff in entries)
+            object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_dict(cls, coefficients: Mapping[int, Number]) -> SparseVec:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 from conftest import GOLDEN_NAMES, golden_text, load_golden
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mipcert
 
@@ -36,6 +38,7 @@ from mipcert.model import (
     SparseVec,
 )
 from mipcert.numeric import Rational as R
+from mipcert.solve import solve
 
 
 def parse_lines(lines: list[str]):
@@ -158,6 +161,46 @@ class TestTokenizer:
             noisy.extend(["% a note", "", "   ", line + " % trailing remark"])
         assert parse_lines(noisy) == load_golden("small_range")
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_layout_parses_like_the_canonical_text(self, data) -> None:
+        name = data.draw(st.sampled_from(sorted(CANONICAL_TEXTS)))
+        tokens = CANONICAL_TEXTS[name].split()
+        gaps = data.draw(st.lists(st.sampled_from(GAPS), min_size=len(tokens), max_size=len(tokens)))
+        text = "".join(gap + token for gap, token in zip(gaps, tokens))
+        text += data.draw(st.sampled_from(("", "\n", "\n% a closing note\n", "\n\n")))
+        expected = read_certificate(io.StringIO(CANONICAL_TEXTS[name]))
+        assert read_certificate(io.StringIO(text)) == expected
+
+    def test_vectors_longer_than_one_take(self) -> None:
+        width = 9000
+        names = " ".join(f"v{index}" for index in range(width))
+        pairs = [f"{index} 1" for index in range(width)]
+        head = ["VER 1", f"VAR {width}", names, "INT 0", "OBJ min", str(width)]
+        problem = parse_problem(head + pairs + ["CON 0"])
+        assert problem.objective == SparseVec(tuple((index, 1) for index in range(width)))
+        end = len(head) + width  # the line of the last pair
+        with pytest.raises(ParseError, match="found 'CON'") as excinfo:
+            parse_problem([*head[:-1], str(width + 1), *pairs, "CON 0"])
+        assert excinfo.value.line == end + 1
+        swapped = pairs[:-2] + [pairs[-1], pairs[-2]]
+        with pytest.raises(ParseError, match="not strictly increasing") as excinfo:
+            parse_problem(head + swapped + ["CON 0"])
+        assert excinfo.value.line == end
+
+
+def _solver_certificate_text() -> str:
+    result = solve(load_golden("split_infeasible").problem)
+    assert result.certificate is not None
+    return written_text(result.certificate)
+
+
+# Each golden and one solver certificate in canonical form, and the gaps a
+# re-layout may put between their tokens.
+CANONICAL_TEXTS = {name: written_text(load_golden(name)) for name in GOLDEN_NAMES}
+CANONICAL_TEXTS["solver split_infeasible"] = _solver_certificate_text()
+GAPS = (" ", "  ", "\t", "\n", "\n\n", " \n  \n ", " % a note\n", "\n% a whole-line note\n")
+
 
 # --- positioned parse errors ----------------------------------------------
 
@@ -235,6 +278,13 @@ INVALID_CASES = [
     # a zero on the first of two lines is reported on the second.
     pytest.param(_splice(6, "2 0 0", "1 1"), 7, "zero coefficient", id="zero-coefficient-line-before-end"),
     pytest.param(_splice(14, "obj G 1 2 0 2 1 1 { lin 2 0 0", "1 -1 } -1"), 15, "zero multiplier", id="zero-multiplier-line-before-end"),
+    # A row split over two lines with its fault on the first is reported on
+    # the first; input that ends inside a row is reported on its last line.
+    pytest.param(_splice(8, "C1 G 2 2 0 5 7", "-1"), 8, "variable index 7 out of range", id="lhs-index-out-of-range-split-row"),
+    pytest.param(_splice(14, "obj G 1 2 0 2 1 1 { lin 2 0 1.5", "1 -1 } -1"), 14, "combination multiplier: malformed", id="malformed-multiplier-split-row"),
+    pytest.param(_splice(14, "obj G 1 2 0 2 1 1 { lin 2 0 1 2", "-1 } -1"), 14, "combination row index 2 out of range", id="forward-reference-split-row"),
+    pytest.param(BASE[:13] + ["obj G 1 2 0", "2", "% cut here"], 16, "end of input while reading derivation left-hand side variable index", id="end-inside-derivation-vector"),
+    pytest.param(_splice(14, "C1 G 1 0", "{ asm } -1"), 14, "duplicate constraint name", id="name-clash-empty-lhs-split-row"),
 ]
 
 

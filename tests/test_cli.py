@@ -406,16 +406,22 @@ FUZZ_TOKENS = (
     b"G", b"L", b"E", b"{", b"}", b"lin", b"rnd", b"uns", b"asm", b"sol", b"infeas",
     b"range", b"min", b"max", b"-inf", b"inf", b"VAR", b"CON", b"DER", b"", b"\n",
 )
+# Whitespace that splits a line between two tokens, or joins two lines.
+LINE_GAPS = (b"\n", b" ", b"\n\n", b" % note\n", b"\n%\n")
 
 
 @st.composite
 def mutated_bytes(draw, seeds):
-    """A golden file with a few token swaps and byte splices."""
+    """A golden file with a few token swaps, line splits and joins, and byte
+    splices."""
     # Even positions hold tokens, odd ones the whitespace between them.
     pieces = re.split(rb"(\s+)", draw(st.sampled_from(seeds)))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         position = 2 * draw(st.integers(min_value=0, max_value=len(pieces) // 2))
         pieces[position] = draw(st.sampled_from(FUZZ_TOKENS))
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if len(pieces) > 1 else 0):
+        gap = 2 * draw(st.integers(min_value=0, max_value=len(pieces) // 2 - 1)) + 1
+        pieces[gap] = draw(st.sampled_from(LINE_GAPS))
     data = b"".join(pieces)
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         start = draw(st.integers(min_value=0, max_value=len(data)))

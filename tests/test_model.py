@@ -58,6 +58,16 @@ class TestSparseVec:
         with pytest.raises(ValueError):
             SparseVec(((0, R(0)),))
 
+    def test_lists_are_normalized_to_hashable_tuples(self) -> None:
+        v = SparseVec([[0, R(1)], (2, R(3))])
+        assert v.entries == ((0, R(1)), (2, R(3)))
+        assert all(type(entry) is tuple for entry in v.entries)
+        assert hash(v) == hash(SparseVec(((0, R(1)), (2, R(3)))))
+
+    def test_a_tuple_of_pairs_is_kept_as_given(self) -> None:
+        entries = ((0, R(1)), (2, R(3)))
+        assert SparseVec(entries).entries is entries
+
     def test_from_dict_drops_zeros_and_sorts(self) -> None:
         v = SparseVec.from_dict({2: R(5), 0: R(0), 1: R(-1)})
         assert v.entries == ((1, R(-1)), (2, R(5)))
