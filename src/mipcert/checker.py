@@ -15,7 +15,8 @@ derivations itself and computing assumption sets as it goes:
 
 This module is the only implementation of these rules: the solver emits its
 rows through a :class:`CheckerState`, and the renderer's assumption sets come
-from :func:`assumptions_of`.
+from :func:`assumptions_of`. The rules raise ``RuleViolation``, which
+:meth:`CheckerState.verify_derivation` turns into the row's :class:`Rejection`.
 
 Whenever a derivation's assumption set is empty it is tested against the
 goal: an infeasibility goal needs an absurdity, a range goal needs the row to
@@ -143,7 +144,6 @@ NO_ASSUMPTIONS: AssumptionSet = frozenset()
 class _LiveRow:
     constraint: Constraint
     assumptions: frozenset[int]
-    is_assumption: bool
 
 
 def _goal_sides(
@@ -229,7 +229,7 @@ class CheckerState:
         self._evict_at: dict[int, list[int]] = {}
         self.next_index = problem.num_constraints
         for index, constraint in enumerate(problem.constraints):
-            self._store[index] = _LiveRow(constraint, NO_ASSUMPTIONS, False)
+            self._store[index] = _LiveRow(constraint, NO_ASSUMPTIONS)
         self.stats.peak_live = len(self._store)
 
     def row(self, index: int) -> Constraint:
@@ -243,7 +243,7 @@ class CheckerState:
     def _describe(self, constraint: Constraint) -> str:
         return format_constraint(constraint, self.problem.variable_names)
 
-    def _lookup(self, reference: int, index: int, rule: str) -> _LiveRow:
+    def _lookup(self, reference: int) -> _LiveRow:
         row = self._store.get(reference)
         if row is not None:
             return row
@@ -251,18 +251,7 @@ class CheckerState:
             msg = f"reference to row {reference}, already evicted past its last use"
         else:
             msg = f"reference to row {reference}, which is not an earlier row"
-        raise Rejection(CheckFailure(index, rule, msg))
-
-    def _combination(
-        self, terms: tuple[tuple[int, Rational], ...], stated: Constraint, index: int, rule: str
-    ) -> Constraint:
-        rows = [
-            (self._lookup(ref, index, rule).constraint, multiplier) for ref, multiplier in terms
-        ]
-        try:
-            return linear_combine(rows, stated.sense)
-        except RuleViolation as exc:
-            raise Rejection(CheckFailure(index, rule, str(exc))) from exc
+        raise RuleViolation(msg)
 
     def verify_derivation(self, derivation: Derivation, index: int) -> None:
         """Check one derivation, record it as live, and apply evictions."""
@@ -271,61 +260,57 @@ class CheckerState:
             raise Rejection(CheckFailure(index, "order", msg))
         stated = derivation.constraint
         reason = derivation.reason
+        # Also checked by the parser, for its line; solver, tighten and Certificate skip it.
         if derivation.last_use != KEEP_UNTIL_END and derivation.last_use <= index:
             msg = f"last_use {derivation.last_use} not beyond the row's own index"
             raise Rejection(CheckFailure(index, "order", msg))
 
-        if isinstance(reason, Asm):
-            kind = "asm"
-        elif isinstance(reason, (Lin, Rnd)):
-            kind = "lin" if isinstance(reason, Lin) else "rnd"
-            combined = self._combination(reason.terms, stated, index, kind)
-            if isinstance(reason, Rnd):
-                try:
+        try:
+            if isinstance(reason, Asm):
+                kind = "asm"
+            elif isinstance(reason, (Lin, Rnd)):
+                kind = "lin" if isinstance(reason, Lin) else "rnd"
+                rows = [(self._lookup(ref).constraint, mult) for ref, mult in reason.terms]
+                combined = linear_combine(rows, stated.sense)
+                if isinstance(reason, Rnd):
                     combined = round_constraint(combined, self.problem.integer_set)
-                except RuleViolation as exc:
-                    raise Rejection(CheckFailure(index, kind, str(exc))) from exc
-            if not dominates(combined, stated):
-                msg = (
-                    f"combination yields {self._describe(combined)}, which does not "
-                    f"dominate the stated {self._describe(stated)}"
-                )
-                raise Rejection(CheckFailure(index, kind, msg))
-        elif isinstance(reason, Uns):
-            kind = "uns"
-            branch1 = self._lookup(reason.i1, index, kind)
-            asm1 = self._lookup(reason.a1, index, kind)
-            branch2 = self._lookup(reason.i2, index, kind)
-            asm2 = self._lookup(reason.a2, index, kind)
-            if not asm1.is_assumption or not asm2.is_assumption:
-                offender = reason.a1 if not asm1.is_assumption else reason.a2
-                msg = f"row {offender} is not an assumption"
-                raise Rejection(CheckFailure(index, kind, msg))
-            if not check_disjunction_pair(
-                asm1.constraint, asm2.constraint, self.problem.integer_set
-            ):
-                msg = (
-                    f"rows {reason.a1} and {reason.a2} do not form a split "
-                    f"disjunction pair"
-                )
-                raise Rejection(CheckFailure(index, kind, msg))
-            for branch, asm_index, branch_index in (
-                (branch1, reason.a1, reason.i1),
-                (branch2, reason.a2, reason.i2),
-            ):
-                if asm_index not in branch.assumptions:
-                    msg = f"row {branch_index} does not depend on assumption {asm_index}"
-                    raise Rejection(CheckFailure(index, kind, msg))
-            for branch_index, branch in ((reason.i1, branch1), (reason.i2, branch2)):
-                if not dominates(branch.constraint, stated):
+                if not dominates(combined, stated):
                     msg = (
-                        f"row {branch_index} ({self._describe(branch.constraint)}) does "
-                        f"not dominate the stated {self._describe(stated)}"
+                        f"combination yields {self._describe(combined)}, which does not "
+                        f"dominate the stated {self._describe(stated)}"
                     )
-                    raise Rejection(CheckFailure(index, kind, msg))
-        else:  # pragma: no cover - exhaustive over Reason
-            msg = f"unknown reason {reason!r}"
-            raise Rejection(CheckFailure(index, "reason", msg))
+                    raise RuleViolation(msg)
+            elif isinstance(reason, Uns):
+                kind = "uns"
+                branch1, asm1, branch2, asm2 = (
+                    self._lookup(ref) for ref in (reason.i1, reason.a1, reason.i2, reason.a2)
+                )
+                for asm_index, asm in ((reason.a1, asm1), (reason.a2, asm2)):
+                    if asm_index not in asm.assumptions:  # only an asm row's set holds itself
+                        msg = f"row {asm_index} is not an assumption"
+                        raise RuleViolation(msg)
+                if not check_disjunction_pair(
+                    asm1.constraint, asm2.constraint, self.problem.integer_set
+                ):
+                    msg = f"rows {reason.a1} and {reason.a2} do not form a split disjunction pair"
+                    raise RuleViolation(msg)
+                sides = ((reason.i1, branch1, reason.a1), (reason.i2, branch2, reason.a2))
+                for branch_index, branch, asm_index in sides:
+                    if asm_index not in branch.assumptions:
+                        msg = f"row {branch_index} does not depend on assumption {asm_index}"
+                        raise RuleViolation(msg)
+                for branch_index, branch, _ in sides:
+                    if not dominates(branch.constraint, stated):
+                        msg = (
+                            f"row {branch_index} ({self._describe(branch.constraint)}) does "
+                            f"not dominate the stated {self._describe(stated)}"
+                        )
+                        raise RuleViolation(msg)
+            else:  # pragma: no cover - exhaustive over Reason
+                msg = f"unknown reason {reason!r}"
+                raise Rejection(CheckFailure(index, "reason", msg))
+        except RuleViolation as exc:
+            raise Rejection(CheckFailure(index, kind, str(exc))) from exc
 
         assumptions = assumptions_of(reason, index, self.assumptions)
         self.stats.reason_counts[kind] += 1
@@ -334,7 +319,7 @@ class CheckerState:
             self.goal_proven = True
             self.goal_proven_by.append(index)
 
-        self._store[index] = _LiveRow(stated, assumptions, isinstance(reason, Asm))
+        self._store[index] = _LiveRow(stated, assumptions)
         if derivation.last_use != KEEP_UNTIL_END:
             self._evict_at.setdefault(derivation.last_use, []).append(index)
         self.stats.peak_live = max(self.stats.peak_live, len(self._store))

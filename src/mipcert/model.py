@@ -122,17 +122,6 @@ class SparseVec:
             entries = tuple((index, coeff) for index, coeff in entries)
             object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_dict(cls, coefficients: Mapping[int, Number]) -> SparseVec:
-        """Build from an index->coefficient mapping, dropping zeros."""
-        return cls(
-            tuple(
-                (index, coefficients[index])
-                for index in sorted(coefficients)
-                if coefficients[index] != 0
-            )
-        )
-
     def __iter__(self) -> Iterator[tuple[int, Number]]:
         return iter(self.entries)
 

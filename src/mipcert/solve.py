@@ -64,6 +64,7 @@ from .model import (
     RangeGoal,
     Reason,
     Rnd,
+    RtpGoal,
     Sense,
     Solution,
     SparseVec,
@@ -161,43 +162,6 @@ def select_branch_variable(
     return best_index
 
 
-class _Builder:
-    """Accumulates derivations, each verified by the checker as it is emitted."""
-
-    def __init__(self, problem: Problem) -> None:
-        self.derivations: list[Derivation] = []
-        # The vacuous goal: every row is checked by the rules, none against a goal.
-        self.state = CheckerState(problem, RangeGoal(None, None))
-        self._names = {c.name for c in problem.constraints}
-        self._counters = {"A": 0, "D": 0}
-
-    def fresh_name(self, prefix: str) -> str:
-        while True:
-            self._counters[prefix] += 1
-            name = f"{prefix}{self._counters[prefix]}"
-            if name not in self._names:
-                return name
-
-    def emit(self, constraint: Constraint, reason: Reason) -> int:
-        """Append one derivation after the checker accepts it; its index."""
-        derivation = Derivation(constraint, reason)
-        index = self.state.next_index
-        try:
-            self.state.verify_derivation(derivation, index)
-        except Rejection as rejection:
-            refusal = _REFUSALS.get(rejection.failure.rule, "emitted row rejected")
-            raise SolverCheckError(refusal) from rejection
-        self.derivations.append(derivation)
-        self._names.add(constraint.name)
-        return index
-
-    def add_assumption(self, variable: int, sense: Sense, bound: Rational) -> int:
-        constraint = Constraint(
-            self.fresh_name("A"), sense, SparseVec(((variable, _ONE),)), bound
-        )
-        return self.emit(constraint, Asm())
-
-
 #: What the solver reports when the checker rejects one of its rows, by rule;
 #: the checker's own reason is the exception's ``__cause__``.
 _REFUSALS = {
@@ -227,7 +191,11 @@ class _Solver:
             if self.minimize
             else SparseVec(tuple((i, -c) for i, c in problem.objective))
         )
-        self.builder = _Builder(problem)
+        self.derivations: list[Derivation] = []
+        # The vacuous goal: every row is checked by the rules, none against a goal.
+        self.state = CheckerState(problem, RangeGoal(None, None))
+        self._names = {c.name for c in problem.constraints}
+        self._counters = {"A": 0, "D": 0}
         self.incumbent_value: Optional[Rational] = None  # internal (min) sense
         self.incumbent_point: Optional[tuple[Rational, ...]] = None
         self.num_nodes = 0
@@ -238,14 +206,40 @@ class _Solver:
 
     # -- certificate rows -------------------------------------------------
 
+    def fresh_name(self, prefix: str) -> str:
+        while True:
+            self._counters[prefix] += 1
+            name = f"{prefix}{self._counters[prefix]}"
+            if name not in self._names:
+                return name
+
+    def emit(self, constraint: Constraint, reason: Reason) -> int:
+        """Append one derivation after the checker accepts it; its index."""
+        derivation = Derivation(constraint, reason)
+        index = self.state.next_index
+        try:
+            self.state.verify_derivation(derivation, index)
+        except Rejection as rejection:
+            refusal = _REFUSALS.get(rejection.failure.rule, "emitted row rejected")
+            raise SolverCheckError(refusal) from rejection
+        self.derivations.append(derivation)
+        self._names.add(constraint.name)
+        return index
+
+    def add_assumption(self, variable: int, sense: Sense, bound: Rational) -> int:
+        constraint = Constraint(
+            self.fresh_name("A"), sense, SparseVec(((variable, _ONE),)), bound
+        )
+        return self.emit(constraint, Asm())
+
     def _bound_row(self, internal_rhs: Rational) -> Constraint:
-        name = self.builder.fresh_name("D")
+        name = self.fresh_name("D")
         if self.minimize:
             return Constraint(name, Sense.GE, self.problem.objective, internal_rhs)
         return Constraint(name, Sense.LE, self.problem.objective, -internal_rhs)
 
     def _absurd_row(self) -> Constraint:
-        return Constraint(self.builder.fresh_name("D"), Sense.GE, SparseVec(()), _ONE)
+        return Constraint(self.fresh_name("D"), Sense.GE, SparseVec(()), _ONE)
 
     def _internal_rhs(self, bound_row: Constraint) -> Rational:
         return bound_row.rhs if self.minimize else -bound_row.rhs
@@ -258,10 +252,10 @@ class _Solver:
     ) -> int:
         multipliers = duals if self.minimize else [-d for d in duals]
         bound_row = self._bound_row(internal_value)
-        bound_index = self.builder.emit(bound_row, Lin(_terms(rows, multipliers)))
+        bound_index = self.emit(bound_row, Lin(_terms(rows, multipliers)))
         if self.config.cg_objective and self.objective_roundable:
             rounded = self._bound_row(rational_ceil(internal_value))
-            bound_index = self.builder.emit(rounded, Rnd(((bound_index, _ONE),)))
+            bound_index = self.emit(rounded, Rnd(((bound_index, _ONE),)))
         return bound_index
 
     def _emit_farkas(
@@ -275,13 +269,13 @@ class _Solver:
         _require(gap > 0, "Farkas multipliers must witness a positive gap")
         scale = _ONE / gap
         terms = _terms(rows, (mult * scale for mult in farkas))
-        return self.builder.emit(self._absurd_row(), Lin(terms))
+        return self.emit(self._absurd_row(), Lin(terms))
 
     # -- search ------------------------------------------------------------
 
     def _node_rows(self, path: Sequence[int]) -> list[tuple[int, Constraint]]:
         rows = list(enumerate(self.problem.constraints))
-        rows.extend((index, self.builder.state.row(index)) for index in path)
+        rows.extend((index, self.state.row(index)) for index in path)
         return rows
 
     def search(self) -> int:
@@ -339,29 +333,27 @@ class _Solver:
                 return closed
 
         floor = rational_floor(point[branch_variable])
-        down_asm = self.builder.add_assumption(branch_variable, Sense.LE, floor)
+        down_asm = self.add_assumption(branch_variable, Sense.LE, floor)
         down_index = yield path + [down_asm]
-        down_row = self.builder.state.row(down_index)
-        if down_asm not in self.builder.state.assumptions(down_index) and is_absurd(
-            down_row
-        ):
+        down_row = self.state.row(down_index)
+        if down_asm not in self.state.assumptions(down_index) and is_absurd(down_row):
             # The refutation never used the branch assumption, so it already
             # covers the whole node; the other branch cannot contain anything.
             return down_index
 
-        up_asm = self.builder.add_assumption(branch_variable, Sense.GE, floor + 1)
+        up_asm = self.add_assumption(branch_variable, Sense.GE, floor + 1)
         up_index = yield path + [up_asm]
-        up_row = self.builder.state.row(up_index)
+        up_row = self.state.row(up_index)
 
         # A child bound that does not depend on its own branch assumption
         # already holds for this node; unsplitting would even be illegal.
-        if up_asm not in self.builder.state.assumptions(up_index):
+        if up_asm not in self.state.assumptions(up_index):
             return up_index
-        if down_asm not in self.builder.state.assumptions(down_index):
+        if down_asm not in self.state.assumptions(down_index):
             return down_index
 
         stated = self._stated_row(down_row, up_row)
-        return self.builder.emit(stated, Uns(down_index, down_asm, up_index, up_asm))
+        return self.emit(stated, Uns(down_index, down_asm, up_index, up_asm))
 
     def _stated_row(self, down_row: Constraint, up_row: Constraint) -> Constraint:
         """The weaker of the non-absurd child bounds, or the absurd row if none.
@@ -400,15 +392,15 @@ class _Solver:
             )
             if not isinstance(refutation, LpInfeasible):
                 continue
-            lin_index = self.builder.emit(
-                Constraint(self.builder.fresh_name("D"), Sense.GE, unit, low),
+            lin_index = self.emit(
+                Constraint(self.fresh_name("D"), Sense.GE, unit, low),
                 Lin(_terms(rows, aux.duals)),
             )
-            rnd_index = self.builder.emit(
-                Constraint(self.builder.fresh_name("D"), Sense.GE, unit, lifted),
+            rnd_index = self.emit(
+                Constraint(self.fresh_name("D"), Sense.GE, unit, lifted),
                 Rnd(((lin_index, _ONE),)),
             )
-            farkas_rows = rows + [(rnd_index, self.builder.state.row(rnd_index))]
+            farkas_rows = rows + [(rnd_index, self.state.row(rnd_index))]
             return self._emit_farkas(refutation.farkas, farkas_rows)
         return None
 
@@ -430,49 +422,30 @@ def solve(problem: Problem, config: SolveConfig = SolveConfig()) -> SolveResult:
             num_nodes=solver.num_nodes,
         )
 
-    builder = solver.builder
-    root_row = builder.state.row(root_index)
-    _require(not builder.state.assumptions(root_index), "root bound under assumptions")
+    root_row = solver.state.row(root_index)
+    _require(not solver.state.assumptions(root_index), "root bound under assumptions")
 
+    point = solver.incumbent_point
     if is_absurd(root_row):
         _require(solver.incumbent_value is None, "incumbent in an infeasible problem")
-        certificate = Certificate(
-            problem=problem,
-            goal=InfeasibleGoal(),
-            solutions=(),
-            derivations=tuple(builder.derivations),
+        status = "infeasible"
+        value: Optional[Rational] = None
+        goal: RtpGoal = InfeasibleGoal()
+        solutions: tuple[Solution, ...] = ()
+    else:
+        internal_value = solver.incumbent_value
+        _require(
+            internal_value is not None and point is not None,
+            "bounded tree without incumbent",
         )
-        return SolveResult(
-            status="infeasible",
-            value=None,
-            point=None,
-            certificate=certificate,
-            num_nodes=solver.num_nodes,
+        _require(
+            solver._internal_rhs(root_row) == internal_value,
+            "root bound must land exactly on the incumbent value",
         )
-
-    internal_value = solver.incumbent_value
-    _require(
-        internal_value is not None and solver.incumbent_point is not None,
-        "bounded tree without incumbent",
-    )
-    _require(
-        solver._internal_rhs(root_row) == internal_value,
-        "root bound must land exactly on the incumbent value",
-    )
-    value = internal_value if solver.minimize else -internal_value
-    assignment = SparseVec.from_dict(
-        {i: v for i, v in enumerate(solver.incumbent_point)}
-    )
-    certificate = Certificate(
-        problem=problem,
-        goal=RangeGoal(lower=value, upper=value),
-        solutions=(Solution("opt", assignment),),
-        derivations=tuple(builder.derivations),
-    )
-    return SolveResult(
-        status="optimal",
-        value=value,
-        point=solver.incumbent_point,
-        certificate=certificate,
-        num_nodes=solver.num_nodes,
-    )
+        status = "optimal"
+        value = internal_value if solver.minimize else -internal_value
+        goal = RangeGoal(lower=value, upper=value)
+        assignment = SparseVec(tuple((i, v) for i, v in enumerate(point) if v != 0))
+        solutions = (Solution("opt", assignment),)
+    certificate = Certificate(problem, goal, solutions, tuple(solver.derivations))
+    return SolveResult(status, value, point, certificate, solver.num_nodes)

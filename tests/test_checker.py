@@ -481,7 +481,7 @@ class TestCheckerState:
             Rnd(((0, 1),)),
             Uns(1, 2, 3, 4),
             Derivation(constraint, Asm()),
-            _LiveRow(constraint, NO_ASSUMPTIONS, False),
+            _LiveRow(constraint, NO_ASSUMPTIONS),
         )
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__

@@ -336,6 +336,17 @@ def test_non_ascii_numbers_exit_2(capsys, tmp_path, command, lineno, replacement
     assert not output.exists()
 
 
+TRUSTED_MODULES = {
+    "mipcert",
+    "mipcert.certfile",
+    "mipcert.checker",
+    "mipcert.cli",
+    "mipcert.model",
+    "mipcert.numeric",
+    "mipcert.tighten",
+}
+
+
 @pytest.mark.parametrize("command", ("check", "ttn"))
 def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
     script = (
@@ -343,6 +354,7 @@ def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
         "from mipcert.cli import main\n"
         "code = main()\n"
         "heavy = ('mipcert.render', 'mipcert.simplex', 'mipcert.solve')\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('mipcert')))\n"
         "print(code, [name for name in heavy if name in sys.modules])\n"
     )
     argv = [command, golden_path("split_infeasible")]
@@ -359,6 +371,8 @@ def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.splitlines()[-1] == "0 []"
+    if command == "check":  # the trusted core: everything `check` runs
+        assert set(completed.stdout.splitlines()[-2].split()) == TRUSTED_MODULES
 
 
 def test_superscript_count_prints_no_traceback(tmp_path) -> None:
