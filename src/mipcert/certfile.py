@@ -41,7 +41,6 @@ several lines keeps each token's line, so errors are positioned as before.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from typing import TextIO, Union
 
 from .model import (
@@ -62,6 +61,7 @@ from .model import (
     Solution,
     SparseVec,
     Uns,
+    _Record,
     format_bounds,
 )
 from .numeric import Number, format_rational, int_from_digits, parse_rational
@@ -88,10 +88,10 @@ class ParseError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Header:
+class Header(_Record):
     """First event: the problem and the goal to prove."""
 
+    __slots__ = ("problem", "goal")
     problem: Problem
     goal: RtpGoal
 

@@ -37,7 +37,6 @@ wants them drives a :class:`CheckerState` and reads
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 
 from .certfile import Event, Header, events_from_certificate, parse_certificate
 from .model import (
@@ -59,6 +58,7 @@ from .model import (
     Sense,
     Solution,
     Uns,
+    _Record,
     check_disjunction_pair,
     dominates,
     evaluate_solution,
@@ -83,8 +83,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(_Record):
     """Why a certificate was rejected.
 
     ``index`` is the combined row index for derivation failures, the solution
@@ -92,32 +91,38 @@ class CheckFailure:
     certificate-level failures such as a never-proven goal (rule ``"goal"``).
     """
 
+    __slots__ = ("index", "rule", "message")
     index: int | None
     rule: str
     message: str
 
 
-@dataclass
 class CheckStats:
-    """Counts per reason kind plus the peak number of live rows."""
+    """Counts per reason kind plus the peak number of live rows; updated in place."""
 
-    reason_counts: dict[str, int] = field(
-        default_factory=lambda: {"asm": 0, "lin": 0, "rnd": 0, "uns": 0}
-    )
-    peak_live: int = 0
-    num_derivations: int = 0
-    num_solutions: int = 0
+    __slots__ = ("reason_counts", "peak_live", "num_derivations", "num_solutions")
+
+    def __init__(self) -> None:
+        self.reason_counts = {"asm": 0, "lin": 0, "rnd": 0, "uns": 0}
+        self.peak_live = 0
+        self.num_derivations = 0
+        self.num_solutions = 0
+
+    _fields = _Record._fields
+    __eq__ = _Record.__eq__
+    __repr__ = _Record.__repr__
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of checking one certificate stream."""
 
+    __slots__ = ("verified", "failure", "stats", "goal", "goal_proven_by")
+    _defaults = {"goal_proven_by": ()}
     verified: bool
     failure: CheckFailure | None
     stats: CheckStats
     goal: RtpGoal | None
-    goal_proven_by: tuple[int, ...] = ()
+    goal_proven_by: tuple[int, ...]
 
     @property
     def verdict(self) -> str:
@@ -140,10 +145,12 @@ class Rejection(Exception):
 NO_ASSUMPTIONS: AssumptionSet = frozenset()
 
 
-@dataclass(slots=True)
 class _LiveRow:
-    constraint: Constraint
-    assumptions: frozenset[int]
+    __slots__ = ("constraint", "assumptions")
+
+    def __init__(self, constraint: Constraint, assumptions: AssumptionSet) -> None:
+        self.constraint = constraint
+        self.assumptions = assumptions
 
 
 def _goal_sides(
@@ -194,16 +201,20 @@ def assumptions_of(
     ``lookup`` returns the assumption set of an earlier row. An assumption
     depends on itself; a combination or rounding on the union of its terms'
     sets; an unsplit on the union of its branches' sets, each less only its
-    own branch assumption. Every empty set is :data:`NO_ASSUMPTIONS`. The
-    rules themselves are not checked here.
+    own branch assumption. Every empty set is :data:`NO_ASSUMPTIONS`, and a
+    union with one non-empty operand is that operand itself. The rules
+    themselves are not checked here.
     """
     if isinstance(reason, Asm):
         return frozenset((index,))
     if isinstance(reason, (Lin, Rnd)):
-        assumptions = frozenset().union(*(lookup(reference) for reference, _ in reason.terms))
+        cited = [lookup(reference) for reference, _ in reason.terms]
     else:
-        assumptions = (lookup(reason.i1) - {reason.a1}) | (lookup(reason.i2) - {reason.a2})
-    return assumptions or NO_ASSUMPTIONS
+        cited = [lookup(reason.i1) - {reason.a1}, lookup(reason.i2) - {reason.a2}]
+    cited = [assumptions for assumptions in cited if assumptions]
+    if len(cited) > 1:
+        return frozenset().union(*cited)
+    return cited[0] if cited else NO_ASSUMPTIONS
 
 
 class CheckerState:

@@ -23,8 +23,7 @@ absurdity (``0 >= 1`` and sense mirrors), which dominates everything.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from typing import Union
 
@@ -65,6 +64,7 @@ __all__ = [
     "format_linear",
     "is_absurd",
     "linear_combine",
+    "replace",
     "round_constraint",
     "satisfies",
 ]
@@ -92,18 +92,67 @@ class ObjectiveSense(Enum):
     MAX = "max"
 
 
-@dataclass(frozen=True, slots=True)
-class SparseVec:
+class _Record:
+    """Base of the immutable records, whose fields are their ``__slots__``.
+
+    Assigning or deleting a field raises AttributeError. A record equals only
+    a record of its own type with equal fields, hashes by its fields and does
+    not order. Records built once per certificate row have constructors of
+    their own; this one takes fields by position or name, or ``_defaults``.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        fields = {**self._defaults, **kwargs, **dict(zip(names, args))}
+        repeated = not kwargs.keys().isdisjoint(names[: len(args)])
+        if len(args) > len(names) or repeated or fields.keys() != set(names):
+            msg = f"{type(self).__name__}() takes the fields ({', '.join(names)})"
+            raise TypeError(msg)
+        for name in names:
+            object.__setattr__(self, name, fields[name])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(record: _Record, **changes: object) -> _Record:
+    """``record`` with some fields changed, rebuilt through its constructor, so
+    its invariants are checked again."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
+class SparseVec(_Record):
     """Sparse rational vector: (index, coefficient) pairs.
 
     Indices are strictly increasing and no zero coefficient is ever stored,
     so equality of values is structural equality of entries.
     """
 
-    entries: tuple[tuple[int, Number], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = self.entries
+    def __init__(self, entries: Iterable[tuple[int, Number]]) -> None:
         normal = type(entries) is tuple
         if not normal:
             entries = tuple(entries)
@@ -120,7 +169,14 @@ class SparseVec:
             normal = normal and type(entry) is tuple
         if not normal:
             entries = tuple((index, coeff) for index, coeff in entries)
-            object.__setattr__(self, "entries", entries)
+        _set_entries(self, entries)
+
+    def __eq__(self, other: object) -> bool:  # the generic one, without its calls
+        if type(other) is not SparseVec:
+            return NotImplemented
+        return self.entries == other.entries
+
+    __hash__ = _Record.__hash__
 
     def __iter__(self) -> Iterator[tuple[int, Number]]:
         return iter(self.entries)
@@ -146,27 +202,40 @@ class SparseVec:
         return total
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
+# The per-row records fill their slots through the slots' own setters, which
+# skip the raising __setattr__ and cost less than object.__setattr__.
+_set_entries = SparseVec.entries.__set__
+
+
+class Constraint(_Record):
     """A named linear constraint ``lhs sense rhs``."""
 
-    name: str
-    sense: Sense
-    lhs: SparseVec
-    rhs: Number
+    __slots__ = ("name", "sense", "lhs", "rhs")
+
+    def __init__(self, name: str, sense: Sense, lhs: SparseVec, rhs: Number) -> None:
+        _set_name(self, name)
+        _set_sense(self, sense)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
 
 
-@dataclass(frozen=True)
-class Problem:
+_set_name, _set_sense, _set_lhs, _set_rhs = (
+    member.__set__ for member in (Constraint.name, Constraint.sense, Constraint.lhs, Constraint.rhs)
+)
+
+
+class Problem(_Record):
     """The mixed-integer linear program a certificate talks about."""
 
+    __slots__ = ("variable_names", "integer_set", "objective", "objective_sense", "constraints")
     variable_names: tuple[str, ...]
     integer_set: frozenset[int]
     objective: SparseVec
     objective_sense: ObjectiveSense
     constraints: tuple[Constraint, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         n = len(self.variable_names)
         for index in self.integer_set:
             if not 0 <= index < n:
@@ -191,55 +260,58 @@ class Problem:
         return len(self.constraints)
 
 
-@dataclass(frozen=True, slots=True)
-class Asm:
+class Asm(_Record):
     """Reason: the row is introduced as an assumption, without proof."""
 
+    __slots__ = ()
+    __init__ = object.__init__  # no fields to take: skip the generic constructor
 
-@dataclass(frozen=True, slots=True)
-class Lin:
+
+class Lin(_Record):
     """Reason: the row follows from a linear combination of earlier rows.
 
     ``terms`` maps combined row indices to rational multipliers; indices are
     strictly increasing and multipliers nonzero.
     """
 
-    terms: tuple[tuple[int, Number], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        _validate_terms(self.terms)
+    def __init__(self, terms: Iterable[tuple[int, Number]]) -> None:
+        _set_lin_terms(self, _validated_terms(terms))
 
 
-@dataclass(frozen=True, slots=True)
-class Rnd:
+class Rnd(_Record):
     """Reason: linear combination followed by right-hand-side rounding."""
 
-    terms: tuple[tuple[int, Number], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        _validate_terms(self.terms)
+    def __init__(self, terms: Iterable[tuple[int, Number]]) -> None:
+        _set_rnd_terms(self, _validated_terms(terms))
 
 
-@dataclass(frozen=True, slots=True)
-class Uns:
+class Uns(_Record):
     """Reason: two rows proved under a complementary assumption pair merge.
 
     ``i1``/``i2`` are the rows proved under assumptions ``a1``/``a2``
     respectively; the assumptions form a split disjunction and are discharged.
     """
 
-    i1: int
-    a1: int
-    i2: int
-    a2: int
+    __slots__ = ("i1", "a1", "i2", "a2")
+
+    def __init__(self, i1: int, a1: int, i2: int, a2: int) -> None:
+        _set_i1(self, i1)
+        _set_a1(self, a1)
+        _set_i2(self, i2)
+        _set_a2(self, a2)
 
 
+_set_lin_terms, _set_rnd_terms = Lin.terms.__set__, Rnd.terms.__set__
+_set_i1, _set_a1, _set_i2, _set_a2 = (member.__set__ for member in (Uns.i1, Uns.a1, Uns.i2, Uns.a2))
 Reason = Union[Asm, Lin, Rnd, Uns]
 
 
-def _validate_terms(terms: tuple[tuple[int, Number], ...]) -> None:
+def _validated_terms(terms: Iterable[tuple[int, Number]]) -> tuple[tuple[int, Number], ...]:
+    terms = tuple(terms)
     previous = -1
     for index, multiplier in terms:
         if index <= previous:
@@ -249,10 +321,10 @@ def _validate_terms(terms: tuple[tuple[int, Number], ...]) -> None:
             msg = f"zero multiplier on row {index}"
             raise ValueError(msg)
         previous = index
+    return terms
 
 
-@dataclass(frozen=True, slots=True)
-class Derivation:
+class Derivation(_Record):
     """A derived constraint, the reason it holds, and its last-use index.
 
     ``last_use`` is the combined index of the last later derivation that
@@ -261,32 +333,42 @@ class Derivation:
     been processed.
     """
 
-    constraint: Constraint
-    reason: Reason
-    last_use: int = KEEP_UNTIL_END
+    __slots__ = ("constraint", "reason", "last_use")
 
-    def __post_init__(self) -> None:
-        if self.last_use < KEEP_UNTIL_END:
-            msg = f"invalid last_use {self.last_use}"
+    def __init__(
+        self, constraint: Constraint, reason: Reason, last_use: int = KEEP_UNTIL_END
+    ) -> None:
+        if last_use < KEEP_UNTIL_END:
+            msg = f"invalid last_use {last_use}"
             raise ValueError(msg)
+        _set_constraint(self, constraint)
+        _set_reason(self, reason)
+        _set_last_use(self, last_use)
 
 
-@dataclass(frozen=True)
-class InfeasibleGoal:
+_set_constraint, _set_reason, _set_last_use = (
+    member.__set__ for member in (Derivation.constraint, Derivation.reason, Derivation.last_use)
+)
+
+
+class InfeasibleGoal(_Record):
     """Goal: prove the problem has no feasible point."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RangeGoal:
+
+class RangeGoal(_Record):
     """Goal: prove the optimal objective value lies in [lower, upper].
 
     ``None`` bounds mean -infinity (lower) / +infinity (upper).
     """
 
+    __slots__ = ("lower", "upper")
     lower: Number | None
     upper: Number | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             msg = "range lower bound exceeds upper bound"
             raise ValueError(msg)
@@ -295,26 +377,27 @@ class RangeGoal:
 RtpGoal = Union[InfeasibleGoal, RangeGoal]
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(_Record):
     """A claimed feasible point, sparse over the problem variables."""
 
+    __slots__ = ("name", "assignment")
     name: str
     assignment: SparseVec
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Problem data, goal, claimed solutions, and the derivation list.
 
     Combined index space: original constraint ``j`` has index ``j``;
     derivation ``k`` has index ``num_original + k``.
     """
 
+    __slots__ = ("problem", "goal", "solutions", "derivations")
+    _defaults = {"solutions": (), "derivations": ()}
     problem: Problem
     goal: RtpGoal
-    solutions: tuple[Solution, ...] = ()
-    derivations: tuple[Derivation, ...] = ()
+    solutions: tuple[Solution, ...]
+    derivations: tuple[Derivation, ...]
 
     @property
     def num_original(self) -> int:

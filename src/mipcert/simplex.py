@@ -54,11 +54,10 @@ sign discipline, and a failed check raises :class:`LpWitnessError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .model import Constraint, RuleViolation, Sense, SparseVec, linear_combine, satisfies
+from .model import Constraint, RuleViolation, Sense, SparseVec, _Record, linear_combine, satisfies
 from .numeric import Number, Rational
 
 __all__ = [
@@ -74,26 +73,26 @@ _ZERO = Rational(0)
 _ONE = Rational(1)
 
 
-@dataclass(frozen=True)
-class LpOptimal:
+class LpOptimal(_Record):
     """An optimal solution with exact dual multipliers, one per input row."""
 
+    __slots__ = ("point", "value", "duals")
     point: tuple[Rational, ...]
     value: Number
     duals: tuple[Rational, ...]
 
 
-@dataclass(frozen=True)
-class LpInfeasible:
+class LpInfeasible(_Record):
     """Exact Farkas multipliers proving the rows have no common solution."""
 
+    __slots__ = ("farkas",)
     farkas: tuple[Rational, ...]
 
 
-@dataclass(frozen=True)
-class LpUnbounded:
+class LpUnbounded(_Record):
     """A feasible direction along which the objective decreases forever."""
 
+    __slots__ = ("ray",)
     ray: tuple[Rational, ...]
 
 
@@ -382,7 +381,8 @@ def solve_lp(
         along = dict(enumerate(ray))
         _require(objective.evaluate(along) < 0, "ray must improve the objective")
         for con in constraints:
-            _require(satisfies(replace(con, rhs=0), along), f"ray must respect row {con.name!r}")
+            homogeneous = Constraint(con.name, con.sense, con.lhs, 0)
+            _require(satisfies(homogeneous, along), f"ray must respect row {con.name!r}")
         return LpUnbounded(ray=tuple(ray))
 
     point = tableau.point()

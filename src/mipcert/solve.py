@@ -48,7 +48,6 @@ here, raises :class:`SolverCheckError`; these are explicit checks, not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Iterable, Optional, Sequence
 
 from .checker import CheckerState, Rejection
@@ -69,6 +68,7 @@ from .model import (
     Solution,
     SparseVec,
     Uns,
+    _Record,
     is_absurd,
 )
 from .numeric import Rational, is_integral, rational_ceil, rational_floor
@@ -109,8 +109,7 @@ class _RootUnbounded(Exception):
     """Internal: the root LP relaxation is unbounded."""
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class SolveConfig(_Record):
     """Solver options.
 
     ``node_limit`` bounds the number of branch-and-bound nodes (``None`` for
@@ -118,12 +117,13 @@ class SolveConfig:
     enables the rounding refinements described in the module docstring.
     """
 
-    node_limit: Optional[int] = None
-    cg_objective: bool = False
+    __slots__ = ("node_limit", "cg_objective")
+    _defaults = {"node_limit": None, "cg_objective": False}
+    node_limit: Optional[int]
+    cg_objective: bool
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Outcome of a solve.
 
     ``status`` is ``"optimal"``, ``"infeasible"``, or ``"unbounded"``.
@@ -133,6 +133,7 @@ class SolveResult:
     relaxation is unbounded. ``num_nodes`` counts explored nodes.
     """
 
+    __slots__ = ("status", "value", "point", "certificate", "num_nodes")
     status: str
     value: Optional[Rational]
     point: Optional[tuple[Rational, ...]]

@@ -16,12 +16,11 @@ no reference moves. The result is idempotent and verification-preserving.
 from __future__ import annotations
 
 from array import array
-from dataclasses import replace
 from itertools import chain
 
 from .certfile import Header
 from .checker import verify_certificate
-from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Reason, Rnd, Uns
+from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Reason, Rnd, Uns, replace
 
 __all__ = ["compute_last_use", "prune_unused", "tighten"]
 

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from mipcert import KEEP_UNTIL_END, Certificate, Uns, read_certificate
 from mipcert.checker import CheckerState, Rejection, verify_certificate
+from mipcert.model import replace
 
 DATA_DIR = Path(__file__).parent / "data"
 

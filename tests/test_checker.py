@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,6 +44,7 @@ from mipcert.model import (
     Solution,
     SparseVec,
     Uns,
+    replace,
 )
 from mipcert.numeric import Rational as R
 

@@ -375,6 +375,37 @@ def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
         assert set(completed.stdout.splitlines()[-2].split()) == TRUSTED_MODULES
 
 
+#: Standard modules a dataclass or source-introspection import chain loads;
+#: each costs start-up time in every ``mipcert`` process.
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+@pytest.mark.parametrize("command", ("check", "ttn", "html", "solve"))
+def test_commands_load_no_introspection_modules(tmp_path, command) -> None:
+    src = str(Path(mipcert.__file__).resolve().parent.parent)
+
+    def loaded(script: str, *argv: str) -> set[str]:
+        completed = subprocess.run(
+            [sys.executable, "-c", f"{script}\nimport sys\nprint(*sys.modules)", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+            check=False,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return set(completed.stdout.splitlines()[-1].split())
+
+    source = golden_path("split_infeasible")
+    if command == "solve":
+        source = write_problem_file(load_golden("split_infeasible").problem, tmp_path / "p.mip")
+    argv = [command, source] + ([] if command == "check" else [str(tmp_path / "out")])
+    bare = loaded("")
+    used = loaded("from mipcert.cli import main\nassert main() == 0", *argv)
+    assert "mipcert.cli" in used
+    assert [name for name in INTROSPECTION_MODULES if name in used - bare] == []
+
+
 def test_superscript_count_prints_no_traceback(tmp_path) -> None:
     """The same case through a real interpreter, where a traceback would show."""
     bad = tmp_path / "bad.crt"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +9,14 @@ from conftest import load_golden
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mipcert.certfile import Header
+from mipcert.checker import CheckFailure
 from mipcert.model import (
+    Asm,
+    Certificate,
     Constraint,
+    Derivation,
+    InfeasibleGoal,
     Lin,
     ObjectiveSense,
     Problem,
@@ -21,16 +26,20 @@ from mipcert.model import (
     Sense,
     Solution,
     SparseVec,
+    Uns,
     check_disjunction_pair,
     dominates,
     evaluate_solution,
     format_constraint,
     is_absurd,
     linear_combine,
+    replace,
     round_constraint,
 )
 from mipcert.numeric import Rational as R
 from mipcert.numeric import format_rational, parse_rational
+from mipcert.simplex import LpInfeasible, LpOptimal, LpUnbounded
+from mipcert.solve import SolveConfig, SolveResult
 
 
 def rat(value) -> R:
@@ -340,6 +349,117 @@ class TestProblemAndSolution:
         with pytest.raises(ValueError):
             RangeGoal(R(2), R(1))
         assert RangeGoal(None, None).lower is None
+
+
+# --- record semantics ----------------------------------------------------
+
+
+def public_records() -> list:
+    """One value of every public record type, built from fresh objects."""
+    lhs = vec((0, 1), (2, (1, 2)))
+    constraint = con("c", Sense.GE, 1, (0, 1), (2, (1, 2)))
+    problem = Problem(("x", "y", "z"), frozenset({0}), vec((1, 3)), ObjectiveSense.MAX, (constraint,))
+    goal = RangeGoal(R(0), None)
+    derivation = Derivation(constraint, Lin(((0, R(1)),)), 4)
+    return [
+        lhs,
+        constraint,
+        problem,
+        Asm(),
+        Lin(((0, R(2)),)),
+        Rnd(((0, R(2)),)),
+        Uns(1, 2, 3, 4),
+        derivation,
+        InfeasibleGoal(),
+        goal,
+        Solution("s", vec((0, 1))),
+        Certificate(problem, goal, (Solution("s", vec((0, 1))),), (derivation,)),
+        Header(problem, goal),
+        CheckFailure(3, "lin", "too weak"),
+        LpOptimal((R(1),), R(2), (R(3),)),
+        LpInfeasible((R(1),)),
+        LpUnbounded((R(1),)),
+        SolveConfig(node_limit=5, cg_objective=True),
+        SolveResult("optimal", R(1), (R(1),), None, 1),
+    ]
+
+
+#: Every record paired with an equal one built from fresh objects.
+RECORD_PAIRS = list(zip(public_records(), public_records()))
+#: Every field name of the records above.
+FIELD_NAMES = (
+    "entries", "name", "sense", "lhs", "rhs", "variable_names", "integer_set", "objective",
+    "objective_sense", "constraints", "terms", "i1", "a1", "i2", "a2", "constraint", "reason",
+    "last_use", "lower", "upper", "assignment", "problem", "goal", "solutions", "derivations",
+    "index", "rule", "message", "point", "value", "duals", "farkas", "ray", "node_limit",
+    "cg_objective", "status", "certificate", "num_nodes",
+)
+
+
+@pytest.mark.parametrize(("record", "twin"), RECORD_PAIRS, ids=[type(r).__name__ for r, _ in RECORD_PAIRS])
+class TestRecordSemantics:
+    def test_fields_cannot_be_assigned_or_deleted(self, record, twin) -> None:
+        for name in (name for name in FIELD_NAMES if hasattr(record, name)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == twin
+
+    def test_equal_records_hash_equal(self, record, twin) -> None:
+        assert twin is not record and twin == record and not twin != record
+        assert hash(twin) == hash(record)
+
+    def test_records_do_not_order(self, record, twin) -> None:
+        with pytest.raises(TypeError):
+            record < twin  # noqa: B015
+
+
+def test_record_equality_is_type_exact() -> None:
+    terms = ((0, R(1)),)
+    assert Lin(terms) != Rnd(terms) and Rnd(terms) != Lin(terms)
+    assert Lin(terms) == Lin(terms)
+    constraint = con("c", Sense.LE, 2, (0, 1))
+    assert constraint != ("c", Sense.LE, constraint.lhs, R(2))
+    assert ("c", Sense.LE, constraint.lhs, R(2)) != constraint
+    assert Asm() == Asm() and hash(Asm()) == hash(Asm())
+    assert InfeasibleGoal() == InfeasibleGoal() and Asm() != InfeasibleGoal()
+
+
+def test_record_constructors_take_each_field_once() -> None:
+    problem = Problem(("x",), frozenset(), vec(), ObjectiveSense.MIN, ())
+    certificate = Certificate(problem, InfeasibleGoal())
+    assert certificate.solutions == () and certificate.derivations == ()
+    assert Certificate(goal=InfeasibleGoal(), problem=problem) == certificate
+    assert SolveConfig() == SolveConfig(None, False) == SolveConfig(cg_objective=False)
+    for build in (
+        lambda: Certificate(problem),
+        lambda: Certificate(problem, InfeasibleGoal(), (), (), ()),
+        lambda: Certificate(problem, InfeasibleGoal(), problem=problem),
+        lambda: Certificate(problem, InfeasibleGoal(), proof=()),
+        lambda: Constraint("c", Sense.GE, vec()),
+        lambda: Asm(1),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_replace_reruns_the_invariants() -> None:
+    with pytest.raises(ValueError, match="^sparse indices not strictly increasing at index 0$"):
+        replace(vec((0, 1)), entries=((1, R(1)), (0, R(1))))
+    with pytest.raises(ValueError, match="^zero multiplier on row 0$"):
+        replace(Lin(((0, R(1)),)), terms=((0, R(0)),))
+    with pytest.raises(ValueError, match="^zero multiplier on row 0$"):
+        replace(Rnd(((0, R(1)),)), terms=((0, R(0)),))
+    with pytest.raises(ValueError, match="^invalid last_use -2$"):
+        replace(Derivation(con("c", Sense.GE, 0), Asm()), last_use=-2)
+    with pytest.raises(ValueError, match="^range lower bound exceeds upper bound$"):
+        replace(RangeGoal(R(0), R(1)), lower=R(2))
+    problem = Problem(("x",), frozenset(), vec(), ObjectiveSense.MIN, ())
+    with pytest.raises(ValueError, match="^integer variable index 1 out of range for 1 variables$"):
+        replace(problem, integer_set=frozenset({1}))
+    changed = replace(con("c", Sense.GE, 0, (0, 1)), rhs=R(3))
+    assert changed == con("c", Sense.GE, 3, (0, 1))
 
 
 # --- property-based soundness -------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import html
 import re
-from dataclasses import replace
 
 import pytest
 from conftest import GOLDEN_NAMES, checked_assumption_sets, load_golden
@@ -23,6 +22,7 @@ from mipcert.model import (
     Solution,
     SparseVec,
     Uns,
+    replace,
 )
 from mipcert.numeric import Rational as R
 from mipcert.render import render_html

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import io
 import itertools
@@ -35,6 +34,7 @@ from mipcert.model import (
     evaluate_solution,
     is_absurd,
     linear_combine,
+    replace,
 )
 from mipcert.numeric import Rational as R
 from mipcert.simplex import LpInfeasible, LpOptimal, solve_lp
@@ -377,14 +377,14 @@ def test_random_batch_matches_enumeration(cg: bool) -> None:
 
 
 def _numbers(value):
-    """Every number inside a result: dataclass fields, tuples, dicts and sets."""
+    """Every number inside a result: record fields, tuples, dicts and sets."""
     if isinstance(value, bool) or isinstance(value, (str, Enum)) or value is None:
         return
     if isinstance(value, (int, float, Fraction)):
         yield value
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from _numbers(getattr(value, field.name))
+    elif hasattr(type(value), "__slots__"):
+        for name in type(value).__slots__:
+            yield from _numbers(getattr(value, name))
     elif isinstance(value, dict):
         for key, item in value.items():
             yield from _numbers(key)
@@ -469,13 +469,13 @@ def frac_knapsack() -> Problem:
 
 def doubled_duals(outcome):
     if isinstance(outcome, LpOptimal):
-        return dataclasses.replace(outcome, duals=tuple(2 * y for y in outcome.duals))
+        return replace(outcome, duals=tuple(2 * y for y in outcome.duals))
     return outcome
 
 
 def negated_duals(outcome):
     if isinstance(outcome, LpOptimal):
-        return dataclasses.replace(outcome, duals=tuple(-y for y in outcome.duals))
+        return replace(outcome, duals=tuple(-y for y in outcome.duals))
     return outcome
 
 
@@ -552,8 +552,8 @@ def problem_text(problem: Problem) -> str:
 def test_corrupted_duals_raise_under_optimize_flag() -> None:
     script = """
         import importlib, io, sys
-        from dataclasses import replace
         from mipcert.certfile import parse_problem
+        from mipcert.model import replace
         from mipcert.simplex import LpOptimal, solve_lp
 
         assert False, "assert statements must be stripped by -O"

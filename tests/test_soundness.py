@@ -1,43 +1,83 @@
 """Semantic soundness oracle: every row the checker accepts is true.
 
-The criterion-5 generator's boxes are rows, so the integer points of a
-problem can be listed exactly. Solver certificates and seeded single-edit
-mutants of them go through the checker. Every derivation it accepted must
-hold at every integer point of the box that satisfies the original rows and
-the rows of its assumption set, and a verified certificate's goal must agree
-with the enumerated optimum. The oracle shares no code with the rule engine:
+Every problem here is pure-integer with its box given as rows, so its integer
+points can be listed exactly. Solver certificates of planted feasible
+problems, seeded single-edit mutants of them and hand-built certificates go
+through the checker. Every derivation it accepted must hold at every integer
+point of the box that satisfies the original rows and the rows of its
+assumption set, and a verified certificate's goal must agree with the
+enumerated optimum. The oracle shares no code with the rule engine:
 assumption sets come from the reference recomputation in test_checker.py, and
 satisfaction is tested here in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import random
-from dataclasses import replace
 
-from test_acceptance import random_integer_problem
+import pytest
 from test_checker import recursive_assumption_sets
 
+from mipcert.certfile import read_certificate
 from mipcert.checker import verify_certificate
 from mipcert.model import (
     Asm,
     Certificate,
+    Constraint,
     Derivation,
     InfeasibleGoal,
     Lin,
     ObjectiveSense,
+    Problem,
     Rnd,
     Sense,
+    SparseVec,
     Uns,
+    replace,
 )
 from mipcert.numeric import Rational as R
 from mipcert.solve import SolveConfig, solve
 
-#: Feasible draws; the infeasible draws between them are skipped.
 DRAWS = 40
 EDITS_PER_CERTIFICATE = 12
+
+
+def planted_problem(rng: random.Random) -> tuple[Problem, list[tuple[int, int]]]:
+    """A pure-integer problem with its box as rows and a planted feasible point:
+    an integer point is drawn inside the box, then rows that it satisfies."""
+    num_variables = rng.randint(1, 6)
+    boxes, point, rows = [], [], []
+    for index in range(num_variables):
+        width = rng.randint(0, 3)
+        low = rng.randint(-10, 10 - width)
+        boxes.append((low, low + width))
+        point.append(rng.randint(low, low + width))
+        unit = SparseVec(((index, R(1)),))
+        rows.append(Constraint(f"lo{index}", Sense.GE, unit, R(low)))
+        rows.append(Constraint(f"hi{index}", Sense.LE, unit, R(low + width)))
+
+    def random_vector() -> tuple[tuple[int, R], ...]:
+        values = (rng.randint(-4, 4) for _ in range(num_variables))
+        return tuple((index, R(value)) for index, value in enumerate(values) if value)
+
+    for row_number in range(rng.randint(1, 8)):
+        entries = random_vector()
+        activity = sum(coeff * point[index] for index, coeff in entries)
+        sense = rng.choice((Sense.GE, Sense.GE, Sense.LE, Sense.LE, Sense.EQ))
+        slack = 0 if sense is Sense.EQ else rng.randint(0, 10)
+        rhs = activity - slack if sense is Sense.GE else activity + slack
+        rows.append(Constraint(f"r{row_number}", sense, SparseVec(entries), R(rhs)))
+    problem = Problem(
+        tuple(f"x{i}" for i in range(num_variables)),
+        frozenset(range(num_variables)),
+        SparseVec(random_vector()),
+        rng.choice((ObjectiveSense.MIN, ObjectiveSense.MAX)),
+        tuple(rows),
+    )
+    return problem, boxes
 
 
 def integer_row(constraint) -> tuple[tuple[tuple[int, int], ...], Sense, int]:
@@ -168,13 +208,10 @@ def test_every_accepted_row_holds_on_the_enumerated_box() -> None:
     draws = random.Random(20161126)
     edits = random.Random(1611)
     verified_mutants = rejected_mutants = 0
-    draw = 0
-    while draw < DRAWS:
-        problem, boxes = random_integer_problem(draws)
+    for draw in range(1, DRAWS + 1):
+        problem, boxes = planted_problem(draws)
         oracle = Oracle(problem, boxes)
-        if not oracle.points:
-            continue  # every row holds on an empty box: nothing to learn
-        draw += 1
+        assert oracle.points, f"draw {draw}: the planted point is missing"
         for cg_objective in (False, True):
             label = f"draw {draw} cg_objective={cg_objective}"
             certificate = solve(problem, SolveConfig(cg_objective=cg_objective)).certificate
@@ -186,3 +223,62 @@ def test_every_accepted_row_holds_on_the_enumerated_box() -> None:
                     rejected_mutants += 1
     # both outcomes occur, so neither half of the oracle is vacuous
     assert verified_mutants > 0 and rejected_mutants > 0
+
+
+# --- hand-built certificates --------------------------------------------------
+#
+# Single edits of solver certificates never turn a broken split test, rounding
+# test, unsplit assumption set or infeasibility-goal test into an accepted
+# false row or goal. Each certificate below does, for one of them, on the box
+# of one integer variable ``x``: rows 0 and 1 are ``x >= low`` and ``x <= high``.
+
+HAND_BUILT = {
+    # x <= 0 and x >= 2 miss x = 1, where both branches are infeasible.
+    "split_with_a_gap": (
+        (1, 1),
+        """A1 L 0 1 0 1 { asm } -1
+        A2 G 2 1 0 1 { asm } -1
+        B1 G 1 0 { lin 2 0 1 2 -1 } -1
+        B2 G 1 0 { lin 2 1 -1 3 1 } -1
+        U G 1 0 { uns 4 2 5 3 } -1""",
+    ),
+    # (1/2)x >= 1/2 rounds to (1/2)x >= 1 only if it ignores the coefficient.
+    "rounding_a_fractional_coefficient": (
+        (1, 3),
+        "H G 1 1 0 1/2 { rnd 1 0 1/2 } -1",
+    ),
+    # Both branches rest on both halves of the split; the unsplit sheds one
+    # half per branch, so its row keeps both assumptions.
+    "branches_under_both_assumptions": (
+        (0, 1),
+        """A1 L 0 1 0 1 { asm } -1
+        A2 G 1 1 0 1 { asm } -1
+        B1 G 1 0 { lin 2 2 -1 3 1 } -1
+        B2 G 1 0 { lin 2 2 -1 3 1 } -1
+        U G 1 0 { uns 4 2 5 3 } -1""",
+    ),
+    # A true row that is no absurdity.
+    "true_row_as_infeasibility_proof": (
+        (0, 1),
+        "D G 0 1 0 1 { lin 1 0 1 } -1",
+    ),
+}
+
+
+def hand_built(box: tuple[int, int], derivations: str) -> Certificate:
+    low, high = box
+    count = len(derivations.splitlines())
+    text = (
+        f"VER 1 VAR 1 x INT 1 0 OBJ min 0 CON 2 lo G {low} 1 0 1 hi L {high} 1 0 1 "
+        f"RTP infeas SOL 0 DER {count}\n{derivations}\n"
+    )
+    return read_certificate(io.StringIO(text))
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_hand_built_certificate_of_a_feasible_box_is_rejected(name) -> None:
+    box, derivations = HAND_BUILT[name]
+    certificate = hand_built(box, derivations)
+    oracle = Oracle(certificate.problem, [box])
+    assert oracle.points
+    assert not oracle.check(certificate, name)

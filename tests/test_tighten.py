@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib
-from dataclasses import replace
 
 import pytest
 from conftest import GOLDEN_NAMES, chain_lines, described_derivations, goal_reachable, load_golden
@@ -22,6 +21,7 @@ from mipcert.model import (
     Sense,
     SparseVec,
     Uns,
+    replace,
 )
 from mipcert.numeric import Rational as R
 from mipcert.tighten import compute_last_use, prune_unused, tighten
