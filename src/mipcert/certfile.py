@@ -101,8 +101,8 @@ Event = Union[Header, Solution, Derivation]
 _SENSES = {sense.value: sense for sense in Sense}
 _LEFT_HAND_SIDES = {what: f"{what} left-hand side" for what in ("constraint", "derivation")}
 
-#: The most index/value pairs one take asks for, so that a count the input
-#: cannot back holds no more tokens than the pairs read so far.
+#: The most index/value pairs (or variable names) one take asks for, so that
+#: a count the input cannot back holds no more tokens than those read so far.
 _PAIRS_PER_TAKE = 4096
 
 
@@ -274,9 +274,11 @@ def _parse_problem_sections(tokens: _Tokens) -> Problem:
         raise tokens.error(f"unsupported format version {row[1]!r}", 1, "format version")
 
     num_variables = tokens.count("VAR", "after VER section", "variables")
-    variable_names = tuple(tokens.take(num_variables))
-    if variable_names and not variable_names[-1]:
-        raise tokens.ended("variable name")
+    variable_names: list[str] = []
+    while len(variable_names) < num_variables:
+        variable_names += tokens.take(min(num_variables - len(variable_names), _PAIRS_PER_TAKE))
+        if not variable_names[-1]:
+            raise tokens.ended("variable name")
 
     num_integers = tokens.count("INT", "after VAR section", "integer variables")
     # Past num_variables indices one repeats or is out of range, so the
@@ -305,7 +307,8 @@ def _parse_problem_sections(tokens: _Tokens) -> Problem:
         _take_constraint(tokens, num_variables, "constraint", seen_names)[0]
         for _ in range(num_constraints)
     )
-    return Problem(variable_names, frozenset(integer_set), objective, objective_sense, constraints)
+    names = tuple(variable_names)
+    return Problem(names, frozenset(integer_set), objective, objective_sense, constraints)
 
 
 def _parse_goal(tokens: _Tokens) -> RtpGoal:

@@ -21,12 +21,12 @@ Implementation notes. Free variables are split ``x = u - w`` with
 ``u, w >= 0``; each row is sign-normalized so its right-hand side is
 nonnegative, gets a slack or surplus column if it is an inequality, and gets
 an artificial column. The artificial block starts as the identity, so after
-any sequence of pivots it holds the current basis inverse — duals are read
-directly from it. Bland's least-index rule governs both phases, so the
-method terminates without any anticycling heuristics. Artificial columns are
-never entering candidates; after phase one, basic artificials are pivoted
-out degenerately where possible, and rows where that is impossible are
-redundant and stay inert.
+any sequence of pivots it holds the current basis inverse, and an artificial
+column's reduced cost is its cost minus its row's dual. Bland's least-index
+rule governs both phases, so the method terminates without any anticycling
+heuristics. Artificial columns are never entering candidates; after phase
+one, basic artificials are pivoted out degenerately where possible, and rows
+where that is impossible are redundant and stay inert.
 
 The tableau holds no rationals. Each row is a list of ``int`` numerators,
 the right-hand side last, over one positive ``int`` denominator; a row starts
@@ -37,14 +37,15 @@ numerator and reduces it by one gcd. Every other row with a nonzero entry in
 the pivot column subtracts a multiple of the pivot row. When that multiple's
 denominator divides the row's own, which always holds when the pivot row's
 denominator is 1, only the pivot row's support is touched; otherwise the row
-is cross-multiplied and gcd-reduced. Reduced costs are one more int row,
-eliminated by the same pivots. A ratio test compares right-hand side over
-entry within a row, where the denominator cancels, so ratios and Bland's
-ties compare by integer cross-products. Every comparison is exact, so
-Bland's rule sees the same values and picks the same pivots as rational
-arithmetic would. A :data:`Rational` is built only when a point, a dual, the
-phase-one gap or a ray is read out; initial reduced costs and duals sum
-only over basic rows whose cost is nonzero.
+is cross-multiplied and gcd-reduced. Reduced costs are one more int row, the
+cost row, built once per phase and eliminated by the same pivots; its
+right-hand side is minus the objective value. Bland's entering column, the
+duals and the phase-one gap are read from it. A ratio test compares
+right-hand side over entry within a row, where the denominator cancels, so
+ratios and Bland's ties compare by integer cross-products. Every comparison
+is exact, so Bland's rule sees the same values and picks the same pivots as
+rational arithmetic would. A :data:`Rational` is built only when a point, a
+dual or a ray is read out.
 
 Correctness of the extracted witnesses does not depend on any of this
 bookkeeping: every result is checked against its defining identities before
@@ -147,9 +148,10 @@ class _Tableau:
     """Simplex tableau over exact rationals as int rows with one denominator each.
 
     Row ``r`` holds ``width + 1`` int numerators, the right-hand side last,
-    over the positive int denominator ``dens[r]``. Pivots, ratio tests and
-    Bland's rule run on ints alone; a :data:`Rational` is built only when a
-    point, dual, gap or ray is read out.
+    over the positive int denominator ``dens[r]``; ``cost_row`` holds the
+    reduced costs in the same layout over ``cost_den``. Pivots, ratio tests
+    and Bland's rule run on ints alone; a :data:`Rational` is built only when
+    a point, dual or ray is read out.
     """
 
     def __init__(self, num_variables: int, constraints: Sequence[Constraint]) -> None:
@@ -165,6 +167,10 @@ class _Tableau:
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
+        # Reduced costs of the current phase over every column, then minus
+        # the objective value, over cost_den; run_phase sets it.
+        self.cost_row = [0] * (self.width + 1)
+        self.cost_den = 1
 
         ineq_seen = 0
         for i, con in enumerate(constraints):
@@ -186,12 +192,12 @@ class _Tableau:
             self.dens.append(den)
             self.basis.append(self.art_start + i)
 
-    def pivot(self, row: int, col: int) -> tuple[list[tuple[int, int]], int]:
-        """Pivot on ``(row, col)`` in place; return the pivot row's support and den.
+    def pivot(self, row: int, col: int) -> None:
+        """Pivot on ``(row, col)`` in place.
 
         The pivot row is divided by its pivot entry and reduced by one gcd;
-        every other row with a nonzero entry in ``col`` is eliminated against
-        that support with :func:`_eliminate`.
+        every other row with a nonzero entry in ``col``, the cost row
+        included, is eliminated against that support with :func:`_eliminate`.
         """
         rows, dens = self.rows, self.dens
         pivot_row = rows[row]
@@ -210,8 +216,11 @@ class _Tableau:
             if r == row or not factor:
                 continue
             dens[r] = _eliminate(other, dens[r], factor, dens[r], support, pivot_den)
+        factor = self.cost_row[col]
+        if factor:
+            den = self.cost_den
+            self.cost_den = _eliminate(self.cost_row, den, factor, den, support, pivot_den)
         self.basis[row] = col
-        return support, pivot_den
 
     def run_phase(self, costs: Sequence[Number]) -> int | None:
         """Pivot to optimality for ``costs``; Bland's rule in both choices.
@@ -219,22 +228,19 @@ class _Tableau:
         Returns None on optimality, or the entering column index when the
         objective is unbounded below (no leaving row exists).
         """
-        art_start = self.art_start
-        rows = self.rows
-        # Reduced costs: one more int row over art_start columns.
-        den = lcm(*(c.denominator for c in costs[:art_start]))
-        reduced = [c.numerator * (den // c.denominator) for c in costs[:art_start]]
+        den = lcm(*(c.denominator for c in costs))
+        self.cost_row = [c.numerator * (den // c.denominator) for c in costs] + [0]
         for r, basic in enumerate(self.basis):
             cost = costs[basic]
             if cost:
-                row = rows[r]
-                support = [(j, row[j]) for j in range(art_start) if row[j]]
+                support = [(j, entry) for j, entry in enumerate(self.rows[r]) if entry]
                 den = _eliminate(
-                    reduced, den, cost.numerator, cost.denominator,
+                    self.cost_row, den, cost.numerator, cost.denominator,
                     support, self.dens[r],
                 )
+        self.cost_den = den
         while True:
-            entering = next((j for j in range(art_start) if reduced[j] < 0), None)
+            entering = next((j for j in range(self.art_start) if self.cost_row[j] < 0), None)
             if entering is None:
                 return None
             # Row r's ratio is rows[r][-1] / rows[r][entering]: the shared
@@ -242,7 +248,7 @@ class _Tableau:
             # ratios compare by cross-multiplication.
             leaving = None
             best_rhs = best_coeff = 0
-            for r, row in enumerate(rows):
+            for r, row in enumerate(self.rows):
                 coeff = row[entering]
                 if coeff > 0:
                     if leaving is None:
@@ -255,15 +261,7 @@ class _Tableau:
                         leaving, best_rhs, best_coeff = r, row[-1], coeff
             if leaving is None:
                 return entering
-            support, pivot_den = self.pivot(leaving, entering)
-            den = _eliminate(
-                reduced,
-                den,
-                reduced[entering],
-                den,
-                [(j, entry) for j, entry in support if j < art_start],
-                pivot_den,
-            )
+            self.pivot(leaving, entering)
 
     def drive_out_artificials(self) -> None:
         """After phase one at value zero, remove basic artificials where possible.
@@ -286,35 +284,34 @@ class _Tableau:
         return Rational(self.rows[r][col], self.dens[r])
 
     def duals(self, costs: Sequence[Number]) -> list[Rational]:
-        """Row duals for ``costs``, in input-row order and input-row signs."""
-        costed = [
-            (self.rows[r], cost.numerator, cost.denominator * self.dens[r])
-            for r, basic in enumerate(self.basis)
-            if (cost := costs[basic])
+        """Row duals ``c_B B^-1`` for the phase's ``costs``, in input-row order
+        and input-row signs.
+
+        The artificial column of row ``i`` starts as its unit vector, so its
+        reduced cost ``d`` is ``c - (c_B B^-1)_i`` for its cost ``c``; the
+        row's flip undoes the sign normalization.
+        """
+        den, art = self.cost_den, slice(self.art_start, self.width)
+        return [
+            Rational(flip * (c.numerator * den - c.denominator * d), c.denominator * den)
+            for flip, c, d in zip(self.flips, costs[art], self.cost_row[art])
         ]
-        values = []
-        for i in range(self.num_rows):
-            art_col = self.art_start + i
-            num, den = 0, 1
-            for row, cost_num, cost_den in costed:
-                entry = row[art_col]
-                if entry:
-                    common = lcm(den, cost_den)
-                    num *= common // den
-                    num += cost_num * entry * (common // cost_den)
-                    den = common
-            values.append(Rational(self.flips[i] * num, den))
-        return values
 
-    def column_value(self, col: int) -> Rational:
-        for r in range(self.num_rows):
-            if self.basis[r] == col:
-                return self.entry(r, -1)
-        return _ZERO
+    def point(self, col: int = -1) -> list[Rational]:
+        """``x = u - w`` per free variable, read in one walk over the basis.
 
-    def point(self) -> list[Rational]:
+        For the rhs (``col == -1``) this is the basic solution; for the
+        entering column of an unbounded phase it is the ray along which that
+        column enters: 1 on ``col`` and minus its entry on each basic column.
+        """
         n = self.num_variables
-        return [self.column_value(v) - self.column_value(n + v) for v in range(n)]
+        split = [_ZERO] * self.width
+        if col != -1:
+            split[col] = _ONE
+        for r, basic in enumerate(self.basis):
+            if basic < 2 * n:
+                split[basic] = self.entry(r, col) if col == -1 else -self.entry(r, col)
+        return [split[v] - split[n + v] for v in range(n)]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -350,11 +347,8 @@ def solve_lp(
     phase1_costs = [_ZERO] * tableau.art_start + [_ONE] * m
     unbounded_col = tableau.run_phase(phase1_costs)
     _require(unbounded_col is None, "phase one must be bounded below by zero")
-    infeasibility_gap = sum(
-        (phase1_costs[tableau.basis[r]] * tableau.entry(r, -1) for r in range(m)),
-        _ZERO,
-    )
-    if infeasibility_gap > 0:
+    # The cost row's rhs is minus the phase-one gap, over cost_den.
+    if tableau.cost_row[-1] < 0:
         farkas = tableau.duals(phase1_costs)
         combined = _witness_row(constraints, farkas)
         _require(combined.lhs.is_zero, "Farkas combination must cancel")
@@ -370,14 +364,7 @@ def solve_lp(
 
     unbounded_col = tableau.run_phase(phase2_costs)
     if unbounded_col is not None:
-        direction = [_ZERO] * tableau.art_start
-        direction[unbounded_col] = _ONE
-        for r in range(m):
-            if tableau.basis[r] < tableau.art_start:
-                direction[tableau.basis[r]] = -tableau.entry(r, unbounded_col)
-        ray = [
-            direction[v] - direction[num_variables + v] for v in range(num_variables)
-        ]
+        ray = tableau.point(unbounded_col)
         along = dict(enumerate(ray))
         _require(objective.evaluate(along) < 0, "ray must improve the objective")
         for con in constraints:

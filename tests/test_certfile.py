@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import GOLDEN_NAMES, golden_text, load_golden
+from conftest import GOLDEN_NAMES, chain_lines, golden_text, load_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,6 +328,16 @@ class TestParseErrors:
             found_line, message = output["found"][case_id]
             assert found_line == line, case_id
             assert fragment in message, case_id
+
+    def test_variable_count_past_the_end_of_a_long_file(self) -> None:
+        # Names cannot be checked, so the parser reads them, a bounded take
+        # at a time, until the input ends.
+        lines = chain_lines(100_000)
+        lines[1] = "VAR 99999999999"
+        with pytest.raises(ParseError) as excinfo:
+            parse_lines(lines)
+        expected = "line 100011: unexpected end of input while reading variable name"
+        assert str(excinfo.value) == expected
 
     def test_parse_problem_rejects_certificate_tail(self) -> None:
         with pytest.raises(ParseError) as excinfo:

@@ -375,6 +375,16 @@ def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
         assert set(completed.stdout.splitlines()[-2].split()) == TRUSTED_MODULES
 
 
+def test_readme_counts_the_trusted_core_lines() -> None:
+    package = Path(mipcert.__file__).resolve().parent
+    files = [package / f"{name.partition('.')[2] or '__init__'}.py" for name in TRUSTED_MODULES]
+    total = sum(path.read_bytes().count(b"\n") for path in files)  # as `wc -l` counts
+    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"([\d,]+)\s+lines\s+by\s+`wc -l`", readme)
+    assert stated is not None
+    assert int(stated.group(1).replace(",", "")) == total
+
+
 #: Standard modules a dataclass or source-introspection import chain loads;
 #: each costs start-up time in every ``mipcert`` process.
 INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -492,8 +492,9 @@ def test_corrupted_multipliers_raise_under_optimize_flag() -> None:
 class ReferenceTableau:
     """A dense Fraction tableau with the same layout and pivoting rules.
 
-    It recomputes reduced costs from scratch before every choice, so it
-    shares no bookkeeping with the int tableau beyond the rules themselves.
+    It recomputes reduced costs and duals from scratch whenever they are
+    needed, so it shares no bookkeeping with the int tableau beyond the rules
+    themselves.
     """
 
     def __init__(self, num_variables, constraints) -> None:
@@ -501,13 +502,14 @@ class ReferenceTableau:
         m = len(constraints)
         num_ineq = sum(1 for c in constraints if c.sense is not Sense.EQ)
         self.art_start = 2 * n + num_ineq
-        width = self.art_start + m
+        self.width = self.art_start + m
         self.rows = []
         self.basis = []
+        self.flips = []
         ineq_seen = 0
         for i, constraint in enumerate(constraints):
             flip = R(1) if constraint.rhs >= 0 else R(-1)
-            row = [R(0)] * (width + 1)
+            row = [R(0)] * (self.width + 1)
             for index, coeff in constraint.lhs:
                 row[index] = flip * coeff
                 row[n + index] = -flip * coeff
@@ -518,6 +520,7 @@ class ReferenceTableau:
             row[-1] = flip * constraint.rhs
             self.rows.append(row)
             self.basis.append(self.art_start + i)
+            self.flips.append(flip)
 
     def pivot(self, row: int, col: int) -> None:
         pivot_value = self.rows[row][col]
@@ -528,15 +531,29 @@ class ReferenceTableau:
                 self.rows[r] = [a - factor * b for a, b in zip(other, self.rows[row])]
         self.basis[row] = col
 
+    def cost_row(self, costs):
+        """``c_j - c_B B^-1 a_j`` for every column ``j``, then ``-c_B B^-1 b``."""
+        return [
+            (costs[j] if j < self.width else 0)
+            - sum(costs[basic] * self.rows[r][j] for r, basic in enumerate(self.basis))
+            for j in range(self.width + 1)
+        ]
+
+    def duals(self, costs):
+        """``c_B B^-1`` in input-row signs: ``B^-1`` is the artificial block."""
+        return [
+            flip * sum(
+                costs[basic] * self.rows[r][self.art_start + i]
+                for r, basic in enumerate(self.basis)
+            )
+            for i, flip in enumerate(self.flips)
+        ]
+
     def choose(self, costs):
         """Bland's (row, column) choice, ``(None, col)`` if unbounded, or None."""
-        for j in range(self.art_start):
-            reduced = costs[j] - sum(
-                costs[basic] * self.rows[r][j] for r, basic in enumerate(self.basis)
-            )
-            if reduced < 0:
-                break
-        else:
+        reduced = self.cost_row(costs)
+        j = next((j for j in range(self.art_start) if reduced[j] < 0), None)
+        if j is None:
             return None
         candidates = [
             (self.rows[r][-1] / self.rows[r][j], self.basis[r], r)
@@ -545,47 +562,58 @@ class ReferenceTableau:
         ]
         return (min(candidates)[2] if candidates else None), j
 
-    def run_phase(self, costs, pivots: list) -> None:
-        while (choice := self.choose(costs)) is not None and choice[0] is not None:
-            self.pivot(*choice)
-            pivots.append((choice, [list(row) for row in self.rows], list(self.basis)))
+    def record_pivot(self, choice, costs, pivots: list) -> None:
+        self.pivot(*choice)
+        rows = [list(row) for row in self.rows]
+        pivots.append((choice, rows, list(self.basis), self.cost_row(costs)))
 
-    def reference_pivots(self, num_variables, objective) -> list:
-        """Every pivot ``solve_lp`` makes, with the tableau after it."""
+    def run_phase(self, costs, pivots: list, phase_ends: list) -> None:
+        while (choice := self.choose(costs)) is not None and choice[0] is not None:
+            self.record_pivot(choice, costs, pivots)
+        phase_ends.append((self.cost_row(costs), self.duals(costs)))
+
+    def reference_pivots(self, num_variables, objective) -> tuple[list, list]:
+        """Every pivot ``solve_lp`` makes, with the tableau and cost row after
+        it, and each phase's final cost row and duals."""
         m = len(self.rows)
         pivots: list = []
+        phase_ends: list = []
         phase_one = [R(0)] * self.art_start + [R(1)] * m
-        self.run_phase(phase_one, pivots)
+        self.run_phase(phase_one, pivots, phase_ends)
         gap = sum(phase_one[basic] * self.rows[r][-1] for r, basic in enumerate(self.basis))
         if gap > 0:
-            return pivots
+            return pivots, phase_ends
         for r in range(m):
             if self.basis[r] >= self.art_start:
                 col = next((j for j in range(self.art_start) if self.rows[r][j] != 0), None)
                 if col is not None:
-                    self.pivot(r, col)
-                    pivots.append(((r, col), [list(row) for row in self.rows], list(self.basis)))
-        phase_two = [R(0)] * (self.art_start + m)
+                    # Driving out keeps eliminating phase one's cost row.
+                    self.record_pivot((r, col), phase_one, pivots)
+        phase_two = [R(0)] * self.width
         for index, coeff in objective:
             phase_two[index] = coeff
             phase_two[num_variables + index] = -coeff
-        self.run_phase(phase_two, pivots)
-        return pivots
+        self.run_phase(phase_two, pivots, phase_ends)
+        return pivots, phase_ends
 
 
 # ``int``, plus the integer type of the rational backend (``mpz`` under gmpy2).
 INTEGER_TYPES = (int, type(R(1, 2).numerator))
 
 
+def check_int_row(row, den, expected) -> None:
+    assert type(den) in INTEGER_TYPES and den > 0, den
+    assert len(row) == len(expected)
+    for num, value in zip(row, expected):
+        assert type(num) in INTEGER_TYPES, f"{num!r} is a {type(num).__name__}"
+        assert R(num, den) == value
+
+
 def check_int_state(tableau: _Tableau, reference_rows, reference_basis) -> None:
     assert tableau.basis == reference_basis
     assert len(tableau.rows) == len(tableau.dens) == len(reference_rows)
     for row, den, expected in zip(tableau.rows, tableau.dens, reference_rows):
-        assert type(den) in INTEGER_TYPES and den > 0, den
-        assert len(row) == len(expected)
-        for num, value in zip(row, expected):
-            assert type(num) in INTEGER_TYPES, f"{num!r} is a {type(num).__name__}"
-            assert R(num, den) == value
+        check_int_row(row, den, expected)
 
 
 fractional = st.tuples(
@@ -614,20 +642,36 @@ def test_int_tableau_tracks_a_fraction_reference(case) -> None:
     num_variables, rows, objective = case
     reference = ReferenceTableau(num_variables, rows)
     check_int_state(_Tableau(num_variables, rows), reference.rows, reference.basis)
-    expected = reference.reference_pivots(num_variables, objective)
+    expected, phase_ends = reference.reference_pivots(num_variables, objective)
 
     seen = []
     original = _Tableau.pivot
 
     def checked_pivot(self, row, col):
         assert len(seen) < len(expected), "the int tableau pivots more often"
-        choice, reference_rows, reference_basis = expected[len(seen)]
+        choice, reference_rows, reference_basis, reference_cost_row = expected[len(seen)]
         assert (row, col) == choice
         seen.append(choice)
         result = original(self, row, col)
         check_int_state(self, reference_rows, reference_basis)
+        check_int_row(self.cost_row, self.cost_den, reference_cost_row)
         return result
 
-    with patch.object(_Tableau, "pivot", checked_pivot):
+    phases = []
+    original_run_phase = _Tableau.run_phase
+
+    def checked_run_phase(self, costs):
+        result = original_run_phase(self, costs)
+        assert len(phases) < len(phase_ends), "the int tableau runs more phases"
+        reference_cost_row, reference_duals = phase_ends[len(phases)]
+        phases.append(result)
+        check_int_row(self.cost_row, self.cost_den, reference_cost_row)
+        assert self.duals(costs) == reference_duals
+        return result
+
+    with patch.object(_Tableau, "pivot", checked_pivot), patch.object(
+        _Tableau, "run_phase", checked_run_phase
+    ):
         solve_lp(num_variables, rows, objective)
-    assert seen == [choice for choice, _, _ in expected]
+    assert seen == [choice for choice, _, _, _ in expected]
+    assert len(phases) == len(phase_ends)

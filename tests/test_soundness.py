@@ -1,14 +1,16 @@
 """Semantic soundness oracle: every row the checker accepts is true.
 
-Every problem here is pure-integer with its box given as rows, so its integer
-points can be listed exactly. Solver certificates of planted feasible
-problems, seeded single-edit mutants of them and hand-built certificates go
-through the checker. Every derivation it accepted must hold at every integer
-point of the box that satisfies the original rows and the rows of its
-assumption set, and a verified certificate's goal must agree with the
-enumerated optimum. The oracle shares no code with the rule engine:
-assumption sets come from the reference recomputation in test_checker.py, and
-satisfaction is tested here in integer arithmetic.
+Every problem here has its box given as rows and, but for one hand-built case,
+is pure-integer, so its integer points can be listed exactly; that case's
+continuous variable is fixed by an equality row, so its value at each point
+is known exactly too. Solver certificates of planted feasible problems,
+seeded single-edit mutants of them and hand-built certificates go through the
+checker. Every derivation it accepted must hold at every point of the box
+that satisfies the original rows and the rows of its assumption set, and a
+verified certificate's goal must agree with the enumerated optimum. The
+oracle shares no code with the rule engine: assumption sets come from the
+reference recomputation in test_checker.py, and satisfaction is tested here
+on rows scaled to integer data.
 """
 
 from __future__ import annotations
@@ -156,13 +158,17 @@ def mutants(certificate: Certificate, rng: random.Random) -> list[Certificate]:
 
 
 class Oracle:
-    """The integer points of one problem's box that satisfy its rows."""
+    """The points of one problem's box that satisfy its rows.
 
-    def __init__(self, problem, boxes: list[tuple[int, int]]) -> None:
+    ``domains`` holds each variable's candidate values: the integers of its
+    box, or for a continuous variable every value it takes at a feasible point.
+    """
+
+    def __init__(self, problem, domains) -> None:
         originals = [integer_row(row) for row in problem.constraints]
         self.points = [
             point
-            for point in itertools.product(*(range(low, high + 1) for low, high in boxes))
+            for point in itertools.product(*domains)
             if all(holds(row, point) for row in originals)
         ]
         values = [
@@ -210,7 +216,7 @@ def test_every_accepted_row_holds_on_the_enumerated_box() -> None:
     verified_mutants = rejected_mutants = 0
     for draw in range(1, DRAWS + 1):
         problem, boxes = planted_problem(draws)
-        oracle = Oracle(problem, boxes)
+        oracle = Oracle(problem, [range(low, high + 1) for low, high in boxes])
         assert oracle.points, f"draw {draw}: the planted point is missing"
         for cg_objective in (False, True):
             label = f"draw {draw} cg_objective={cg_objective}"
@@ -279,6 +285,24 @@ def hand_built(box: tuple[int, int], derivations: str) -> Certificate:
 def test_hand_built_certificate_of_a_feasible_box_is_rejected(name) -> None:
     box, derivations = HAND_BUILT[name]
     certificate = hand_built(box, derivations)
-    oracle = Oracle(certificate.problem, [box])
+    oracle = Oracle(certificate.problem, [range(box[0], box[1] + 1)])
     assert oracle.points
     assert not oracle.check(certificate, name)
+
+
+def test_rounding_a_continuous_variable_is_rejected() -> None:
+    # x is integer in [1, 1] and 2y - x = 0 fixes the continuous y at 1/2.
+    # Half of x >= 1 plus half of 2y - x = 0 is y >= 1/2, which rounds to the
+    # false y >= 1 only if rounding ignores that y is continuous; twice that
+    # row, minus the equality and minus x <= 1, is 0 >= 1.
+    text = (
+        "VER 1 VAR 2 x y INT 1 0 OBJ min 0 "
+        "CON 3 lo G 1 1 0 1 hi L 1 1 0 1 fix E 0 2 0 -1 1 2 "
+        "RTP infeas SOL 0 DER 2\n"
+        "H G 1 1 1 1 { rnd 2 0 1/2 2 1/2 } -1\n"
+        "D G 1 0 { lin 3 1 -1 2 -1 3 2 } -1\n"
+    )
+    certificate = read_certificate(io.StringIO(text))
+    oracle = Oracle(certificate.problem, [range(1, 2), (R(1, 2),)])
+    assert oracle.points == [(1, R(1, 2))]
+    assert not oracle.check(certificate, "rounding_a_continuous_variable")
