@@ -473,7 +473,8 @@ def _constraint_line(constraint: Constraint) -> str:
     )
 
 
-def _write_problem_sections(problem: Problem, sink: TextIO) -> None:
+def write_problem(problem: Problem, sink: TextIO) -> None:
+    """Write a problem file: the VER/VAR/INT/OBJ/CON sections only."""
     sink.write("VER 1\n")
     sink.write(f"VAR {problem.num_variables}\n")
     if problem.variable_names:
@@ -490,7 +491,7 @@ def _write_problem_sections(problem: Problem, sink: TextIO) -> None:
 
 def write_certificate(certificate: Certificate, sink: TextIO) -> None:
     """Write a certificate in canonical form; re-parsing yields an equal value."""
-    _write_problem_sections(certificate.problem, sink)
+    write_problem(certificate.problem, sink)
     goal = certificate.goal
     if isinstance(goal, InfeasibleGoal):
         sink.write("RTP infeas\n")
@@ -506,8 +507,3 @@ def write_certificate(certificate: Certificate, sink: TextIO) -> None:
             f"{_constraint_line(derivation.constraint)} "
             f"{_format_reason(derivation.reason)} {format_rational(derivation.last_use)}\n"
         )
-
-
-def write_problem(problem: Problem, sink: TextIO) -> None:
-    """Write a problem file: the VER/VAR/INT/OBJ/CON sections only."""
-    _write_problem_sections(problem, sink)

@@ -29,9 +29,9 @@ Rows whose declared last-use index has passed are always evicted from memory,
 so certificates far larger than memory stream through; referencing an evicted
 row is a hard error, and a row whose last use is -1 is kept to the end. The
 peak number of simultaneously live rows (originals included) is reported in
-the statistics. The report holds no per-row assumption sets; a caller that
-wants them drives a :class:`CheckerState` and reads
-:meth:`CheckerState.assumptions` while the row is live.
+the statistics. The report holds nothing per row; a caller that wants each
+goal-proving row or assumption set drives a :class:`CheckerState`, reading
+them from :meth:`~CheckerState.run` and :meth:`~CheckerState.assumptions`.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ __all__ = [
     "Rejection",
     "VerificationReport",
     "assumptions_of",
-    "check_goal",
     "verify_certificate",
     "verify_certificate_file",
 ]
@@ -116,17 +115,11 @@ class CheckStats:
 class VerificationReport(_Record):
     """Outcome of checking one certificate stream."""
 
-    __slots__ = ("verified", "failure", "stats", "goal", "goal_proven_by")
-    _defaults = {"goal_proven_by": ()}
+    __slots__ = ("verified", "failure", "stats", "goal")
     verified: bool
     failure: CheckFailure | None
     stats: CheckStats
     goal: RtpGoal | None
-    goal_proven_by: tuple[int, ...]
-
-    @property
-    def verdict(self) -> str:
-        return "verified" if self.verified else "rejected"
 
 
 class Rejection(Exception):
@@ -169,20 +162,13 @@ def _goal_sides(
     return goal.upper, goal.lower
 
 
-def check_goal(problem: Problem, goal: RtpGoal, constraint: Constraint) -> bool:
-    """Does this empty-assumption constraint prove the goal?
+def _goal_test(problem: Problem, goal: RtpGoal) -> Callable[[Constraint], bool] | None:
+    """Does an empty-assumption constraint prove the goal? None if the goal is vacuous.
 
     Infeasibility goals need an absurdity. A range goal's constraint must
-    dominate the objective bounded by the dual side (see :func:`_goal_sides`);
-    an infinite dual bound is vacuously proven.
+    dominate the objective bounded by the dual side (see :func:`_goal_sides`),
+    a row built once; an infinite dual bound is vacuously proven.
     """
-    proves = _goal_test(problem, goal)
-    return proves is None or proves(constraint)
-
-
-def _goal_test(problem: Problem, goal: RtpGoal) -> Callable[[Constraint], bool] | None:
-    """The test of :func:`check_goal`, with the goal's row built once; None
-    when the goal is vacuous."""
     if isinstance(goal, InfeasibleGoal):
         return is_absurd
     dual, _ = _goal_sides(problem, goal)
@@ -226,7 +212,7 @@ class CheckerState:
     a row past its declared last use is the certificate's fault and is
     rejected. :meth:`row` and :meth:`assumptions` read a live row, so a caller
     that wants every row's assumption set reads it right after that row's
-    :meth:`verify_derivation`.
+    :meth:`verify_derivation`. :meth:`run` checks a whole event stream.
     """
 
     def __init__(self, problem: Problem, goal: RtpGoal) -> None:
@@ -235,7 +221,6 @@ class CheckerState:
         self.stats = CheckStats()
         self._proves_goal = _goal_test(problem, goal)
         self.goal_proven = self._proves_goal is None
-        self.goal_proven_by: list[int] = []
         self._store: dict[int, _LiveRow] = {}
         self._evict_at: dict[int, list[int]] = {}
         self.next_index = problem.num_constraints
@@ -264,8 +249,8 @@ class CheckerState:
             msg = f"reference to row {reference}, which is not an earlier row"
         raise RuleViolation(msg)
 
-    def verify_derivation(self, derivation: Derivation, index: int) -> None:
-        """Check one derivation, record it as live, and apply evictions."""
+    def verify_derivation(self, derivation: Derivation, index: int) -> bool:
+        """Check one derivation, record it live, apply evictions; True if it proves the goal."""
         if index != self.next_index:
             msg = f"derivation arrived with index {index}, expected {self.next_index}"
             raise Rejection(CheckFailure(index, "order", msg))
@@ -326,9 +311,8 @@ class CheckerState:
         assumptions = assumptions_of(reason, index, self.assumptions)
         self.stats.reason_counts[kind] += 1
         self.stats.num_derivations += 1
-        if not assumptions and self._proves_goal is not None and self._proves_goal(stated):
-            self.goal_proven = True
-            self.goal_proven_by.append(index)
+        proves = not assumptions and self._proves_goal is not None and self._proves_goal(stated)
+        self.goal_proven = self.goal_proven or proves
 
         self._store[index] = _LiveRow(stated, assumptions)
         if derivation.last_use != KEEP_UNTIL_END:
@@ -337,6 +321,25 @@ class CheckerState:
         self.next_index += 1
         for victim in self._evict_at.pop(index, ()):
             del self._store[victim]
+        return proves
+
+    def run(self, events: Iterable[Event]) -> Iterator[int]:
+        """Check a stream's events after its header in order, then the goal and
+        the primal bound; yield each goal-proving derivation's index once that
+        row is checked. Raises :class:`Rejection` or, at a second header, ValueError."""
+        best_value: Rational | None = None
+        for event in events:
+            if isinstance(event, Derivation):
+                index = self.next_index
+                if self.verify_derivation(event, index):
+                    yield index
+            elif isinstance(event, Solution):
+                best_value = _check_solution(self, event, best_value)
+                self.stats.num_solutions += 1
+            else:
+                msg = "event stream has a second header"
+                raise ValueError(msg)
+        _check_final(self, best_value)
 
 
 def verify_certificate(source: Certificate | Iterable[Event]) -> VerificationReport:
@@ -362,19 +365,10 @@ def verify_certificate(source: Certificate | Iterable[Event]) -> VerificationRep
         raise ValueError(msg)
 
     state = CheckerState(header.problem, header.goal)
-    best_value: Rational | None = None
     failure: CheckFailure | None = None
     try:
-        for event in events:
-            if isinstance(event, Derivation):
-                state.verify_derivation(event, state.next_index)
-            elif isinstance(event, Solution):
-                best_value = _check_solution(state, event, best_value)
-                state.stats.num_solutions += 1
-            else:
-                msg = "event stream has a second header"
-                raise ValueError(msg)
-        _check_final(state, best_value)
+        for _ in state.run(events):
+            pass
     except Rejection as rejection:
         failure = rejection.failure
 
@@ -383,7 +377,6 @@ def verify_certificate(source: Certificate | Iterable[Event]) -> VerificationRep
         failure=failure,
         stats=state.stats,
         goal=state.goal,
-        goal_proven_by=tuple(state.goal_proven_by),
     )
 
 

@@ -403,20 +403,6 @@ class Certificate(_Record):
     def num_original(self) -> int:
         return self.problem.num_constraints
 
-    @property
-    def num_rows(self) -> int:
-        """Total rows in the combined index space."""
-        return self.num_original + len(self.derivations)
-
-    def constraint_at(self, index: int) -> Constraint:
-        """The constraint at a combined index; IndexError outside ``[0, num_rows)``."""
-        if not 0 <= index < self.num_rows:
-            msg = f"row {index} is outside [0, {self.num_rows})"
-            raise IndexError(msg)
-        if index < self.num_original:
-            return self.problem.constraints[index]
-        return self.derivations[index - self.num_original].constraint
-
 
 #: An assumption set: combined indices of the Asm rows a row depends on.
 AssumptionSet = frozenset

@@ -9,9 +9,8 @@ Python ``int`` or a :data:`Rational`, and never a ``float``:
   rational type (``model.linear_combine`` keeps integral results ``int``
   too);
 * a :data:`Rational` is built only for a token ``p/q`` or by arithmetic that
-  involves one. It is ``gmpy2.mpq`` when available and ``fractions.Fraction``
-  otherwise. Both keep values canonical (positive denominator,
-  gcd(|numerator|, denominator) = 1).
+  involves one. It is ``fractions.Fraction``, which keeps values canonical
+  (positive denominator, gcd(|numerator|, denominator) = 1).
 
 ``int`` also exposes ``.numerator``/``.denominator`` (the latter always 1),
 compares and hashes equal to the equal rational (``hash(1) ==
@@ -30,7 +29,7 @@ The textual form of a rational is ``p`` or ``p/q`` with an optional leading
 minus sign and q > 0, where ``p`` and ``q`` are ASCII digit strings — no
 whitespace, no floats, no exponents, no ``+``, no ``_`` and no non-ASCII
 digits. This grammar is deliberately stricter than what ``int()`` and the
-backend constructors accept, so tokens are validated by regex here rather
+``Fraction`` constructor accept, so tokens are validated by regex here rather
 than delegated. Numbers of any length are accepted and written: digit
 strings longer than CPython's int–string conversion limit are converted in
 pieces, without changing that interpreter-wide limit.
@@ -39,16 +38,11 @@ pieces, without changing that interpreter-wide limit.
 from __future__ import annotations
 
 import re
+from fractions import Fraction as Rational
 from typing import Union
 
-try:
-    from gmpy2 import mpq as Rational
-
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rational
-
-    BACKEND = "fractions"
+#: The name of the rational type, for reports that record it.
+BACKEND = "fractions"
 
 __all__ = [
     "BACKEND",

@@ -16,6 +16,7 @@ verification still renders, which is precisely when a human wants to look.
 from __future__ import annotations
 
 import html
+from itertools import chain
 
 from .checker import assumptions_of
 from .model import (
@@ -44,27 +45,26 @@ caption { font-weight: bold; text-align: left; padding: 0.3em 0; }
 
 
 def _assumption_sets(certificate: Certificate) -> dict[int, AssumptionSet]:
-    """Every row's assumption set; a reference to no earlier row adds nothing."""
-    sets: dict[int, AssumptionSet] = {
-        index: frozenset() for index in range(certificate.num_original)
-    }
+    """Every derivation's assumption set; a reference to no derivation adds nothing."""
+    sets: dict[int, AssumptionSet] = {}
 
     def lookup(reference: int) -> AssumptionSet:
         return sets.get(reference, frozenset())
 
-    for position, derivation in enumerate(certificate.derivations):
-        index = certificate.num_original + position
+    for index, derivation in enumerate(certificate.derivations, certificate.num_original):
         sets[index] = assumptions_of(derivation.reason, index, lookup)
     return sets
 
 
-def _link(certificate: Certificate, index: int) -> str:
-    """A link to row ``index``; plain text when no such row exists."""
-    try:
-        name = certificate.constraint_at(index).name
-    except IndexError:
-        return html.escape(f"row {index}")
-    return f'<a href="#c-{html.escape(name, quote=True)}">{html.escape(name)}</a>'
+def _row_links(certificate: Certificate) -> list[str]:
+    """The link to every row, in combined index order."""
+    rows = chain(certificate.problem.constraints, (d.constraint for d in certificate.derivations))
+    return [f'<a href="#c-{name}">{name}</a>' for name in (html.escape(r.name) for r in rows)]
+
+
+def _link(links: list[str], index: int) -> str:
+    """The link to row ``index``; plain text when no such row exists."""
+    return links[index] if 0 <= index < len(links) else html.escape(f"row {index}")
 
 
 def _multiplier_text(value: Number) -> str:
@@ -72,26 +72,26 @@ def _multiplier_text(value: Number) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _reason_cell(certificate: Certificate, reason) -> str:
+def _reason_cell(links: list[str], reason) -> str:
     if isinstance(reason, Asm):
         return "assumption"
     if isinstance(reason, (Lin, Rnd)):
         keyword = "lin" if isinstance(reason, Lin) else "round"
         terms = " + ".join(
-            f"{_multiplier_text(mult)}&middot;{_link(certificate, ref)}"
+            f"{_multiplier_text(mult)}&middot;{_link(links, ref)}"
             for ref, mult in reason.terms
         )
         return f"{keyword}: {terms}" if terms else f"{keyword}: (empty sum)"
     return (
-        f"unsplit {_link(certificate, reason.i1)}, {_link(certificate, reason.i2)} "
-        f"on {_link(certificate, reason.a1)}, {_link(certificate, reason.a2)}"
+        f"unsplit {_link(links, reason.i1)}, {_link(links, reason.i2)} "
+        f"on {_link(links, reason.a1)}, {_link(links, reason.a2)}"
     )
 
 
-def _assumptions_cell(certificate: Certificate, assumptions: AssumptionSet) -> str:
+def _assumptions_cell(links: list[str], assumptions: AssumptionSet) -> str:
     if not assumptions:
         return "&empty;"
-    return ", ".join(_link(certificate, index) for index in sorted(assumptions))
+    return ", ".join(_link(links, index) for index in sorted(assumptions))
 
 
 def _goal_text(certificate: Certificate) -> str:
@@ -107,6 +107,7 @@ def render_html(certificate: Certificate) -> str:
     problem = certificate.problem
     names = problem.variable_names
     sets = _assumption_sets(certificate)
+    links = _row_links(certificate)
     out: list[str] = []
     emit = out.append
 
@@ -162,16 +163,15 @@ def render_html(certificate: Certificate) -> str:
         "<tr><th>Index</th><th>Name</th><th>Constraint</th>"
         "<th>Reason</th><th>Assumptions</th><th>Last use</th></tr>"
     )
-    for position, derivation in enumerate(certificate.derivations):
-        index = certificate.num_original + position
+    for index, derivation in enumerate(certificate.derivations, certificate.num_original):
         constraint = derivation.constraint
         anchor = html.escape(constraint.name, quote=True)
         emit(
             f'<tr id="c-{anchor}"><td>{index}</td>'
             f"<td>{html.escape(constraint.name)}</td>"
             f"<td>{html.escape(format_constraint(constraint, names))}</td>"
-            f"<td>{_reason_cell(certificate, derivation.reason)}</td>"
-            f"<td>{_assumptions_cell(certificate, sets[index])}</td>"
+            f"<td>{_reason_cell(links, derivation.reason)}</td>"
+            f"<td>{_assumptions_cell(links, sets[index])}</td>"
             f"<td>{derivation.last_use}</td></tr>"
         )
     emit("</table>")

@@ -6,9 +6,10 @@ original constraints are never evicted. ``prune_unused`` verifies with each
 last use set to the earlier of the row's own hint and the computed one, so
 the checker evicts as the tightened file will, while an early hint still
 evicts before a later reference and the verdict and failure message stay the
-input's own. One backward sweep then marks the rows reachable from the
-goal-proving empty-assumption rows (through combination terms and all four
-unsplit references); the kept rows are renumbered contiguously. Each output
+input's own. It marks each goal-proving row as it is checked, and one
+backward sweep marks the rows these reach (through combination terms and all
+four unsplit references); the kept rows are renumbered contiguously, and a
+reference to no row (possible only in memory) stays as it is. Each output
 derivation is built once, sharing the input's constraint, and its reason when
 no reference moves. The result is idempotent and verification-preserving.
 """
@@ -18,8 +19,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 
-from .certfile import Header
-from .checker import verify_certificate
+from .checker import CheckerState, Rejection
 from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Reason, Rnd, Uns, replace
 
 __all__ = ["compute_last_use", "prune_unused", "tighten"]
@@ -34,13 +34,14 @@ def _references(reason: Reason) -> tuple[int, ...]:
 
 
 def _renumbered(reason: Reason, new_index: array) -> Reason:
-    """``reason`` with every reference ``r`` replaced by ``new_index[r]``."""
+    """``reason`` with every reference ``r`` to a row replaced by ``new_index[r]``."""
     references = _references(reason)
-    if all(new_index[r] == r for r in references):
+    moved = tuple(new_index[r] if 0 <= r < len(new_index) else r for r in references)
+    if moved == references:
         return reason
     if isinstance(reason, Uns):
-        return Uns(*(new_index[r] for r in references))
-    return type(reason)(tuple((new_index[r], mult) for r, mult in reason.terms))
+        return Uns(*moved)
+    return type(reason)(tuple(zip(moved, (mult for _, mult in reason.terms))))
 
 
 def _schedule(certificate: Certificate, kept: bytearray | None = None) -> tuple[array, array]:
@@ -86,19 +87,19 @@ def prune_unused(certificate: Certificate) -> Certificate:
         Derivation(derivation.constraint, derivation.reason, _earlier(derivation.last_use, last))
         for derivation, last in zip(certificate.derivations, _schedule(certificate)[1])
     )
-    header = Header(certificate.problem, certificate.goal)
-    report = verify_certificate(chain((header,), certificate.solutions, scheduled))
-    if not report.verified:
-        failure = report.failure
-        msg = f"cannot prune a certificate that does not verify ({failure.rule}: {failure.message})"
-        raise ValueError(msg)
-
-    # References point backwards, so a row's mark is final when the sweep reaches it.
     num_original = certificate.num_original
     kept = bytearray(len(certificate.derivations))
-    for index in report.goal_proven_by:
-        kept[index - num_original] = 1
-    del report
+    state = CheckerState(certificate.problem, certificate.goal)
+    try:
+        for index in state.run(chain(certificate.solutions, scheduled)):
+            kept[index - num_original] = 1
+    except Rejection as rejection:
+        failure = rejection.failure
+        msg = f"cannot prune a certificate that does not verify ({failure.rule}: {failure.message})"
+        raise ValueError(msg) from rejection
+    del state
+
+    # References point backwards, so a row's mark is final when the sweep reaches it.
     for position in reversed(range(len(kept))):
         if kept[position]:
             for reference in _references(certificate.derivations[position].reason):

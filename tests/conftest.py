@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from mipcert import KEEP_UNTIL_END, Certificate, Uns, read_certificate
-from mipcert.checker import CheckerState, Rejection, verify_certificate
+from mipcert import KEEP_UNTIL_END, Certificate, Constraint, Uns, read_certificate
+from mipcert.certfile import Event, events_from_certificate
+from mipcert.checker import CheckerState, Rejection
 from mipcert.model import replace
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -43,6 +46,26 @@ def chain_lines(length: int) -> list[str]:
     for step in range(1, length + 1):
         lines.append(f"D{step} G 0 1 0 1 {{ lin 1 {step - 1} 1 }} -1")
     return lines
+
+
+def certificate_rows(certificate: Certificate) -> tuple[Constraint, ...]:
+    """Every row's constraint, in combined index order: originals, then derivations."""
+    derived = (derivation.constraint for derivation in certificate.derivations)
+    return tuple(chain(certificate.problem.constraints, derived))
+
+
+def goal_rows(source: Certificate | Iterable[Event]) -> tuple[int, ...]:
+    """Indices of the derivations that prove the goal, as ``CheckerState.run``
+    yields them, up to the first rejected row if there is one."""
+    events = iter(events_from_certificate(source) if isinstance(source, Certificate) else source)
+    header = next(events)
+    rows: list[int] = []
+    try:
+        for index in CheckerState(header.problem, header.goal).run(events):
+            rows.append(index)
+    except Rejection:
+        pass
+    return tuple(rows)
 
 
 def keep_every_row(certificate: Certificate) -> Certificate:
@@ -85,7 +108,7 @@ def goal_reachable(certificate: Certificate) -> set[int]:
     every row a reached derivation cites until nothing new is reached.
     """
     num_original = certificate.num_original
-    reached = set(verify_certificate(certificate).goal_proven_by)
+    reached = set(goal_rows(certificate))
     while True:
         grown = reached | {
             cited
@@ -107,12 +130,13 @@ def described_derivations(
     were renumbered describes the same rows. ``indices`` selects rows by
     combined index; by default every derivation is described.
     """
+    rows = certificate_rows(certificate)
     described = []
     for position, derivation in enumerate(certificate.derivations):
         if indices is not None and certificate.num_original + position not in indices:
             continue
         reason = derivation.reason
-        cited = tuple(certificate.constraint_at(i).name for i in _cited(reason))
+        cited = tuple(rows[i].name for i in _cited(reason))
         multipliers = tuple(m for _, m in getattr(reason, "terms", ()))
         described.append((derivation.constraint.name, type(reason).__name__, cited, multipliers))
     return described

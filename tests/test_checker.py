@@ -5,14 +5,17 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from conftest import (
     DATA_DIR,
     GOLDEN_NAMES,
+    certificate_rows,
     chain_lines,
     checked_assumption_sets,
+    goal_rows,
     golden_text,
     keep_every_row,
     load_golden,
@@ -24,8 +27,8 @@ from mipcert.checker import (
     NO_ASSUMPTIONS,
     CheckerState,
     Rejection,
+    _goal_test,
     _LiveRow,
-    check_goal,
     verify_certificate,
     verify_certificate_file,
 )
@@ -47,6 +50,7 @@ from mipcert.model import (
     replace,
 )
 from mipcert.numeric import Rational as R
+from mipcert.tighten import compute_last_use
 
 
 def verify_lines(lines: list[str]):
@@ -72,7 +76,7 @@ def recursive_assumption_sets(certificate: Certificate) -> dict[int, frozenset[i
         sets[index] = current
     return {
         index: sets[index]
-        for index in range(certificate.num_original, certificate.num_rows)
+        for index in range(certificate.num_original, len(sets))
     }
 
 
@@ -83,12 +87,11 @@ class TestGoldens:
     def test_small_range(self) -> None:
         report = verify_certificate(load_golden("small_range"))
         assert report.verified and report.failure is None
-        assert report.verdict == "verified"
         assert report.stats.reason_counts == {"asm": 0, "lin": 1, "rnd": 0, "uns": 0}
         assert report.stats.num_derivations == 1
         assert report.stats.num_solutions == 1
         assert report.stats.peak_live == 3
-        assert report.goal_proven_by == (2,)
+        assert goal_rows(load_golden("small_range")) == (2,)
         assert report.goal == RangeGoal(R(1), R(1))
 
     def test_rounding_chain(self) -> None:
@@ -96,7 +99,7 @@ class TestGoldens:
         assert report.verified
         assert report.stats.reason_counts == {"asm": 0, "lin": 2, "rnd": 2, "uns": 0}
         assert report.stats.peak_live == 6
-        assert report.goal_proven_by == (5,)
+        assert goal_rows(load_golden("rounding_chain")) == (5,)
 
     def test_rounding_chain_rounded_rows_land_on_integers(self) -> None:
         certificate = load_golden("rounding_chain")
@@ -113,7 +116,7 @@ class TestGoldens:
         assert report.stats.reason_counts == {"asm": 4, "lin": 4, "rnd": 1, "uns": 2}
         assert report.stats.num_solutions == 0
         assert report.stats.peak_live == 14
-        assert report.goal_proven_by == (13,)
+        assert goal_rows(load_golden("split_infeasible")) == (13,)
         assert report.goal == InfeasibleGoal()
 
     def test_split_infeasible_assumption_sets(self) -> None:
@@ -152,7 +155,7 @@ class TestGoldens:
         without = verify_certificate(keep_every_row(certificate))
         assert with_eviction.verified and without.verified
         assert with_eviction.stats == without.stats  # no last_use set, so equal peaks
-        assert with_eviction.goal_proven_by == without.goal_proven_by
+        assert goal_rows(certificate) == goal_rows(keep_every_row(certificate))
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_verify_certificate_file(self, name: str) -> None:
@@ -182,6 +185,21 @@ class TestEviction:
         assert with_eviction.verified and without.verified
         assert with_eviction.stats.peak_live == 4
         assert without.stats.peak_live == 6
+
+    def test_evicting_check_holds_nothing_per_row(self) -> None:
+        # Every row of the chain proves the goal, and once tightened each is
+        # evicted after the next row, so a check that keeps nothing per row
+        # allocates a constant amount however long the chain is.
+        certificate = compute_last_use(read_certificate(iter(chain_lines(20_000))))
+        tracemalloc.start()
+        try:
+            report = verify_certificate(certificate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verified
+        assert report.stats.peak_live == 3
+        assert peak < 100_000
 
     def test_reference_to_evicted_row_faults(self) -> None:
         certificate = load_golden("rounding_chain")
@@ -387,7 +405,7 @@ class TestGoalSemantics:
         ]
         report = verify_lines(lines)
         assert report.verified
-        assert report.goal_proven_by == ()
+        assert goal_rows(parse_certificate(lines)) == ()
 
     def test_vacuous_dual_side_still_requires_primal_bound(self) -> None:
         base = "VER 1 VAR 2 x y INT 0 OBJ min 2 0 2 1 1 " \
@@ -409,7 +427,7 @@ class TestGoalSemantics:
         ]
         report = verify_lines(lines)
         assert report.verified
-        assert report.goal_proven_by == (1,)
+        assert goal_rows(parse_certificate(lines)) == (1,)
 
     def test_check_goal_directly(self) -> None:
         problem = load_golden("small_range").problem
@@ -417,11 +435,13 @@ class TestGoalSemantics:
         exact = Constraint("d", Sense.GE, problem.objective, R(1))
         stronger = Constraint("d", Sense.GE, problem.objective, R(2))
         weaker = Constraint("d", Sense.GE, problem.objective, R(1, 2))
-        assert check_goal(problem, goal, exact)
-        assert check_goal(problem, goal, stronger)
-        assert not check_goal(problem, goal, weaker)
-        assert check_goal(problem, InfeasibleGoal(), Constraint("a", Sense.GE, SparseVec(()), R(1)))
-        assert not check_goal(problem, InfeasibleGoal(), exact)
+        proves, proves_infeasible = _goal_test(problem, goal), _goal_test(problem, InfeasibleGoal())
+        assert proves(exact)
+        assert proves(stronger)
+        assert not proves(weaker)
+        assert proves_infeasible(Constraint("a", Sense.GE, SparseVec(()), R(1)))
+        assert not proves_infeasible(exact)
+        assert _goal_test(problem, RangeGoal(None, R(1))) is None  # vacuous dual side
 
     def test_vacuous_dual_side_records_no_proving_rows(self) -> None:
         lines = [
@@ -432,7 +452,7 @@ class TestGoalSemantics:
         ]
         report = verify_lines(lines)
         assert report.verified
-        assert report.goal_proven_by == ()
+        assert goal_rows(parse_certificate(lines)) == ()
 
 
 # --- malformed event streams -------------------------------------------------
@@ -445,8 +465,9 @@ class TestCheckerState:
         for position, derivation in enumerate(certificate.derivations):
             state.verify_derivation(derivation, certificate.num_original + position)
         expected = recursive_assumption_sets(certificate)
-        for index in range(certificate.num_original, certificate.num_rows):
-            assert state.row(index) == certificate.constraint_at(index)
+        rows = certificate_rows(certificate)
+        for index in range(certificate.num_original, len(rows)):
+            assert state.row(index) == rows[index]
             assert state.assumptions(index) == expected[index]
         assert state.assumptions(0) == frozenset()
 

@@ -385,6 +385,25 @@ def test_readme_counts_the_trusted_core_lines() -> None:
     assert int(stated.group(1).replace(",", "")) == total
 
 
+def test_readme_library_example_runs(tmp_path) -> None:
+    # The one ``python`` block of README.md is the package API it promises.
+    package = Path(mipcert.__file__).resolve().parent
+    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    (tmp_path / "model.crt").write_bytes((DATA_DIR / "small_range.crt").read_bytes())
+    completed = subprocess.run(
+        [sys.executable, "-c", example],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+        timeout=60,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "True 3\noptimal 1\n"
+
+
 #: Standard modules a dataclass or source-introspection import chain loads;
 #: each costs start-up time in every ``mipcert`` process.
 INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")

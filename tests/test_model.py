@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import load_golden
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -287,16 +286,6 @@ class TestFormatConstraint:
 
     def test_equality(self) -> None:
         assert format_constraint(con("E", Sense.EQ, 0, (0, 1)), ("x",)) == "x = 0"
-
-
-class TestConstraintAt:
-    @pytest.mark.parametrize(
-        "index_of", (lambda c: -1, lambda c: c.num_rows), ids=("minus-one", "num-rows")
-    )
-    def test_index_outside_the_rows_raises(self, index_of) -> None:
-        certificate = load_golden("split_infeasible")
-        with pytest.raises(IndexError):
-            certificate.constraint_at(index_of(certificate))
 
 
 class TestProblemAndSolution:

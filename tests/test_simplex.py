@@ -597,7 +597,7 @@ class ReferenceTableau:
         return pivots, phase_ends
 
 
-# ``int``, plus the integer type of the rational backend (``mpz`` under gmpy2).
+# ``int``, and the type of a rational's numerator, which is ``int`` too.
 INTEGER_TYPES = (int, type(R(1, 2).numerator))
 
 

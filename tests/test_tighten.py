@@ -5,10 +5,17 @@ from __future__ import annotations
 import importlib
 
 import pytest
-from conftest import GOLDEN_NAMES, chain_lines, described_derivations, goal_reachable, load_golden
+from conftest import (
+    GOLDEN_NAMES,
+    chain_lines,
+    described_derivations,
+    goal_reachable,
+    goal_rows,
+    load_golden,
+)
 
 from mipcert.certfile import read_certificate
-from mipcert.checker import verify_certificate
+from mipcert.checker import CheckerState, verify_certificate
 from mipcert.model import (
     KEEP_UNTIL_END,
     Asm,
@@ -113,7 +120,7 @@ class TestComputeLastUse:
         tight = compute_last_use(certificate)
         replay = verify_certificate(tight)
         assert replay.verified
-        assert replay.goal_proven_by == baseline.goal_proven_by
+        assert goal_rows(tight) == goal_rows(certificate)
         assert replay.stats.peak_live <= baseline.stats.peak_live
 
     def test_tightened_peaks_are_exact(self) -> None:
@@ -122,6 +129,28 @@ class TestComputeLastUse:
             for name in GOLDEN_NAMES
         }
         assert peaks == {"small_range": 3, "rounding_chain": 4, "split_infeasible": 11}
+
+    @pytest.mark.parametrize(
+        ("row", "reason", "message"),
+        [
+            (13, Uns(-1, 4, 12, 3), "reference to row -1, which is not an earlier row"),
+            (6, Lin(((99, R(1)),)), "reference to row 99, which is not an earlier row"),
+        ],
+        ids=("uns-minus-one", "lin-ninety-nine"),
+    )
+    def test_reference_to_no_row_is_kept_as_given(self, row: int, reason, message) -> None:
+        # Only an in-memory certificate can cite a row outside [0, rows); the
+        # tightened one must cite it unchanged and be rejected as the input is.
+        golden = load_golden("split_infeasible")
+        derivations = list(golden.derivations)
+        position = row - golden.num_original
+        derivations[position] = replace(derivations[position], reason=reason)
+        certificate = replace(golden, derivations=tuple(derivations))
+        tight = compute_last_use(certificate)
+        assert tight.derivations[position].reason == reason
+        failure = verify_certificate(certificate).failure
+        assert (failure.index, failure.message) == (row, message)
+        assert verify_certificate(tight).failure == failure
 
 
 class TestPrune:
@@ -170,18 +199,20 @@ class TestPrune:
     def test_verifies_on_the_tightened_schedule(self, monkeypatch) -> None:
         # Every hint of the raw chain is -1, so a check on the file's own
         # hints keeps all 2,001 rows live; the tightened schedule keeps 3.
-        reports = []
+        states = []
 
-        def recording(source):
-            reports.append(verify_certificate(source))
-            return reports[-1]
+        class Recording(CheckerState):
+            def __init__(self, *args) -> None:
+                super().__init__(*args)
+                states.append(self)
 
         tighten_module = importlib.import_module("mipcert.tighten")
-        monkeypatch.setattr(tighten_module, "verify_certificate", recording)
+        monkeypatch.setattr(tighten_module, "CheckerState", Recording)
         certificate = read_certificate(iter(chain_lines(2_000)))
         pruned = prune_unused(certificate)
-        assert len(reports) == 1 and reports[0].verified
-        assert reports[0].stats.peak_live <= 3
+        assert len(states) == 1 and states[0].goal_proven
+        assert states[0].stats.num_derivations == 2_000
+        assert states[0].stats.peak_live <= 3
         assert verify_certificate(certificate).stats.peak_live == 2_001
         assert pruned == compute_last_use(certificate)
 
@@ -189,8 +220,7 @@ class TestPrune:
         # J2 has an empty assumption set but proves nothing (it is not
         # absurd), so reachability from the goal rows must drop it.
         spliced = inject_junk(load_golden("split_infeasible"), 4, fig_junk())
-        report = verify_certificate(spliced)
-        assert report.goal_proven_by == (16,)
+        assert goal_rows(spliced) == (16,)
 
 
 class TestTighten:
