@@ -445,9 +445,10 @@ def parse_problem(source: Iterable[str] | TextIO) -> Problem:
     return problem
 
 
-def _format_sparse(vec: SparseVec) -> str:
-    parts = [str(len(vec))]
-    for index, value in vec:
+def _format_pairs(pairs: SparseVec | tuple[tuple[int, Number], ...]) -> str:
+    """``k i1 v1 ... ik vk``, the pairs as :func:`_take_pairs` reads them."""
+    parts = [str(len(pairs))]
+    for index, value in pairs:
         parts.append(str(index))
         parts.append(format_rational(value))
     return " ".join(parts)
@@ -458,18 +459,14 @@ def _format_reason(reason: Reason) -> str:
         return "{ asm }"
     if isinstance(reason, (Lin, Rnd)):
         keyword = "lin" if isinstance(reason, Lin) else "rnd"
-        parts = [keyword, str(len(reason.terms))]
-        for index, multiplier in reason.terms:
-            parts.append(str(index))
-            parts.append(format_rational(multiplier))
-        return "{ " + " ".join(parts) + " }"
+        return f"{{ {keyword} {_format_pairs(reason.terms)} }}"
     return f"{{ uns {reason.i1} {reason.a1} {reason.i2} {reason.a2} }}"
 
 
 def _constraint_line(constraint: Constraint) -> str:
     return (
         f"{constraint.name} {constraint.sense.value} "
-        f"{format_rational(constraint.rhs)} {_format_sparse(constraint.lhs)}"
+        f"{format_rational(constraint.rhs)} {_format_pairs(constraint.lhs)}"
     )
 
 
@@ -483,7 +480,7 @@ def write_problem(problem: Problem, sink: TextIO) -> None:
     if problem.integer_set:
         sink.write(" ".join(str(index) for index in sorted(problem.integer_set)) + "\n")
     sink.write(f"OBJ {problem.objective_sense.value}\n")
-    sink.write(_format_sparse(problem.objective) + "\n")
+    sink.write(_format_pairs(problem.objective) + "\n")
     sink.write(f"CON {problem.num_constraints}\n")
     for constraint in problem.constraints:
         sink.write(_constraint_line(constraint) + "\n")
@@ -500,7 +497,7 @@ def write_certificate(certificate: Certificate, sink: TextIO) -> None:
         sink.write(f"RTP range {lower} {upper}\n")
     sink.write(f"SOL {len(certificate.solutions)}\n")
     for solution in certificate.solutions:
-        sink.write(f"{solution.name} {_format_sparse(solution.assignment)}\n")
+        sink.write(f"{solution.name} {_format_pairs(solution.assignment)}\n")
     sink.write(f"DER {len(certificate.derivations)}\n")
     for derivation in certificate.derivations:
         sink.write(

@@ -391,11 +391,14 @@ def _check_solution(
     if not feasible:
         msg = f"solution {solution.name!r} is not feasible"
         raise Rejection(CheckFailure(ordinal, "solution", msg))
-    if best_value is None:
-        return value
-    if state.problem.objective_sense == ObjectiveSense.MIN:
-        return min(best_value, value)
-    return max(best_value, value)
+    if best_value is not None and _at_least_as_good(state, best_value, value):
+        return best_value
+    return value
+
+
+def _at_least_as_good(state: CheckerState, value: Rational, bound: Rational) -> bool:
+    """Is objective ``value`` at least as good as ``bound`` in the problem's sense?"""
+    return value <= bound if state.problem.objective_sense == ObjectiveSense.MIN else value >= bound
 
 
 def _check_final(state: CheckerState, best_value: Rational | None) -> None:
@@ -407,12 +410,7 @@ def _check_final(state: CheckerState, best_value: Rational | None) -> None:
         if best_value is None:
             msg = "the goal claims a finite primal bound but no solution is given"
             raise Rejection(CheckFailure(None, "solution", msg))
-        meets = (
-            best_value <= bound
-            if state.problem.objective_sense == ObjectiveSense.MIN
-            else best_value >= bound
-        )
-        if not meets:
+        if not _at_least_as_good(state, best_value, bound):
             msg = (
                 f"no solution meets the claimed primal bound "
                 f"{format_rational(bound)} (best is {format_rational(best_value)})"

@@ -38,9 +38,10 @@ the pivot column subtracts a multiple of the pivot row. When that multiple's
 denominator divides the row's own, which always holds when the pivot row's
 denominator is 1, only the pivot row's support is touched; otherwise the row
 is cross-multiplied and gcd-reduced. Reduced costs are one more int row, the
-cost row, built once per phase and eliminated by the same pivots; its
-right-hand side is minus the objective value. Bland's entering column, the
-duals and the phase-one gap are read from it. A ratio test compares
+cost row, whose right-hand side is minus the objective value. Each phase
+prices its costs in through the pivots' own update, one basic row at a time.
+Bland's entering column, the duals and the phase-one gap are read from it,
+and phase one's is zeroed before drive-out. A ratio test compares
 right-hand side over entry within a row, where the denominator cancels, so
 ratios and Bland's ties compare by integer cross-products. Every comparison
 is exact, so Bland's rule sees the same values and picks the same pivots as
@@ -112,30 +113,25 @@ def _eliminate(
     row: list[int],
     den: int,
     num: int,
-    div: int,
     support: Sequence[tuple[int, int]],
     support_den: int,
 ) -> int:
-    """Set ``row/den -= (num/div) * (support/support_den)`` in place over ints.
+    """Set ``row/den -= (num/den) * (support/support_den)`` in place over ints.
 
-    Returns the row's new denominator. When the scaled term's denominator
-    divides ``den``, only the support's columns change and ``den`` is kept;
-    otherwise the row is cross-multiplied and reduced by the gcd of its
-    numerators and denominator.
+    Returns the row's new denominator. When ``support_den`` divides ``num``,
+    only the support's columns change and ``den`` is kept; otherwise the row
+    is cross-multiplied and reduced by the gcd of its numerators and
+    denominator.
     """
-    g = gcd(num, div * support_den)
-    num //= g
-    term_den = div * support_den // g
-    h = gcd(den, term_den)
-    scale = term_den // h
-    factor = num * (den // h)
-    if scale == 1:
-        for j, entry in support:
-            row[j] -= factor * entry
-        return den
-    row[:] = [entry * scale for entry in row]
+    g = gcd(num, support_den)
+    scale = support_den // g
+    factor = num // g
+    if scale != 1:
+        row[:] = [entry * scale for entry in row]
     for j, entry in support:
         row[j] -= factor * entry
+    if scale == 1:
+        return den
     den *= scale
     g = gcd(den, *row)
     if g != 1:
@@ -215,12 +211,15 @@ class _Tableau:
             factor = other[col]
             if r == row or not factor:
                 continue
-            dens[r] = _eliminate(other, dens[r], factor, dens[r], support, pivot_den)
+            dens[r] = _eliminate(other, dens[r], factor, support, pivot_den)
+        self._price(col, support, pivot_den)
+        self.basis[row] = col
+
+    def _price(self, col: int, support: Sequence[tuple[int, int]], support_den: int) -> None:
+        """Zero the cost row in ``col`` with the support of a row that is 1 there."""
         factor = self.cost_row[col]
         if factor:
-            den = self.cost_den
-            self.cost_den = _eliminate(self.cost_row, den, factor, den, support, pivot_den)
-        self.basis[row] = col
+            self.cost_den = _eliminate(self.cost_row, self.cost_den, factor, support, support_den)
 
     def run_phase(self, costs: Sequence[Number]) -> int | None:
         """Pivot to optimality for ``costs``; Bland's rule in both choices.
@@ -228,17 +227,12 @@ class _Tableau:
         Returns None on optimality, or the entering column index when the
         objective is unbounded below (no leaving row exists).
         """
-        den = lcm(*(c.denominator for c in costs))
+        den = self.cost_den = lcm(*(c.denominator for c in costs))
         self.cost_row = [c.numerator * (den // c.denominator) for c in costs] + [0]
         for r, basic in enumerate(self.basis):
-            cost = costs[basic]
-            if cost:
+            if costs[basic]:
                 support = [(j, entry) for j, entry in enumerate(self.rows[r]) if entry]
-                den = _eliminate(
-                    self.cost_row, den, cost.numerator, cost.denominator,
-                    support, self.dens[r],
-                )
-        self.cost_den = den
+                self._price(basic, support, self.dens[r])
         while True:
             entering = next((j for j in range(self.art_start) if self.cost_row[j] < 0), None)
             if entering is None:
@@ -268,8 +262,10 @@ class _Tableau:
 
         Each such row has zero right-hand side, so pivoting on any nonzero
         structural entry is degenerate and keeps the point feasible. Rows with
-        no structural entry left are redundant and never pivot again.
+        no structural entry left are redundant and never pivot again. Phase
+        one's cost row, already read, is zeroed so these pivots skip it.
         """
+        self.cost_row = [0] * (self.width + 1)
         for r in range(self.num_rows):
             if self.basis[r] < self.art_start:
                 continue

@@ -33,9 +33,9 @@ With ``cg_objective`` enabled, two rounding refinements are added. Every
 objective bound row is followed by a rounding step whenever the objective is
 integral over the integer variables, and every node about to branch first
 probes its fractional integer variables: if minimizing ``x_i`` over the node
-rows yields a fractional bound whose rounding makes the node LP-infeasible,
-the node closes with the chain combination -> rounding -> Farkas absurdity
-instead of branching further.
+rows yields a fractional bound whose rounding leaves the strengthened rows
+infeasible (a feasibility test, with no objective), the node closes with the
+chain combination -> rounding -> Farkas absurdity instead of branching further.
 
 Every derivation is emitted through the checker itself: the solver keeps one
 :class:`~mipcert.checker.CheckerState` with a vacuous goal and feeds it each
@@ -224,7 +224,6 @@ class _Solver:
             refusal = _REFUSALS.get(rejection.failure.rule, "emitted row rejected")
             raise SolverCheckError(refusal) from rejection
         self.derivations.append(derivation)
-        self._names.add(constraint.name)
         return index
 
     def add_assumption(self, variable: int, sense: Sense, bound: Rational) -> int:
@@ -306,9 +305,8 @@ class _Solver:
             raise NodeLimitError(f"node limit of {limit} exceeded")
 
         rows = self._node_rows(path)
-        outcome = solve_lp(
-            self.problem.num_variables, [con for _, con in rows], self.objective
-        )
+        constraints = [con for _, con in rows]
+        outcome = solve_lp(self.problem.num_variables, constraints, self.objective)
         if isinstance(outcome, LpInfeasible):
             return self._emit_farkas(outcome.farkas, rows)
         if isinstance(outcome, LpUnbounded):
@@ -329,7 +327,7 @@ class _Solver:
             return self._emit_objective_bound(outcome.duals, rows, value)
 
         if self.config.cg_objective:
-            closed = self._try_probe(rows, point)
+            closed = self._try_probe(rows, constraints, point)
             if closed is not None:
                 return closed
 
@@ -365,15 +363,16 @@ class _Solver:
         return self._bound_row(min(bounds)) if bounds else self._absurd_row()
 
     def _try_probe(
-        self, rows: list[tuple[int, Constraint]], point: Sequence[Rational]
+        self, rows: list[tuple[int, Constraint]], constraints: list[Constraint],
+        point: Sequence[Rational],
     ) -> Optional[int]:
         """Try to close the node with a combination -> rounding -> absurdity.
 
         For each fractional integer variable, minimize it exactly over the
-        node rows; a fractional minimum whose round-up makes the node rows
-        infeasible closes the node without further branching.
+        node's ``constraints``, numbered as in ``rows``; a fractional minimum
+        whose round-up leaves those rows infeasible, tested with an empty
+        objective, closes the node without further branching.
         """
-        constraints = [con for _, con in rows]
         for variable in sorted(self.problem.integer_set):
             if is_integral(point[variable]):
                 continue
@@ -388,9 +387,7 @@ class _Solver:
             strengthened = constraints + [
                 Constraint("_probe", Sense.GE, unit, lifted)
             ]
-            refutation = solve_lp(
-                self.problem.num_variables, strengthened, self.objective
-            )
+            refutation = solve_lp(self.problem.num_variables, strengthened, SparseVec(()))
             if not isinstance(refutation, LpInfeasible):
                 continue
             lin_index = self.emit(

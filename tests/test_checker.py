@@ -32,6 +32,7 @@ from mipcert.checker import (
     verify_certificate,
     verify_certificate_file,
 )
+from mipcert.cli import main
 from mipcert.model import (
     Asm,
     Certificate,
@@ -382,6 +383,21 @@ class TestSolutions:
         slack = Solution("far", SparseVec(((0, R(1)), (1, R(1)))))
         both = (slack, certificate.solutions[0])
         assert verify_certificate(replace(certificate, solutions=both)).verified
+
+    # max x with x <= 5: the solution x = 5 meets the claimed primal bound, x = 3 does not.
+    MAX_HEAD = "VER 1 VAR 1 x INT 0 OBJ max 1 0 1 CON 1 c L 5 1 0 1 RTP range 5 5"
+    MAX_DER = "DER 1 obj L 5 1 0 1 { lin 1 0 1 } -1"
+
+    @pytest.mark.parametrize("order", ("lo 1 0 3 hi 1 0 5", "hi 1 0 5 lo 1 0 3"))
+    def test_max_ranks_the_larger_value_best(self, order: str) -> None:
+        assert verify_lines([self.MAX_HEAD, f"SOL 2 {order}", self.MAX_DER]).verified
+
+    def test_max_bound_not_met_names_the_best_value(self, tmp_path, capsys) -> None:
+        path = tmp_path / "lo.crt"
+        path.write_text("\n".join([self.MAX_HEAD, "SOL 1 lo 1 0 3", self.MAX_DER]) + "\n")
+        assert main(["check", str(path)]) == 1
+        expected = "rejected (solution): no solution meets the claimed primal bound 5 (best is 3)\n"
+        assert capsys.readouterr().out == expected
 
     def test_solutions_with_infeasibility_goal_rejected(self) -> None:
         certificate = load_golden("split_infeasible")

@@ -583,12 +583,13 @@ class ReferenceTableau:
         gap = sum(phase_one[basic] * self.rows[r][-1] for r, basic in enumerate(self.basis))
         if gap > 0:
             return pivots, phase_ends
+        no_costs = [R(0)] * self.width
         for r in range(m):
             if self.basis[r] >= self.art_start:
                 col = next((j for j in range(self.art_start) if self.rows[r][j] != 0), None)
                 if col is not None:
-                    # Driving out keeps eliminating phase one's cost row.
-                    self.record_pivot((r, col), phase_one, pivots)
+                    # Driving out finds phase one's cost row zeroed and leaves it so.
+                    self.record_pivot((r, col), no_costs, pivots)
         phase_two = [R(0)] * self.width
         for index, coeff in objective:
             phase_two[index] = coeff

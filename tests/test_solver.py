@@ -192,6 +192,28 @@ class TestInfeasibleSolves:
         ]
         assert len(absurdities) >= 3
 
+    def test_refutation_free_of_the_branch_assumption_closes_the_node(self) -> None:
+        # max x0 over x0 + x1 <= 4/5, x0 >= 0, 3/10 <= x1 <= 7/10, both integer.
+        # The root branches on x0 = 1/2. Under x0 <= 0 both x1-branches are
+        # refuted by the bounds on x1 alone, so their unsplit absurdity covers
+        # the root, which never opens x0 >= 1.
+        problem = problem_of(
+            vec((0, 1)),
+            ObjectiveSense.MAX,
+            [
+                con("c1", Sense.LE, (4, 5), (0, 1), (1, 1)),
+                con("c2", Sense.GE, 0, (0, 1)),
+                con("c3", Sense.GE, 3, (1, 10)),
+                con("c4", Sense.LE, 7, (1, 10)),
+            ],
+            integers=(0, 1),
+        )
+        result = solve(problem)
+        assert result.status == "infeasible"
+        assert result.num_nodes == 4
+        assert len(result.certificate.derivations) == 6
+        assert verify_certificate(result.certificate).verified
+
     def test_lp_infeasible_root_needs_no_assumptions(self) -> None:
         problem = problem_of(
             SparseVec(()),
