@@ -33,9 +33,9 @@ constructors once the whole vector has been read, so their errors carry the
 line where the vector ends.
 
 Rows are read a field group at a time: one list of tokens, a slice of the
-line when the group sits on one line, whose fields are checked once, in file
-order. Error text is built only when a check fails. A group that runs over
-several lines keeps each token's line, so errors are positioned as before.
+line when it holds the group, or joined over lines keeping each token's line.
+Fields are checked once, in file order, inline for a row's own fields; error
+text is built, by the checks and builders of ``_Tokens``, only when one fails.
 """
 
 from __future__ import annotations
@@ -206,65 +206,46 @@ class _Tokens:
         return self.natural(1, what)
 
 
+#: For :func:`_take_pairs`: the record built, its errors' name ("": the vector's), the pair fields.
+_ENTRIES = (SparseVec, "", " variable index", " coefficient")
+_TERMS = {
+    "lin": (Lin, "lin reason", " row index", " multiplier"),
+    "rnd": (Rnd, "rnd reason", " row index", " multiplier"),
+}
+
+
 def _take_pairs(
-    tokens: _Tokens, count: int, upper: int, what: str, parts: tuple[str, str], tail: int = 0
-) -> tuple[tuple[tuple[int, Number], ...], int]:
+    tokens: _Tokens, count: int, upper: int, what: str, tail: int = 0, kind: tuple = _ENTRIES
+) -> tuple[SparseVec | Lin | Rnd, int]:
     """``count`` pairs of an index below ``upper`` and a rational, named
-    ``what`` plus ``parts``, then ``tail`` more tokens. Returns the pairs and
-    where the tail starts in ``tokens.row``, just past the vector's end."""
+    ``what`` plus the parts in ``kind``, then ``tail`` more tokens. Returns
+    the record ``kind`` builds of them, whose own ValueError is reported at
+    the vector's last token, and where the tail starts in ``tokens.row``,
+    just past the vector's end."""
+    build, label, index_part, value_part = kind
     pairs: list[tuple[int, Number]] = []
     while True:
-        chunk = min(count, _PAIRS_PER_TAKE)
+        chunk = count if count < _PAIRS_PER_TAKE else _PAIRS_PER_TAKE
         count -= chunk
-        row = tokens.take(2 * chunk if count else 2 * chunk + tail)
-        for position in range(0, 2 * chunk, 2):  # tokens.natural and .rational, inlined
+        end = 2 * chunk
+        row = tokens.take(end if count else end + tail)
+        for position in range(0, end, 2):  # tokens.natural and .rational, inlined
             token = row[position]
-            index = int_from_digits(token) if token.isascii() and token.isdigit() else upper
+            try:
+                index = int(token) if token.isascii() and token.isdigit() else upper
+            except ValueError:  # too long for int(), so far beyond any row or variable count
+                index = upper
             if index >= upper:
-                raise tokens.natural_error(position, what, parts[0], upper)
+                raise tokens.natural_error(position, what, index_part, upper)
             try:
                 pairs.append((index, parse_rational(row[position + 1])))
             except ValueError as exc:
-                raise tokens.rational_error(position + 1, what, parts[1], exc) from exc
+                raise tokens.rational_error(position + 1, what, value_part, exc) from exc
         if not count:
-            return tuple(pairs), 2 * chunk
-
-
-def _take_sparse(
-    tokens: _Tokens, length: int, width: int, what: str, tail: int = 0
-) -> tuple[SparseVec, int]:
-    """A sparse vector, as :func:`_take_pairs` takes and returns pairs."""
-    parts = (" variable index", " coefficient")
-    pairs, end = _take_pairs(tokens, length, width, what, parts, tail)
-    try:
-        return SparseVec(pairs), end
-    except ValueError as exc:
-        raise tokens.error(f"{what}: {exc}", end - 1) from exc
-
-
-def _take_constraint(
-    tokens: _Tokens, width: int, what: str, seen: set[str], tail: int = 0
-) -> tuple[Constraint, int]:
-    """``<name> G|L|E <rhs> <sparse>`` of a ``what`` row, whose name must be
-    new, then ``tail`` more tokens, as :func:`_take_pairs` returns them."""
-    row = tokens.take(4)
-    name = row[0]
-    if not name:
-        raise tokens.ended(f"{what} name")
-    sense = _SENSES.get(row[1])
-    if sense is None:
-        message = f"unknown sense code {row[1]!r} (expected G, L, or E)"
-        raise tokens.error(message, 1, f"{what} sense")
-    rhs = tokens.rational(2, what, " right-hand side")
-    lhs = _LEFT_HAND_SIDES[what]
-    length = tokens.natural(3, lhs, " length")
-    line = tokens.line  # where an empty left-hand side ends
-    vector, end = _take_sparse(tokens, length, width, lhs, tail)
-    if name in seen:
-        message = f"duplicate constraint name {name!r}"
-        raise tokens.error(message, end - 1) if end else ParseError(message, line)
-    seen.add(name)
-    return Constraint(name, sense, vector, rhs), end
+            try:
+                return build(pairs), end
+            except ValueError as exc:
+                raise tokens.error(f"{label or what}: {exc}", end - 1) from exc
 
 
 def _parse_problem_sections(tokens: _Tokens) -> Problem:
@@ -299,14 +280,11 @@ def _parse_problem_sections(tokens: _Tokens) -> Problem:
         message = f"expected 'min' or 'max', found {row[1]!r}"
         raise tokens.error(message, 1, "objective sense") from None
     length = tokens.natural(2, "objective length")
-    objective = _take_sparse(tokens, length, num_variables, "objective")[0]
+    objective = _take_pairs(tokens, length, num_variables, "objective")[0]
 
     num_constraints = tokens.count("CON", "after OBJ section", "constraints")
-    seen_names: set[str] = set()
-    constraints = tuple(
-        _take_constraint(tokens, num_variables, "constraint", seen_names)[0]
-        for _ in range(num_constraints)
-    )
+    seen: set[str] = set()
+    constraints = tuple(_take_row(tokens, num_variables, seen) for _ in range(num_constraints))
     names = tuple(variable_names)
     return Problem(names, frozenset(integer_set), objective, objective_sense, constraints)
 
@@ -327,20 +305,52 @@ def _parse_goal(tokens: _Tokens) -> RtpGoal:
         raise tokens.error(str(exc)) from exc
 
 
-def _take_derivation(tokens: _Tokens, width: int, seen: set[str], own_index: int) -> Derivation:
-    """``<constraint> { <reason> } <last_use>``, the row at ``own_index``."""
-    constraint, at = _take_constraint(tokens, width, "derivation", seen, 3)
-    tokens.expect(at, "{", "before derivation reason")
-    keyword = tokens.row[at + 1]
+def _take_row(
+    tokens: _Tokens, width: int, seen: set[str], own_index: int = -1
+) -> Constraint | Derivation:
+    """``<name> G|L|E <rhs> <sparse>``, a constraint row whose name must be
+    new; or, given its ``own_index``, a derivation row, which goes on with
+    ``{ <reason> } <last_use>``."""
+    derived = own_index >= 0
+    what = "derivation" if derived else "constraint"
+    row = tokens.take(4)
+    name = row[0]
+    if not name:
+        raise tokens.ended(f"{what} name")
+    sense = _SENSES.get(row[1])
+    if sense is None:
+        message = f"unknown sense code {row[1]!r} (expected G, L, or E)"
+        raise tokens.error(message, 1, f"{what} sense")
+    try:  # the checks of tokens.rational, .natural and .expect, inlined
+        rhs = parse_rational(row[2])
+    except ValueError as exc:
+        raise tokens.rational_error(2, what, " right-hand side", exc) from exc
+    lhs = _LEFT_HAND_SIDES[what]
+    length = row[3]
+    if not (length.isascii() and length.isdigit()):
+        raise tokens.natural_error(3, lhs, " length", None)
+    line = tokens.line  # where an empty left-hand side ends
+    vector, at = _take_pairs(tokens, int_from_digits(length), width, lhs, 3 if derived else 0)
+    if name in seen:
+        message = f"duplicate constraint name {name!r}"
+        raise tokens.error(message, at - 1) if at else ParseError(message, line)
+    seen.add(name)
+    constraint = Constraint(name, sense, vector, rhs)
+    if not derived:
+        return constraint
+
+    row = tokens.row
+    if row[at] != "{":
+        tokens.expect(at, "{", "before derivation reason")
+    keyword = row[at + 1]
     reason: Reason
-    if keyword == "lin" or keyword == "rnd":
-        count = tokens.natural(at + 2, "combination terms")
-        parts = (" row index", " multiplier")
-        terms, brace = _take_pairs(tokens, count, own_index, "combination", parts, 2)
-        try:
-            reason = Lin(terms) if keyword == "lin" else Rnd(terms)
-        except ValueError as exc:
-            raise tokens.error(f"{keyword} reason: {exc}", brace - 1) from exc
+    terms = _TERMS.get(keyword)
+    if terms is not None:
+        count = row[at + 2]
+        if not (count.isascii() and count.isdigit()):
+            raise tokens.natural_error(at + 2, "combination terms", "", None)
+        count = int_from_digits(count)
+        reason, brace = _take_pairs(tokens, count, own_index, "combination", 2, terms)
     elif keyword == "asm":
         tokens.expect(at + 2, "}", "after derivation reason")
         reason, brace = Asm(), -1  # its "}" sat in the head; last_use is taken next
@@ -348,20 +358,19 @@ def _take_derivation(tokens: _Tokens, width: int, seen: set[str], own_index: int
     elif keyword == "uns":
         i1 = tokens.natural(at + 2, "unsplit row reference", upper=own_index)
         tokens.take(5)
-        reason = Uns(
-            i1,
-            tokens.natural(0, "unsplit assumption reference", upper=own_index),
-            tokens.natural(1, "unsplit row reference", upper=own_index),
-            tokens.natural(2, "unsplit assumption reference", upper=own_index),
-        )
-        brace = 3
+        rest = [  # a1, i2 and a2
+            tokens.natural(k, f"unsplit {part} reference", upper=own_index)
+            for k, part in enumerate(("assumption", "row", "assumption"))
+        ]
+        reason, brace = Uns(i1, *rest), 3
     else:
         message = f"unknown reason keyword {keyword!r}"
         raise tokens.error(message, at + 1, "reason keyword")
-    if brace >= 0:
+    row = tokens.row
+    if brace >= 0 and row[brace] != "}":
         tokens.expect(brace, "}", "after derivation reason")
     position = brace + 1
-    token = tokens.row[position]
+    token = row[position]
     if token == "-1":
         return Derivation(constraint, reason, KEEP_UNTIL_END)
     if not (token.isascii() and token.isdigit()):
@@ -405,13 +414,13 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
             raise tokens.error(f"duplicate solution name {name!r}", 0)
         seen_solution_names.add(name)
         length = tokens.natural(1, "solution length")
-        yield Solution(name, _take_sparse(tokens, length, num_variables, "solution")[0])
+        yield Solution(name, _take_pairs(tokens, length, num_variables, "solution")[0])
 
     num_derivations = tokens.count("DER", "after SOL section", "derivations")
     seen_names = {constraint.name for constraint in problem.constraints}
     num_original = problem.num_constraints
     for own_index in range(num_original, num_original + num_derivations):
-        yield _take_derivation(tokens, num_variables, seen_names, own_index)
+        yield _take_row(tokens, num_variables, seen_names, own_index)
 
     _expect_end(tokens, "DER")
 

@@ -28,10 +28,12 @@ the goal was proven by the time the stream ends.
 Rows whose declared last-use index has passed are always evicted from memory,
 so certificates far larger than memory stream through; referencing an evicted
 row is a hard error, and a row whose last use is -1 is kept to the end. The
-peak number of simultaneously live rows (originals included) is reported in
-the statistics. The report holds nothing per row; a caller that wants each
-goal-proving row or assumption set drives a :class:`CheckerState`, reading
-them from :meth:`~CheckerState.run` and :meth:`~CheckerState.assumptions`.
+live store is two dicts keyed by combined index, rows and assumption sets, so
+a live row costs two dict entries and no object of its own. The peak number
+of live rows (originals included) is reported in the statistics, and nothing
+per row: a caller that wants each goal-proving row or assumption set drives a
+:class:`CheckerState`, reading them from :meth:`~CheckerState.run` and
+``CheckerState.assumptions``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .model import (
     Lin,
     ObjectiveSense,
     Problem,
-    RangeGoal,
     Reason,
     Rnd,
     RtpGoal,
@@ -136,19 +137,10 @@ class Rejection(Exception):
 
 #: The one empty assumption set, shared by every row that rests on no assumption.
 NO_ASSUMPTIONS: AssumptionSet = frozenset()
+_KINDS = {Asm: "asm", Lin: "lin", Rnd: "rnd", Uns: "uns"}  # the rule, and stats key, of a reason
 
 
-class _LiveRow:
-    __slots__ = ("constraint", "assumptions")
-
-    def __init__(self, constraint: Constraint, assumptions: AssumptionSet) -> None:
-        self.constraint = constraint
-        self.assumptions = assumptions
-
-
-def _goal_sides(
-    problem: Problem, goal: RtpGoal
-) -> tuple[Rational | None, Rational | None]:
+def _goal_sides(problem: Problem, goal: RtpGoal) -> tuple[Rational | None, Rational | None]:
     """The range goal's (dual, primal) bounds; None for an infinite side.
 
     The dual side is the lower bound when minimizing and the upper bound when
@@ -167,7 +159,9 @@ def _goal_test(problem: Problem, goal: RtpGoal) -> Callable[[Constraint], bool] 
 
     Infeasibility goals need an absurdity. A range goal's constraint must
     dominate the objective bounded by the dual side (see :func:`_goal_sides`),
-    a row built once; an infinite dual bound is vacuously proven.
+    a row built once; an infinite dual bound is vacuously proven. Only a row
+    whose left-hand side is empty or the objective's can dominate it, so no
+    other row is handed to :func:`dominates`.
     """
     if isinstance(goal, InfeasibleGoal):
         return is_absurd
@@ -176,7 +170,10 @@ def _goal_test(problem: Problem, goal: RtpGoal) -> Callable[[Constraint], bool] 
         return None
     sense = Sense.GE if problem.objective_sense == ObjectiveSense.MIN else Sense.LE
     goal_row = Constraint("_goal", sense, problem.objective, dual)
-    return lambda constraint: dominates(constraint, goal_row)
+    objective = problem.objective.entries
+    return lambda constraint: (
+        not constraint.lhs.entries or constraint.lhs.entries == objective
+    ) and dominates(constraint, goal_row)
 
 
 def assumptions_of(
@@ -193,11 +190,15 @@ def assumptions_of(
     """
     if isinstance(reason, Asm):
         return frozenset((index,))
-    if isinstance(reason, (Lin, Rnd)):
-        cited = [lookup(reference) for reference, _ in reason.terms]
+    if isinstance(reason, Uns):
+        cited = (lookup(reason.i1) - {reason.a1}, lookup(reason.i2) - {reason.a2})
+        cited = [assumptions for assumptions in cited if assumptions]
     else:
-        cited = [lookup(reason.i1) - {reason.a1}, lookup(reason.i2) - {reason.a2}]
-    cited = [assumptions for assumptions in cited if assumptions]
+        cited = []  # the non-empty sets
+        for reference, _ in reason.terms:
+            assumptions = lookup(reference)
+            if assumptions:
+                cited.append(assumptions)
     if len(cited) > 1:
         return frozenset().union(*cited)
     return cited[0] if cited else NO_ASSUMPTIONS
@@ -210,7 +211,7 @@ class CheckerState:
     index equals its declared last use has been processed; original
     constraints and rows with last use -1 stay until the end. A reference to
     a row past its declared last use is the certificate's fault and is
-    rejected. :meth:`row` and :meth:`assumptions` read a live row, so a caller
+    rejected. ``row`` and ``assumptions`` read a live row, so a caller
     that wants every row's assumption set reads it right after that row's
     :meth:`verify_derivation`. :meth:`run` checks a whole event stream.
     """
@@ -221,26 +222,21 @@ class CheckerState:
         self.stats = CheckStats()
         self._proves_goal = _goal_test(problem, goal)
         self.goal_proven = self._proves_goal is None
-        self._store: dict[int, _LiveRow] = {}
+        self._rows: dict[int, Constraint] = dict(enumerate(problem.constraints))
+        self._assumptions: dict[int, AssumptionSet] = dict.fromkeys(self._rows, NO_ASSUMPTIONS)
+        # The live row and its assumption set at a combined index; KeyError if none.
+        self.row: Callable[[int], Constraint] = self._rows.__getitem__
+        self.assumptions: Callable[[int], AssumptionSet] = self._assumptions.__getitem__
         self._evict_at: dict[int, list[int]] = {}
         self.next_index = problem.num_constraints
-        for index, constraint in enumerate(problem.constraints):
-            self._store[index] = _LiveRow(constraint, NO_ASSUMPTIONS)
-        self.stats.peak_live = len(self._store)
-
-    def row(self, index: int) -> Constraint:
-        """The live row at combined ``index``; KeyError if evicted or unknown."""
-        return self._store[index].constraint
-
-    def assumptions(self, index: int) -> AssumptionSet:
-        """The assumption set of the live row at ``index``; KeyError if absent."""
-        return self._store[index].assumptions
+        self.stats.peak_live = len(self._rows)
 
     def _describe(self, constraint: Constraint) -> str:
         return format_constraint(constraint, self.problem.variable_names)
 
-    def _lookup(self, reference: int) -> _LiveRow:
-        row = self._store.get(reference)
+    def _lookup(self, reference: int) -> Constraint:
+        """The live row at ``reference``, or the rule violation that words why not."""
+        row = self._rows.get(reference)
         if row is not None:
             return row
         if 0 <= reference < self.next_index:
@@ -256,19 +252,24 @@ class CheckerState:
             raise Rejection(CheckFailure(index, "order", msg))
         stated = derivation.constraint
         reason = derivation.reason
+        last_use = derivation.last_use
         # Also checked by the parser, for its line; solver, tighten and Certificate skip it.
-        if derivation.last_use != KEEP_UNTIL_END and derivation.last_use <= index:
-            msg = f"last_use {derivation.last_use} not beyond the row's own index"
+        if last_use != KEEP_UNTIL_END and last_use <= index:
+            msg = f"last_use {last_use} not beyond the row's own index"
             raise Rejection(CheckFailure(index, "order", msg))
 
+        rows, sets = self._rows, self._assumptions
+        kind = _KINDS.get(type(reason))  # an asm row has nothing more to check
+        if kind is None:  # pragma: no cover - exhaustive over Reason
+            msg = f"unknown reason {reason!r}"
+            raise Rejection(CheckFailure(index, "reason", msg))
         try:
-            if isinstance(reason, Asm):
-                kind = "asm"
-            elif isinstance(reason, (Lin, Rnd)):
-                kind = "lin" if isinstance(reason, Lin) else "rnd"
-                rows = [(self._lookup(ref).constraint, mult) for ref, mult in reason.terms]
-                combined = linear_combine(rows, stated.sense)
-                if isinstance(reason, Rnd):
+            if kind == "lin" or kind == "rnd":
+                combination = []
+                for reference, multiplier in reason.terms:  # a live row is never falsy
+                    combination.append((rows.get(reference) or self._lookup(reference), multiplier))
+                combined = linear_combine(combination, stated.sense)
+                if kind == "rnd":
                     combined = round_constraint(combined, self.problem.integer_set)
                 if not dominates(combined, stated):
                     msg = (
@@ -276,51 +277,46 @@ class CheckerState:
                         f"dominate the stated {self._describe(stated)}"
                     )
                     raise RuleViolation(msg)
-            elif isinstance(reason, Uns):
-                kind = "uns"
-                branch1, asm1, branch2, asm2 = (
-                    self._lookup(ref) for ref in (reason.i1, reason.a1, reason.i2, reason.a2)
-                )
-                for asm_index, asm in ((reason.a1, asm1), (reason.a2, asm2)):
-                    if asm_index not in asm.assumptions:  # only an asm row's set holds itself
+            elif kind == "uns":
+                references = (reason.i1, reason.a1, reason.i2, reason.a2)
+                branch1, asm1, branch2, asm2 = map(self._lookup, references)
+                for asm_index in (reason.a1, reason.a2):
+                    if asm_index not in sets[asm_index]:  # only an asm row's set holds itself
                         msg = f"row {asm_index} is not an assumption"
                         raise RuleViolation(msg)
-                if not check_disjunction_pair(
-                    asm1.constraint, asm2.constraint, self.problem.integer_set
-                ):
+                if not check_disjunction_pair(asm1, asm2, self.problem.integer_set):
                     msg = f"rows {reason.a1} and {reason.a2} do not form a split disjunction pair"
                     raise RuleViolation(msg)
                 sides = ((reason.i1, branch1, reason.a1), (reason.i2, branch2, reason.a2))
-                for branch_index, branch, asm_index in sides:
-                    if asm_index not in branch.assumptions:
+                for branch_index, _, asm_index in sides:
+                    if asm_index not in sets[branch_index]:
                         msg = f"row {branch_index} does not depend on assumption {asm_index}"
                         raise RuleViolation(msg)
                 for branch_index, branch, _ in sides:
-                    if not dominates(branch.constraint, stated):
+                    if not dominates(branch, stated):
                         msg = (
-                            f"row {branch_index} ({self._describe(branch.constraint)}) does "
+                            f"row {branch_index} ({self._describe(branch)}) does "
                             f"not dominate the stated {self._describe(stated)}"
                         )
                         raise RuleViolation(msg)
-            else:  # pragma: no cover - exhaustive over Reason
-                msg = f"unknown reason {reason!r}"
-                raise Rejection(CheckFailure(index, "reason", msg))
         except RuleViolation as exc:
             raise Rejection(CheckFailure(index, kind, str(exc))) from exc
 
         assumptions = assumptions_of(reason, index, self.assumptions)
-        self.stats.reason_counts[kind] += 1
-        self.stats.num_derivations += 1
+        stats = self.stats
+        stats.reason_counts[kind] += 1
+        stats.num_derivations += 1
         proves = not assumptions and self._proves_goal is not None and self._proves_goal(stated)
         self.goal_proven = self.goal_proven or proves
 
-        self._store[index] = _LiveRow(stated, assumptions)
-        if derivation.last_use != KEEP_UNTIL_END:
-            self._evict_at.setdefault(derivation.last_use, []).append(index)
-        self.stats.peak_live = max(self.stats.peak_live, len(self._store))
-        self.next_index += 1
+        rows[index], sets[index] = stated, assumptions
+        if last_use != KEEP_UNTIL_END:
+            self._evict_at.setdefault(last_use, []).append(index)
+        if len(rows) > stats.peak_live:
+            stats.peak_live = len(rows)
+        self.next_index = index + 1
         for victim in self._evict_at.pop(index, ()):
-            del self._store[victim]
+            del rows[victim], sets[victim]
         return proves
 
     def run(self, events: Iterable[Event]) -> Iterator[int]:

@@ -85,6 +85,10 @@ class Sense(Enum):
     EQ = "E"
 
 
+# For the per-row rules: ``Sense.GE`` goes through EnumType's __getattr__ hook.
+_GE, _LE, _EQ = Sense.GE, Sense.LE, Sense.EQ
+
+
 class ObjectiveSense(Enum):
     """Optimization direction of the problem objective."""
 
@@ -143,6 +147,28 @@ def replace(record: _Record, **changes: object) -> _Record:
     return type(record)(**{**fields, **changes})
 
 
+def _validated_pairs(
+    pairs: Iterable[tuple[int, Number]], sequence: str, zero: str
+) -> tuple[tuple[int, Number], ...]:
+    """``pairs`` as a tuple of tuples, with strictly increasing indices and no
+    zero value; else a ValueError at the first pair that breaks this, which
+    calls the indices ``sequence`` ones and says ``zero`` before the index."""
+    pairs = tuple(pairs)  # the argument itself when it is a tuple
+    normal = True
+    previous = -1
+    for pair in pairs:
+        index, value = pair
+        if index <= previous:
+            msg = f"{sequence} indices not strictly increasing at index {index}"
+            raise ValueError(msg)
+        if value == 0:
+            msg = f"{zero} {index}"
+            raise ValueError(msg)
+        previous = index
+        normal = normal and type(pair) is tuple
+    return pairs if normal else tuple((index, value) for index, value in pairs)
+
+
 class SparseVec(_Record):
     """Sparse rational vector: (index, coefficient) pairs.
 
@@ -153,23 +179,7 @@ class SparseVec(_Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[int, Number]]) -> None:
-        normal = type(entries) is tuple
-        if not normal:
-            entries = tuple(entries)
-        previous = -1
-        for entry in entries:
-            index, coeff = entry
-            if index <= previous:
-                msg = f"sparse indices not strictly increasing at index {index}"
-                raise ValueError(msg)
-            if coeff == 0:
-                msg = f"zero coefficient stored at index {index}"
-                raise ValueError(msg)
-            previous = index
-            normal = normal and type(entry) is tuple
-        if not normal:
-            entries = tuple((index, coeff) for index, coeff in entries)
-        _set_entries(self, entries)
+        _set_entries(self, _validated_pairs(entries, "sparse", "zero coefficient stored at index"))
 
     def __eq__(self, other: object) -> bool:  # the generic one, without its calls
         if type(other) is not SparseVec:
@@ -277,7 +287,7 @@ class Lin(_Record):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[int, Number]]) -> None:
-        _set_lin_terms(self, _validated_terms(terms))
+        _set_lin_terms(self, _validated_pairs(terms, "combination", "zero multiplier on row"))
 
 
 class Rnd(_Record):
@@ -286,7 +296,7 @@ class Rnd(_Record):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[int, Number]]) -> None:
-        _set_rnd_terms(self, _validated_terms(terms))
+        _set_rnd_terms(self, _validated_pairs(terms, "combination", "zero multiplier on row"))
 
 
 class Uns(_Record):
@@ -308,20 +318,6 @@ class Uns(_Record):
 _set_lin_terms, _set_rnd_terms = Lin.terms.__set__, Rnd.terms.__set__
 _set_i1, _set_a1, _set_i2, _set_a2 = (member.__set__ for member in (Uns.i1, Uns.a1, Uns.i2, Uns.a2))
 Reason = Union[Asm, Lin, Rnd, Uns]
-
-
-def _validated_terms(terms: Iterable[tuple[int, Number]]) -> tuple[tuple[int, Number], ...]:
-    terms = tuple(terms)
-    previous = -1
-    for index, multiplier in terms:
-        if index <= previous:
-            msg = f"combination indices not strictly increasing at index {index}"
-            raise ValueError(msg)
-        if multiplier == 0:
-            msg = f"zero multiplier on row {index}"
-            raise ValueError(msg)
-        previous = index
-    return terms
 
 
 class Derivation(_Record):
@@ -412,28 +408,21 @@ def _sign_ok(row_sense: Sense, sign: int, target: Sense) -> bool:
     """May a row of ``row_sense`` enter a ``target`` combination with a
     multiplier of this ``sign``? Callers pass the multiplier's numerator: a
     denominator is always positive, so the numerator has the value's sign."""
-    if target == Sense.EQ:
-        return row_sense == Sense.EQ
-    if row_sense == Sense.EQ:
+    if target is _EQ:
+        return row_sense is _EQ
+    if row_sense is _EQ:
         return True
-    if row_sense == (Sense.GE if target == Sense.GE else Sense.LE):
-        return sign >= 0
-    return sign <= 0
+    return sign >= 0 if row_sense is target else sign <= 0
 
 
 def _reduced(numerator: int, denominator: int) -> Number:
-    """``numerator/denominator`` (denominator > 0) as an int when integral."""
-    if denominator == 1:
-        return numerator
+    """``numerator/denominator`` (denominator > 1) as an int when integral."""
     if numerator % denominator == 0:
         return numerator // denominator
     return Rational(numerator, denominator)
 
 
-def linear_combine(
-    terms: Sequence[tuple[Constraint, Number]],
-    target_sense: Sense,
-) -> Constraint:
+def linear_combine(terms: Sequence[tuple[Constraint, Number]], target_sense: Sense) -> Constraint:
     """Combine constraints with multipliers into one constraint of the target sense.
 
     Sign discipline: deriving a >=-row requires multipliers >= 0 on >=-rows
@@ -446,6 +435,8 @@ def linear_combine(
     numerators when the denominators match and cross-multiplying otherwise.
     Each entry is reduced once, at the end, to an ``int`` when integral and
     to a :data:`Rational` otherwise; entries that cancel to zero are dropped.
+    The entries are then sorted and nonzero, so the result's vector is built
+    without running the validating :class:`SparseVec` constructor again.
     """
     sums: dict[int, list[int]] = {}
     rhs_numerator, rhs_denominator = 0, 1
@@ -480,14 +471,16 @@ def linear_combine(
         else:
             rhs_numerator = rhs_numerator * denominator + numerator * rhs_denominator
             rhs_denominator *= denominator
-    entries = tuple(
-        (index, _reduced(pair[0], pair[1]))
-        for index, pair in sorted(sums.items())
-        if pair[0]
-    )
-    return Constraint(
-        "_combined", target_sense, SparseVec(entries), _reduced(rhs_numerator, rhs_denominator)
-    )
+    entries = []
+    for index, (numerator, denominator) in sums.items():
+        if numerator:
+            value = numerator if denominator == 1 else _reduced(numerator, denominator)
+            entries.append((index, value))
+    entries.sort()  # by index, as the indices differ
+    lhs = object.__new__(SparseVec)
+    _set_entries(lhs, tuple(entries))
+    rhs = rhs_numerator if rhs_denominator == 1 else _reduced(rhs_numerator, rhs_denominator)
+    return Constraint("_combined", target_sense, lhs, rhs)
 
 
 def round_constraint(constraint: Constraint, integer_set: frozenset[int]) -> Constraint:
@@ -496,7 +489,7 @@ def round_constraint(constraint: Constraint, integer_set: frozenset[int]) -> Con
     Sound only when every nonzero coefficient is integral and sits on an
     integer variable; raises RuleViolation otherwise, and for =-rows.
     """
-    if constraint.sense == Sense.EQ:
+    if constraint.sense is _EQ:
         msg = "rounding applies only to >= or <= constraints"
         raise RuleViolation(msg)
     for index, coeff in constraint.lhs:
@@ -509,7 +502,7 @@ def round_constraint(constraint: Constraint, integer_set: frozenset[int]) -> Con
                 f"has coefficient {format_rational(coeff)}"
             )
             raise RuleViolation(msg)
-    if constraint.sense == Sense.GE:
+    if constraint.sense is _GE:
         rhs = rational_ceil(constraint.rhs)
     else:
         rhs = rational_floor(constraint.rhs)
@@ -518,11 +511,11 @@ def round_constraint(constraint: Constraint, integer_set: frozenset[int]) -> Con
 
 def is_absurd(constraint: Constraint) -> bool:
     """True iff the constraint is unsatisfiable with an empty left-hand side."""
-    if not constraint.lhs.is_zero:
+    if constraint.lhs.entries:
         return False
-    if constraint.sense == Sense.GE:
+    if constraint.sense is _GE:
         return constraint.rhs > 0
-    if constraint.sense == Sense.LE:
+    if constraint.sense is _LE:
         return constraint.rhs < 0
     return constraint.rhs != 0
 
@@ -532,21 +525,19 @@ def dominates(stronger: Constraint, weaker: Constraint) -> bool:
 
     Identical left-hand side with an equal-or-stronger right-hand side (in the
     weaker row's direction), or ``stronger`` is an absurdity, which dominates
-    everything.
+    everything. The first case is the common one, so it is tested first.
     """
-    if is_absurd(stronger):
-        return True
-    if stronger.lhs != weaker.lhs:
-        return False
-    if weaker.sense == Sense.GE:
-        if stronger.sense not in (Sense.GE, Sense.EQ):
-            return False
-        return stronger.rhs >= weaker.rhs
-    if weaker.sense == Sense.LE:
-        if stronger.sense not in (Sense.LE, Sense.EQ):
-            return False
-        return stronger.rhs <= weaker.rhs
-    return stronger.sense == Sense.EQ and stronger.rhs == weaker.rhs
+    if stronger.lhs.entries == weaker.lhs.entries:
+        sense = weaker.sense
+        if sense is _GE:
+            if stronger.sense is not _LE and stronger.rhs >= weaker.rhs:
+                return True
+        elif sense is _LE:
+            if stronger.sense is not _GE and stronger.rhs <= weaker.rhs:
+                return True
+        elif stronger.sense is _EQ and stronger.rhs == weaker.rhs:
+            return True
+    return is_absurd(stronger)
 
 
 def check_disjunction_pair(
@@ -559,10 +550,10 @@ def check_disjunction_pair(
     coefficient integral and on an integer variable — so every point that is
     integral on the integer variables satisfies at least one of the two.
     """
-    if {first.sense, second.sense} != {Sense.LE, Sense.GE}:
+    if {first.sense, second.sense} != {_LE, _GE}:
         return False
-    lower, upper = (first, second) if first.sense == Sense.LE else (second, first)
-    if lower.lhs != upper.lhs:
+    lower, upper = (first, second) if first.sense is _LE else (second, first)
+    if lower.lhs.entries != upper.lhs.entries:
         return False
     if not is_integral(lower.rhs) or upper.rhs != lower.rhs + 1:
         return False
@@ -604,9 +595,7 @@ def format_linear(vec: SparseVec, variable_names: Sequence[str] | None = None) -
     return "".join(parts) if parts else "0"
 
 
-def format_constraint(
-    constraint: Constraint, variable_names: Sequence[str] | None = None
-) -> str:
+def format_constraint(constraint: Constraint, variable_names: Sequence[str] | None = None) -> str:
     """Render a constraint as a conventional inequality, e.g. ``2x + y >= 1``.
 
     The left-hand side is written by :func:`format_linear`.
@@ -625,9 +614,9 @@ def format_bounds(goal: RangeGoal) -> tuple[str, str]:
 def satisfies(constraint: Constraint, point: Mapping[int, Number]) -> bool:
     """True iff ``point`` meets the constraint exactly (missing coordinates are 0)."""
     activity = constraint.lhs.evaluate(point)
-    if constraint.sense == Sense.GE:
+    if constraint.sense is _GE:
         return activity >= constraint.rhs
-    if constraint.sense == Sense.LE:
+    if constraint.sense is _LE:
         return activity <= constraint.rhs
     return activity == constraint.rhs
 

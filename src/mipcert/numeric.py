@@ -113,7 +113,10 @@ def parse_rational(token: str) -> Number:
     Raises ValueError for anything else, including a zero denominator.
     """
     if token.isascii() and token.isdigit():
-        return int_from_digits(token)
+        try:
+            return int(token)
+        except ValueError:  # longer than the interpreter's int-string limit
+            return int_from_digits(token)
     match = _TOKEN_RE.fullmatch(token)
     if match is None:
         msg = f"malformed rational token {token!r}"

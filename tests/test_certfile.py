@@ -285,6 +285,15 @@ INVALID_CASES = [
     pytest.param(_splice(14, "obj G 1 2 0 2 1 1 { lin 2 0 1 2", "-1 } -1"), 14, "combination row index 2 out of range", id="forward-reference-split-row"),
     pytest.param(BASE[:13] + ["obj G 1 2 0", "2", "% cut here"], 16, "end of input while reading derivation left-hand side variable index", id="end-inside-derivation-vector"),
     pytest.param(_splice(14, "C1 G 1 0", "{ asm } -1"), 14, "duplicate constraint name", id="name-clash-empty-lhs-split-row"),
+    # Each field of a derivation's head whose check is inlined, starting its
+    # own line, fails with the whole message, on that line.
+    pytest.param(BASE[:13] + ["", "% no row"], 15, "unexpected end of input while reading derivation name", id="derivation-name-at-end-of-input"),
+    pytest.param(_splice(14, "obj", "Q 1 2 0 2 1 1 { lin 2 0 1 1 -1 } -1"), 15, "unknown sense code 'Q' (expected G, L, or E)", id="derivation-sense-own-line"),
+    pytest.param(_splice(14, "obj G", "1.5 2 0 2 1 1 { lin 2 0 1 1 -1 } -1"), 15, "derivation right-hand side: malformed rational token '1.5'", id="derivation-rhs-own-line"),
+    pytest.param(_splice(14, "obj G 1", "two 0 2 1 1 { lin 2 0 1 1 -1 } -1"), 15, "expected a nonnegative count for derivation left-hand side length, found 'two'", id="derivation-lhs-length-own-line"),
+    pytest.param(_splice(14, "obj G 1 2 0 2 1 1", "lin 2 0 1 1 -1 } -1"), 15, "expected '{' before derivation reason, found 'lin'", id="missing-brace-own-line"),
+    pytest.param(_splice(14, "obj G 1 2 0 2 1 1 { lin", "two 0 1 1 -1 } -1"), 15, "expected a nonnegative count for combination terms, found 'two'", id="lin-count-own-line"),
+    pytest.param(_splice(14, "obj G 1 0 { uns 0", "5 1 0 } -1"), 15, "unsplit assumption reference 5 out of range (must be < 2)", id="second-uns-reference-own-line"),
 ]
 
 

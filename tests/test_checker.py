@@ -28,7 +28,6 @@ from mipcert.checker import (
     CheckerState,
     Rejection,
     _goal_test,
-    _LiveRow,
     verify_certificate,
     verify_certificate_file,
 )
@@ -518,7 +517,6 @@ class TestCheckerState:
             Rnd(((0, 1),)),
             Uns(1, 2, 3, 4),
             Derivation(constraint, Asm()),
-            _LiveRow(constraint, NO_ASSUMPTIONS),
         )
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__

@@ -228,6 +228,14 @@ class TestAbsurdAndDomination:
             con("S", Sense.GE, 5, (0, 2)), con("W", Sense.GE, 1, (0, 1))
         )
 
+    def test_absurdity_dominates_when_the_equal_lhs_test_fails(self) -> None:
+        # Both rows have the empty left-hand side, so the equal-lhs test is
+        # reached first; its sense or rhs loses, and only the absurdity wins.
+        assert dominates(con("S", Sense.GE, 1), con("W", Sense.GE, 5))
+        assert dominates(con("S", Sense.GE, 1), con("W", Sense.LE, -5))
+        assert dominates(con("S", Sense.LE, -1), con("W", Sense.GE, 3))
+        assert not dominates(con("S", Sense.GE, 0), con("W", Sense.GE, 1))
+
 
 class TestDisjunctionPair:
     def test_unit_branch_pair(self) -> None:
@@ -580,6 +588,55 @@ def test_linear_combine_matches_fraction_reference(case) -> None:
             assert type(value) is int
         else:
             assert isinstance(value, R)
+
+
+@st.composite
+def signed_combinations(draw):
+    """Rows and multipliers of mixed ``int``/Fraction type whose signs obey
+    the rule for the drawn target sense, with cancelling partner rows."""
+    target = draw(st.sampled_from([Sense.GE, Sense.LE, Sense.EQ]))
+    dimension = draw(st.integers(min_value=1, max_value=4))
+    terms = []
+    for k in range(draw(st.integers(min_value=0, max_value=5))):
+        coeffs = draw(
+            st.dictionaries(st.integers(0, dimension - 1), nonzero_mixed, max_size=dimension)
+        )
+        lhs = SparseVec(tuple(sorted(coeffs.items())))
+        senses = [Sense.EQ] if target == Sense.EQ else [Sense.GE, Sense.LE, Sense.EQ]
+        sense = draw(st.sampled_from(senses))
+        multiplier = draw(nonzero_mixed)
+        if sense != Sense.EQ:  # nonnegative on a row of the target's sense, else nonpositive
+            multiplier = abs(multiplier) if sense == target else -abs(multiplier)
+        row = Constraint(f"R{k}", sense, lhs, draw(mixed_values))
+        terms.append((row, multiplier))
+        if draw(st.booleans()):
+            scale = draw(nonzero_mixed)
+            partner = Constraint(
+                f"P{k}",
+                Sense.EQ,
+                SparseVec(tuple((i, Fraction(c) * scale) for i, c in lhs)),
+                Fraction(row.rhs) * scale,
+            )
+            terms.append((partner, -Fraction(multiplier) / scale))
+    return terms, target
+
+
+@given(signed_combinations())
+def test_linear_combine_result_is_in_normal_form(case) -> None:
+    # The result's vector is built without the validating constructor, so
+    # its normal form is pinned here.
+    terms, target = case
+    combined = linear_combine(terms, target)
+    entries = combined.lhs.entries
+    indices = [index for index, _ in entries]
+    assert indices == sorted(set(indices))
+    assert all(value != 0 for _, value in entries)
+    for value in [value for _, value in entries] + [combined.rhs]:
+        assert type(value) is (int if Fraction(value).denominator == 1 else R)
+    rebuilt = SparseVec(entries)
+    assert rebuilt == combined.lhs and rebuilt.entries == entries
+    lhs, rhs = reference_combine(terms, target)
+    assert dict(entries) == lhs and combined.rhs == rhs
 
 
 class TestIntKernel:

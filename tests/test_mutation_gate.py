@@ -1,0 +1,116 @@
+"""Mutation gate over the trusted core: every listed fault must fail a test.
+
+Each mutant is one exact edit to a module of ``src/mipcert``, and each makes
+the checker accept something false. The edit must match exactly once, so a
+refactor that moves the code fails here loudly instead of testing nothing;
+such a refactor rewrites the mutant to the same fault in the new code. The
+test copies the package, applies the edit and runs the named test files on
+the copy in one subprocess with ``-x``. A surviving mutant is a gap in those
+tests: add a test that kills it, and never drop or weaken the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mipcert
+
+PACKAGE = Path(mipcert.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
+
+#: (name, module, old text, new text, test files expected to kill it)
+MUTANTS = [
+    (
+        "sign-rule-same-sense-row",  # a >=-row may enter a >= combination negatively
+        "model.py",
+        "return sign >= 0 if row_sense is target",
+        "return True if row_sense is target",
+        ("tests/test_model.py",),
+    ),
+    (
+        "sign-rule-opposite-sense-row",  # a <=-row may enter a >= combination positively
+        "model.py",
+        "if row_sense is target else sign <= 0",
+        "if row_sense is target else True",
+        ("tests/test_model.py",),
+    ),
+    (
+        "dominates-ge-rhs-direction",  # a >=-row dominates a stronger >=-row
+        "model.py",
+        "stronger.rhs >= weaker.rhs",
+        "stronger.rhs <= weaker.rhs",
+        ("tests/test_model.py",),
+    ),
+    (
+        "dominates-le-rhs-direction",  # a <=-row dominates a stronger <=-row
+        "model.py",
+        "stronger.rhs <= weaker.rhs",
+        "stronger.rhs >= weaker.rhs",
+        ("tests/test_model.py",),
+    ),
+    (
+        "dominates-absurd-fall-through",  # any empty-lhs row, 0 >= 0 too, dominates all
+        "model.py",
+        "    return is_absurd(stronger)\n",
+        "    return not stronger.lhs.entries\n",
+        ("tests/test_model.py",),
+    ),
+    (
+        "is-absurd-ge-rhs",  # 0 >= 0 is taken for an absurdity
+        "model.py",
+        "return constraint.rhs > 0",
+        "return constraint.rhs >= 0",
+        ("tests/test_model.py",),
+    ),
+    (
+        "evicted-row-lookup",  # rows past their last use stay live, so citing them passes
+        "checker.py",
+        "            del rows[victim], sets[victim]\n",
+        "            pass\n",
+        ("tests/test_checker.py",),
+    ),
+    (
+        "range-goal-test",  # a row on the objective proves the bound whatever its rhs
+        "checker.py",
+        ") and dominates(constraint, goal_row)",
+        ") or dominates(constraint, goal_row)",
+        ("tests/test_checker.py",),
+    ),
+    (
+        "assumption-union-keeps-first-set",  # a row dependent on a second assumption loses it
+        "checker.py",
+        "return frozenset().union(*cited)",
+        "return cited[0]",
+        ("tests/test_checker.py",),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("module", "old", "new", "files"), [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS]
+)
+def test_mutant_is_killed(tmp_path: Path, module: str, old: str, new: str, files: tuple) -> None:
+    source = tmp_path / "src"
+    shutil.copytree(PACKAGE, source / "mipcert", ignore=shutil.ignore_patterns("__pycache__"))
+    target = source / "mipcert" / module
+    text = target.read_text(encoding="utf-8")
+    assert text.count(old) == 1, f"{module}: the mutant's old text must occur exactly once"
+    target.write_text(text.replace(old, new), encoding="utf-8")
+    completed = subprocess.run(
+        # pythonpath= puts the mutated copy ahead of the repository's own src.
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={source}", *files],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=300,
+        check=False,
+    )
+    assert completed.returncode == 1, f"mutant survived:\n{completed.stdout[-2000:]}"
