@@ -19,7 +19,8 @@ import argparse
 import sys
 from typing import Optional, Sequence, TextIO
 
-from .certfile import ParseError, parse_problem, read_certificate, write_certificate
+from .certfile import ParseError, parse_certificate, parse_problem, read_certificate
+from .certfile import write_certificate
 from .checker import VerificationReport, verify_certificate_file
 from .model import Certificate, InfeasibleGoal, format_bounds
 from .numeric import format_rational
@@ -106,18 +107,14 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if report.verified else 1
 
 
-def _read_certificate_file(path: str) -> Certificate:
-    with open(path, encoding="utf-8") as handle:
-        return read_certificate(handle)
-
-
 def _write_certificate_file(certificate: Certificate, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         write_certificate(certificate, handle)
 
 
 def _cmd_ttn(args: argparse.Namespace, out: TextIO) -> int:
-    certificate = _read_certificate_file(args.input)
+    with open(args.input, encoding="utf-8") as handle:
+        certificate = read_certificate(handle)
     try:
         tightened = tighten(certificate, prune=args.prune)
     except ValueError as exc:
@@ -136,9 +133,10 @@ def _cmd_ttn(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_html(args: argparse.Namespace, out: TextIO) -> int:
     from .render import render_html  # here, so check and ttn never load it
 
-    certificate = _read_certificate_file(args.input)
+    with open(args.input, encoding="utf-8") as handle:
+        document = render_html(parse_certificate(handle))  # whole before OUT is opened
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(render_html(certificate))
+        handle.write(document)
     out.write(f"wrote {args.output}\n")
     return 0
 

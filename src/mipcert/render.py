@@ -1,13 +1,13 @@
 """Static HTML rendering of a certificate for human inspection.
 
 The output is a deterministic, self-contained document with no scripts: one
-table row per original constraint, per claimed solution, and per derivation.
-Constraints are shown as conventional inequalities (``2x + y >= 1``), every
-reason's referenced rows are intra-document links to the referenced row
-anchors (a reference to no row at all, possible only in memory, is plain
-text such as ``row 99``), and each derivation's assumption set is displayed alongside. The
-sets come from :func:`mipcert.checker.assumptions_of`, the checker's own
-rule, with a missing reference read as the empty set.
+table row per original constraint, per claimed solution, and per derivation,
+built in one pass over a certificate or its parsed event stream. Constraints
+are shown as conventional inequalities (``2x + y >= 1``), a reason's cited
+rows as links to their row anchors (a reference to no earlier row is plain
+text such as ``row 99``), and each derivation's assumption set alongside, by
+:func:`mipcert.checker.assumptions_of`, the checker's own rule, with a
+missing reference read as the empty set.
 
 Rendering only requires the certificate to parse — a certificate that fails
 verification still renders, which is precisely when a human wants to look.
@@ -16,16 +16,21 @@ verification still renders, which is precisely when a human wants to look.
 from __future__ import annotations
 
 import html
-from itertools import chain
+from collections.abc import Iterable
 
-from .checker import assumptions_of
+from .certfile import Event, Header, events_from_certificate
+from .checker import NO_ASSUMPTIONS, assumptions_of
 from .model import (
     Asm,
     AssumptionSet,
     Certificate,
+    Constraint,
+    Derivation,
     InfeasibleGoal,
     Lin,
     Rnd,
+    RtpGoal,
+    Solution,
     evaluate_solution,
     format_bounds,
     format_constraint,
@@ -44,26 +49,16 @@ caption { font-weight: bold; text-align: left; padding: 0.3em 0; }
 """.strip()
 
 
-def _assumption_sets(certificate: Certificate) -> dict[int, AssumptionSet]:
-    """Every derivation's assumption set; a reference to no derivation adds nothing."""
-    sets: dict[int, AssumptionSet] = {}
-
-    def lookup(reference: int) -> AssumptionSet:
-        return sets.get(reference, frozenset())
-
-    for index, derivation in enumerate(certificate.derivations, certificate.num_original):
-        sets[index] = assumptions_of(derivation.reason, index, lookup)
-    return sets
-
-
-def _row_links(certificate: Certificate) -> list[str]:
-    """The link to every row, in combined index order."""
-    rows = chain(certificate.problem.constraints, (d.constraint for d in certificate.derivations))
-    return [f'<a href="#c-{name}">{name}</a>' for name in (html.escape(r.name) for r in rows)]
+def _add_row(links: list[str], constraint: Constraint, names: tuple[str, ...]) -> str:
+    """Add the next row's link to ``links``; return its opening tag and first three cells."""
+    name = html.escape(constraint.name)
+    cells = f'<tr id="c-{name}"><td>{len(links)}</td><td>{name}</td>'
+    links.append(f'<a href="#c-{name}">{name}</a>')
+    return f"{cells}<td>{html.escape(format_constraint(constraint, names))}</td>"
 
 
 def _link(links: list[str], index: int) -> str:
-    """The link to row ``index``; plain text when no such row exists."""
+    """The link to row ``index``; plain text when no such row exists yet."""
     return links[index] if 0 <= index < len(links) else html.escape(f"row {index}")
 
 
@@ -89,25 +84,33 @@ def _reason_cell(links: list[str], reason) -> str:
 
 
 def _assumptions_cell(links: list[str], assumptions: AssumptionSet) -> str:
-    if not assumptions:
-        return "&empty;"
-    return ", ".join(_link(links, index) for index in sorted(assumptions))
+    return ", ".join(_link(links, index) for index in sorted(assumptions)) or "&empty;"
 
 
-def _goal_text(certificate: Certificate) -> str:
-    goal = certificate.goal
+def _goal_text(goal: RtpGoal) -> str:
     if isinstance(goal, InfeasibleGoal):
         return "prove infeasibility"
     lower, upper = format_bounds(goal)
     return f"prove the optimal value lies in [{lower}, {upper}]"
 
 
-def render_html(certificate: Certificate) -> str:
-    """Render the certificate as a complete standalone HTML document."""
-    problem = certificate.problem
+def render_html(source: Certificate | Iterable[Event]) -> str:
+    """Render a certificate or its parsed event stream as a standalone HTML document.
+
+    Raises ValueError when the stream does not start with a Header or holds a second one."""
+    events = events_from_certificate(source) if isinstance(source, Certificate) else iter(source)
+    header = next(events, None)
+    if not isinstance(header, Header):
+        msg = "event stream has no header"
+        raise ValueError(msg)
+    problem = header.problem
     names = problem.variable_names
-    sets = _assumption_sets(certificate)
-    links = _row_links(certificate)
+    links: list[str] = []  # the link to every row so far, in combined index order
+    sets: dict[int, AssumptionSet] = {}  # every derivation's assumption set so far
+
+    def lookup(reference: int) -> AssumptionSet:
+        return sets.get(reference, NO_ASSUMPTIONS)
+
     out: list[str] = []
     emit = out.append
 
@@ -128,52 +131,48 @@ def render_html(certificate: Certificate) -> str:
         f"<li>Objective: {problem.objective_sense.value} "
         f"{html.escape(format_linear(problem.objective, names))}</li>"
     )
-    emit(f"<li>Goal: {html.escape(_goal_text(certificate))}</li>")
+    emit(f"<li>Goal: {html.escape(_goal_text(header.goal))}</li>")
     emit("</ul>")
 
     emit('<table><caption>Constraints</caption>')
     emit("<tr><th>Index</th><th>Name</th><th>Constraint</th></tr>")
-    for index, constraint in enumerate(problem.constraints):
-        anchor = html.escape(constraint.name, quote=True)
-        emit(
-            f'<tr id="c-{anchor}"><td>{index}</td>'
-            f"<td>{html.escape(constraint.name)}</td>"
-            f"<td>{html.escape(format_constraint(constraint, names))}</td></tr>"
-        )
+    for constraint in problem.constraints:
+        emit(f"{_add_row(links, constraint, names)}</tr>")
     emit("</table>")
 
     emit("<table><caption>Solutions</caption>")
     emit("<tr><th>Name</th><th>Assignment</th><th>Objective value</th></tr>")
-    for solution in certificate.solutions:
-        assignment = ", ".join(
-            f"{html.escape(names[index])} = {format_rational(value)}"
-            for index, value in solution.assignment
-        )
-        _, value = evaluate_solution(problem, solution)
-        anchor = html.escape(solution.name, quote=True)
-        emit(
-            f'<tr id="s-{anchor}"><td>{html.escape(solution.name)}</td>'
-            f"<td>{assignment or 'all zero'}</td>"
-            f"<td>{format_rational(value)}</td></tr>"
-        )
-    emit("</table>")
-
-    emit("<table><caption>Derivations</caption>")
-    emit(
+    derivation_rows = [
+        "<table><caption>Derivations</caption>",
         "<tr><th>Index</th><th>Name</th><th>Constraint</th>"
-        "<th>Reason</th><th>Assumptions</th><th>Last use</th></tr>"
-    )
-    for index, derivation in enumerate(certificate.derivations, certificate.num_original):
-        constraint = derivation.constraint
-        anchor = html.escape(constraint.name, quote=True)
-        emit(
-            f'<tr id="c-{anchor}"><td>{index}</td>'
-            f"<td>{html.escape(constraint.name)}</td>"
-            f"<td>{html.escape(format_constraint(constraint, names))}</td>"
-            f"<td>{_reason_cell(links, derivation.reason)}</td>"
-            f"<td>{_assumptions_cell(links, sets[index])}</td>"
-            f"<td>{derivation.last_use}</td></tr>"
-        )
+        "<th>Reason</th><th>Assumptions</th><th>Last use</th></tr>",
+    ]
+    for event in events:
+        if isinstance(event, Derivation):
+            index = len(links)
+            cells = _add_row(links, event.constraint, names)  # first: an asm row's set links to it
+            sets[index] = assumptions = assumptions_of(event.reason, index, lookup)
+            derivation_rows.append(
+                f"{cells}<td>{_reason_cell(links, event.reason)}</td>"
+                f"<td>{_assumptions_cell(links, assumptions)}</td>"
+                f"<td>{event.last_use}</td></tr>"
+            )
+        elif isinstance(event, Solution):
+            assignment = ", ".join(
+                f"{html.escape(names[index])} = {format_rational(value)}"
+                for index, value in event.assignment
+            )
+            name = html.escape(event.name)
+            emit(
+                f'<tr id="s-{name}"><td>{name}</td>'
+                f"<td>{assignment or 'all zero'}</td>"
+                f"<td>{format_rational(evaluate_solution(problem, event)[1])}</td></tr>"
+            )
+        else:
+            msg = "event stream has a second header"
+            raise ValueError(msg)
+    emit("</table>")
+    out += derivation_rows
     emit("</table>")
 
     emit("</body>")

@@ -21,6 +21,7 @@ import mipcert
 from mipcert.certfile import read_certificate, write_problem
 from mipcert.checker import verify_certificate_file
 from mipcert.cli import main
+from mipcert.render import render_html
 
 FIG_SCHEDULE = (13, 13, 12, 12, 12, 12, 10, 11, 13, 13, -1)
 
@@ -238,6 +239,25 @@ class TestHtml:
         assert document.startswith("<!DOCTYPE html>")
         assert "prove infeasibility" in document
 
+    def test_in_place_rewrites_the_input_as_the_page(self, capsys, tmp_path) -> None:
+        path = tmp_path / "cert.crt"
+        path.write_text(golden_text("split_infeasible"))
+        code, out, _ = run(capsys, "html", str(path), str(path))
+        assert (code, out) == (0, f"wrote {path}\n")
+        assert path.read_text() == render_html(load_golden("split_infeasible"))
+
+    def test_parse_error_after_derivations_writes_nothing(self, capsys, tmp_path) -> None:
+        lines = golden_text("split_infeasible").splitlines()
+        assert lines[25].startswith("C10 ")  # line 26, after ten derivation rows
+        lines[25] = "C10 G 1 0 { uns 11 4"
+        truncated = tmp_path / "truncated.crt"
+        truncated.write_text("\n".join(lines) + "\n")
+        output = tmp_path / "out.html"
+        code, out, err = run(capsys, "html", str(truncated), str(output))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 26: ")
+        assert not output.exists()
+
 
 class TestSolve:
     def test_optimal_round_trip(self, capsys, tmp_path) -> None:
@@ -347,8 +367,9 @@ TRUSTED_MODULES = {
 }
 
 
-@pytest.mark.parametrize("command", ("check", "ttn"))
-def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
+def _loaded_after(argv: list[str]) -> tuple[list[str], str]:
+    """Run ``mipcert`` in a fresh interpreter. Returns the package modules it
+    loaded, and its exit code with the loaded ones of the renderer and solver."""
     script = (
         "import sys\n"
         "from mipcert.cli import main\n"
@@ -357,9 +378,6 @@ def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
         "print(*sorted(name for name in sys.modules if name.startswith('mipcert')))\n"
         "print(code, [name for name in heavy if name in sys.modules])\n"
     )
-    argv = [command, golden_path("split_infeasible")]
-    if command == "ttn":
-        argv.append(str(tmp_path / "out.crt"))
     src = str(Path(mipcert.__file__).resolve().parent.parent)
     completed = subprocess.run(
         [sys.executable, "-c", script, *argv],
@@ -370,9 +388,25 @@ def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
         check=False,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.splitlines()[-1] == "0 []"
+    modules, heavy = completed.stdout.splitlines()[-2:]
+    return modules.split(), heavy
+
+
+@pytest.mark.parametrize("command", ("check", "ttn"))
+def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
+    argv = [command, golden_path("split_infeasible")]
+    if command == "ttn":
+        argv.append(str(tmp_path / "out.crt"))
+    modules, heavy = _loaded_after(argv)
+    assert heavy == "0 []"
     if command == "check":  # the trusted core: everything `check` runs
-        assert set(completed.stdout.splitlines()[-2].split()) == TRUSTED_MODULES
+        assert set(modules) == TRUSTED_MODULES
+
+
+def test_html_loads_no_solver(tmp_path) -> None:
+    modules, heavy = _loaded_after(["html", golden_path("split_infeasible"), str(tmp_path / "p")])
+    assert heavy == "0 ['mipcert.render']"
+    assert set(modules) == TRUSTED_MODULES | {"mipcert.render"}
 
 
 def test_readme_counts_the_trusted_core_lines() -> None:

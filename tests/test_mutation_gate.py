@@ -89,6 +89,70 @@ MUTANTS = [
         "return cited[0]",
         ("tests/test_checker.py",),
     ),
+    (
+        "rounding-direction",  # a >=-row's rhs rounds down, so 2x >= 1 gives x >= 0
+        "model.py",
+        "rational_ceil(constraint.rhs)",
+        "rational_floor(constraint.rhs)",
+        ("tests/test_model.py",),
+    ),
+    (
+        "rounding-integral-coefficients",  # 2x + y/2 >= 1 rounds as if y's were integral
+        "model.py",
+        "if not is_integral(coeff):",
+        "if False:",
+        ("tests/test_model.py",),
+    ),
+    (
+        "rounding-continuous-variable",  # a row on a continuous variable rounds
+        "model.py",
+        "if index not in integer_set:",
+        "if False:",
+        ("tests/test_model.py",),
+    ),
+    (
+        "split-offset",  # x <= 0 and x >= 2 leave x = 1 uncovered, yet form a split
+        "model.py",
+        "upper.rhs != lower.rhs + 1",
+        "upper.rhs < lower.rhs + 1",
+        ("tests/test_model.py",),
+    ),
+    (
+        "split-coefficients",  # a split on a fractional or continuous direction
+        "model.py",
+        "if index not in integer_set or not is_integral(coeff):",
+        "if False:",
+        ("tests/test_model.py",),
+    ),
+    (
+        "uns-set-drops-both-assumptions",  # a branch's set also loses the other branch's asm
+        "checker.py",
+        "cited = (lookup(reason.i1) - {reason.a1}, lookup(reason.i2) - {reason.a2})",
+        "cited = (lookup(reason.i1) - {reason.a1, reason.a2}, "
+        "lookup(reason.i2) - {reason.a1, reason.a2})",
+        ("tests/test_soundness.py",),
+    ),
+    (
+        "infeasibility-goal-test",  # any empty-assumption row proves infeasibility
+        "checker.py",
+        "return is_absurd",
+        "return lambda constraint: True",
+        ("tests/test_checker.py",),
+    ),
+    (
+        "primal-bound-direction",  # a worse solution meets a minimizing goal's upper bound
+        "checker.py",
+        "value <= bound",
+        "value >= bound",
+        ("tests/test_checker.py",),
+    ),
+    (
+        "solution-feasibility",  # an infeasible solution is accepted as the primal bound
+        "checker.py",
+        "if not feasible:",
+        "if False:",
+        ("tests/test_checker.py",),
+    ),
 ]
 
 

@@ -1,13 +1,24 @@
-"""HTML rendering: anchors, links, reason cells, assumption sets, escaping."""
+"""HTML rendering: anchors, links, reason cells, assumption sets, escaping, streams."""
 
 from __future__ import annotations
 
 import html
 import re
+import sys
+from functools import partial
+from pathlib import Path
 
 import pytest
-from conftest import GOLDEN_NAMES, certificate_rows, checked_assumption_sets, load_golden
+from conftest import (
+    GOLDEN_NAMES,
+    certificate_rows,
+    chain_lines,
+    checked_assumption_sets,
+    golden_text,
+    load_golden,
+)
 
+from mipcert.certfile import parse_certificate, read_certificate
 from mipcert.checker import verify_certificate
 from mipcert.model import (
     Certificate,
@@ -27,6 +38,9 @@ from mipcert.model import (
 from mipcert.numeric import Rational as R
 from mipcert.render import render_html
 from mipcert.tighten import compute_last_use
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (the benchmark's seeded generators)
 
 ID_PATTERN = re.compile(r'id="([cs])-([^"]*)"')
 HREF_PATTERN = re.compile(r'href="#c-([^"]*)"')
@@ -69,6 +83,40 @@ class TestDocumentShape:
             targets = set(HREF_PATTERN.findall(document))
             assert targets <= anchors
             assert targets  # at least one reference rendered as a link
+
+
+def _tree_mutant() -> str:
+    """A depth-5 split tree broken in one late row, which the checker rejects."""
+    text, index = workloads.mutate(workloads.tree_certificate(7, depth=5).text, 3)
+    failure = verify_certificate(parse_certificate(text.splitlines())).failure
+    assert failure is not None and failure.index == index
+    return text
+
+
+#: Certificate texts by case name, built when a case runs.
+STREAM_CASES = {
+    **{name: partial(golden_text, name) for name in GOLDEN_NAMES},
+    "chain-2k": lambda: "\n".join(chain_lines(2_000)) + "\n",
+    "tree-depth-5": lambda: workloads.tree_certificate(7, depth=5).text,
+    "rejected-tree-mutant": _tree_mutant,
+}
+
+
+class TestStreamedInput:
+    """A parsed stream renders, in its one pass, the page of its certificate."""
+
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_stream_renders_the_certificate_page(self, case: str) -> None:
+        lines = STREAM_CASES[case]().splitlines()
+        assert render_html(parse_certificate(lines)) == render_html(read_certificate(lines))
+
+    def test_stream_without_header_raises_value_error(self) -> None:
+        events = list(parse_certificate(golden_text("split_infeasible").splitlines()))
+        for headless in ([], events[1:]):
+            with pytest.raises(ValueError, match="event stream has no header"):
+                render_html(headless)
+        with pytest.raises(ValueError, match="event stream has a second header"):
+            render_html([*events, events[0]])
 
 
 class TestReferencesToNoRow:
@@ -187,6 +235,13 @@ class TestAssumptionColumn:
         )
         assert {index: rendered[index] for index in checked} == checked
         assert rendered[9] == frozenset()  # the missing reference adds nothing
+        # Row 12 has no anchor yet when C6 is rendered, so the reference is
+        # plain text, as the checker calls it "not an earlier row".
+        lines = render_html(certificate).splitlines()
+        c6_cells = CELL_PATTERN.findall(next(line for line in lines if 'id="c-C6"' in line))
+        assert c6_cells[3] == 'lin: (-1/4)&middot;<a href="#c-C2">C2</a> + 3/4&middot;row 12'
+        a1_cells = CELL_PATTERN.findall(next(line for line in lines if 'id="c-A1"' in line))
+        assert a1_cells[4] == '<a href="#c-A1">A1</a>'  # an asm row's own set links to it
 
 
 class TestEscaping:
