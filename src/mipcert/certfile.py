@@ -495,8 +495,12 @@ def write_problem(problem: Problem, sink: TextIO) -> None:
         sink.write(_constraint_line(constraint) + "\n")
 
 
-def write_certificate(certificate: Certificate, sink: TextIO) -> None:
-    """Write a certificate in canonical form; re-parsing yields an equal value."""
+def write_certificate(
+    certificate: Certificate, sink: TextIO, rows: tuple[int, Iterable[Derivation]] | None = None
+) -> None:
+    """Write a certificate in canonical form; re-parsing yields an equal value.
+    ``rows`` (a count, then that many rows, written as they arrive) replaces its own."""
+    count, derivations = rows or (len(certificate.derivations), certificate.derivations)
     write_problem(certificate.problem, sink)
     goal = certificate.goal
     if isinstance(goal, InfeasibleGoal):
@@ -507,8 +511,8 @@ def write_certificate(certificate: Certificate, sink: TextIO) -> None:
     sink.write(f"SOL {len(certificate.solutions)}\n")
     for solution in certificate.solutions:
         sink.write(f"{solution.name} {_format_pairs(solution.assignment)}\n")
-    sink.write(f"DER {len(certificate.derivations)}\n")
-    for derivation in certificate.derivations:
+    sink.write(f"DER {count}\n")
+    for derivation in derivations:
         sink.write(
             f"{_constraint_line(derivation.constraint)} "
             f"{_format_reason(derivation.reason)} {format_rational(derivation.last_use)}\n"

@@ -28,12 +28,12 @@ the goal was proven by the time the stream ends.
 Rows whose declared last-use index has passed are always evicted from memory,
 so certificates far larger than memory stream through; referencing an evicted
 row is a hard error, and a row whose last use is -1 is kept to the end. The
-live store is two dicts keyed by combined index, rows and assumption sets, so
-a live row costs two dict entries and no object of its own. The peak number
-of live rows (originals included) is reported in the statistics, and nothing
-per row: a caller that wants each goal-proving row or assumption set drives a
-:class:`CheckerState`, reading them from :meth:`~CheckerState.run` and
-``CheckerState.assumptions``.
+live store is two dicts keyed by combined index, every row and each non-empty
+assumption set, so a live row costs one or two dict entries and no object of
+its own. The peak number of live rows (originals included) is reported in the
+statistics, and nothing per row: a caller that wants each goal-proving row or
+assumption set drives a :class:`CheckerState`, reading them from
+:meth:`~CheckerState.run` and :meth:`CheckerState.assumptions`.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ class CheckerState:
     index equals its declared last use has been processed; original
     constraints and rows with last use -1 stay until the end. A reference to
     a row past its declared last use is the certificate's fault and is
-    rejected. ``row`` and ``assumptions`` read a live row, so a caller
+    rejected. ``row`` and :meth:`assumptions` read a live row, so a caller
     that wants every row's assumption set reads it right after that row's
     :meth:`verify_derivation`. :meth:`run` checks a whole event stream.
     """
@@ -223,13 +223,15 @@ class CheckerState:
         self._proves_goal = _goal_test(problem, goal)
         self.goal_proven = self._proves_goal is None
         self._rows: dict[int, Constraint] = dict(enumerate(problem.constraints))
-        self._assumptions: dict[int, AssumptionSet] = dict.fromkeys(self._rows, NO_ASSUMPTIONS)
-        # The live row and its assumption set at a combined index; KeyError if none.
-        self.row: Callable[[int], Constraint] = self._rows.__getitem__
-        self.assumptions: Callable[[int], AssumptionSet] = self._assumptions.__getitem__
+        self._assumptions: dict[int, AssumptionSet] = {}  # the non-empty ones only
+        self.row: Callable[[int], Constraint] = self._rows.__getitem__  # KeyError if none
         self._evict_at: dict[int, list[int]] = {}
         self.next_index = problem.num_constraints
         self.stats.peak_live = len(self._rows)
+
+    def assumptions(self, index: int) -> AssumptionSet:
+        """The assumption set of the live row at ``index``: :data:`NO_ASSUMPTIONS` if empty."""
+        return self._assumptions.get(index, NO_ASSUMPTIONS)
 
     def _describe(self, constraint: Constraint) -> str:
         return format_constraint(constraint, self.problem.variable_names)
@@ -281,7 +283,7 @@ class CheckerState:
                 references = (reason.i1, reason.a1, reason.i2, reason.a2)
                 branch1, asm1, branch2, asm2 = map(self._lookup, references)
                 for asm_index in (reason.a1, reason.a2):
-                    if asm_index not in sets[asm_index]:  # only an asm row's set holds itself
+                    if asm_index not in sets.get(asm_index, ()):  # only an asm row's set has itself
                         msg = f"row {asm_index} is not an assumption"
                         raise RuleViolation(msg)
                 if not check_disjunction_pair(asm1, asm2, self.problem.integer_set):
@@ -289,7 +291,7 @@ class CheckerState:
                     raise RuleViolation(msg)
                 sides = ((reason.i1, branch1, reason.a1), (reason.i2, branch2, reason.a2))
                 for branch_index, _, asm_index in sides:
-                    if asm_index not in sets[branch_index]:
+                    if asm_index not in sets.get(branch_index, ()):
                         msg = f"row {branch_index} does not depend on assumption {asm_index}"
                         raise RuleViolation(msg)
                 for branch_index, branch, _ in sides:
@@ -309,14 +311,17 @@ class CheckerState:
         proves = not assumptions and self._proves_goal is not None and self._proves_goal(stated)
         self.goal_proven = self.goal_proven or proves
 
-        rows[index], sets[index] = stated, assumptions
+        rows[index] = stated
+        if assumptions:
+            sets[index] = assumptions
         if last_use != KEEP_UNTIL_END:
             self._evict_at.setdefault(last_use, []).append(index)
         if len(rows) > stats.peak_live:
             stats.peak_live = len(rows)
         self.next_index = index + 1
         for victim in self._evict_at.pop(index, ()):
-            del rows[victim], sets[victim]
+            del rows[victim]
+            sets.pop(victim, None)
         return proves
 
     def run(self, events: Iterable[Event]) -> Iterator[int]:

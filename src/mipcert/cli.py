@@ -11,20 +11,24 @@ Exit status: 0 on success (certificate verified, file written, or an
 unbounded solve, which produces no certificate); 1 when a certificate is
 rejected or an operation needs a verified certificate and does not get one;
 2 on malformed input or usage errors.
+
+Commands run with the cyclic garbage collector off: no per-row record closes a
+reference cycle, so its walks over a held certificate would free nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Optional, Sequence, TextIO
 
 from .certfile import ParseError, parse_certificate, parse_problem, read_certificate
 from .certfile import write_certificate
 from .checker import VerificationReport, verify_certificate_file
-from .model import Certificate, InfeasibleGoal, format_bounds
+from .model import InfeasibleGoal, format_bounds
 from .numeric import format_rational
-from .tighten import tighten
+from .tighten import tightened_rows
 
 __all__ = ["main"]
 
@@ -107,23 +111,19 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if report.verified else 1
 
 
-def _write_certificate_file(certificate: Certificate, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_certificate(certificate, handle)
-
-
 def _cmd_ttn(args: argparse.Namespace, out: TextIO) -> int:
     with open(args.input, encoding="utf-8") as handle:
         certificate = read_certificate(handle)
     try:
-        tightened = tighten(certificate, prune=args.prune)
+        kept, rows = tightened_rows(certificate, prune=args.prune)  # verified before OUT opens
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _write_certificate_file(tightened, args.output)
-    dropped = len(certificate.derivations) - len(tightened.derivations)
+    with open(args.output, "w", encoding="utf-8") as handle:
+        write_certificate(certificate, handle, (kept, rows))
+    dropped = len(certificate.derivations) - kept
     out.write(
-        f"tightened: {len(tightened.derivations)} derivations"
+        f"tightened: {kept} derivations"
         + (f" ({dropped} pruned)" if args.prune else "")
         + "\n"
     )
@@ -157,7 +157,8 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     else:
         out.write(f"{result.status}\n")
     if result.certificate is not None:
-        _write_certificate_file(result.certificate, args.output)
+        with open(args.output, "w", encoding="utf-8") as handle:
+            write_certificate(result.certificate, handle)
         out.write(f"wrote {args.output} ({result.num_nodes} nodes)\n")
     return 0
 
@@ -171,6 +172,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "html": _cmd_html,
         "solve": _cmd_solve,
     }
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args, sys.stdout)
     except ParseError as exc:
@@ -183,6 +186,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -106,7 +106,7 @@ def render_html(source: Certificate | Iterable[Event]) -> str:
     problem = header.problem
     names = problem.variable_names
     links: list[str] = []  # the link to every row so far, in combined index order
-    sets: dict[int, AssumptionSet] = {}  # every derivation's assumption set so far
+    sets: dict[int, AssumptionSet] = {}  # every non-empty assumption set so far
 
     def lookup(reference: int) -> AssumptionSet:
         return sets.get(reference, NO_ASSUMPTIONS)
@@ -151,7 +151,9 @@ def render_html(source: Certificate | Iterable[Event]) -> str:
         if isinstance(event, Derivation):
             index = len(links)
             cells = _add_row(links, event.constraint, names)  # first: an asm row's set links to it
-            sets[index] = assumptions = assumptions_of(event.reason, index, lookup)
+            assumptions = assumptions_of(event.reason, index, lookup)
+            if assumptions:
+                sets[index] = assumptions
             derivation_rows.append(
                 f"{cells}<td>{_reason_cell(links, event.reason)}</td>"
                 f"<td>{_assumptions_cell(links, assumptions)}</td>"

@@ -11,18 +11,20 @@ backward sweep marks the rows these reach (through combination terms and all
 four unsplit references); the kept rows are renumbered contiguously, and a
 reference to no row (possible only in memory) stays as it is. Each output
 derivation is built once, sharing the input's constraint, and its reason when
-no reference moves. The result is idempotent and verification-preserving.
+no reference moves, by one generator, so ``ttn`` writes each row as it is
+built. The result is idempotent and verification-preserving.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from itertools import chain
 
 from .checker import CheckerState, Rejection
 from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Reason, Rnd, Uns, replace
 
-__all__ = ["compute_last_use", "prune_unused", "tighten"]
+__all__ = ["compute_last_use", "prune_unused", "tighten", "tightened_rows"]
 
 
 def _references(reason: Reason) -> tuple[int, ...]:
@@ -61,19 +63,16 @@ def _schedule(certificate: Certificate, kept: bytearray | None = None) -> tuple[
     return new_index, last_use
 
 
-def _rebuilt(certificate: Certificate, kept: bytearray | None = None) -> Certificate:
+def _rebuilt(certificate: Certificate, kept: bytearray | None = None) -> Iterator[Derivation]:
     new_index, last_use = _schedule(certificate, kept)
-    derivations = tuple(
-        Derivation(d.constraint, _renumbered(d.reason, new_index), last_use[position])
-        for position, d in enumerate(certificate.derivations)
-        if kept is None or kept[position]
-    )
-    return replace(certificate, derivations=derivations)
+    for position, d in enumerate(certificate.derivations):
+        if kept is None or kept[position]:
+            yield Derivation(d.constraint, _renumbered(d.reason, new_index), last_use[position])
 
 
 def compute_last_use(certificate: Certificate) -> Certificate:
     """Fill in every derivation's last_use; all other content is unchanged."""
-    return _rebuilt(certificate)
+    return replace(certificate, derivations=tuple(_rebuilt(certificate)))
 
 
 def _earlier(hint: int, computed: int) -> int:
@@ -81,8 +80,8 @@ def _earlier(hint: int, computed: int) -> int:
     return computed if hint == KEEP_UNTIL_END or KEEP_UNTIL_END < computed < hint else hint
 
 
-def prune_unused(certificate: Certificate) -> Certificate:
-    """Drop derivations the goal proof does not need; ValueError unless it verifies."""
+def _kept(certificate: Certificate) -> bytearray:
+    """Mark the derivations the goal proof needs; ValueError unless it verifies."""
     scheduled = (
         Derivation(derivation.constraint, derivation.reason, _earlier(derivation.last_use, last))
         for derivation, last in zip(certificate.derivations, _schedule(certificate)[1])
@@ -105,7 +104,21 @@ def prune_unused(certificate: Certificate) -> Certificate:
             for reference in _references(certificate.derivations[position].reason):
                 if reference >= num_original:
                     kept[reference - num_original] = 1
-    return _rebuilt(certificate, kept)
+    return kept
+
+
+def prune_unused(certificate: Certificate) -> Certificate:
+    """Drop derivations the goal proof does not need; ValueError unless it verifies."""
+    return replace(certificate, derivations=tuple(_rebuilt(certificate, _kept(certificate))))
+
+
+def tightened_rows(
+    certificate: Certificate, *, prune: bool = False
+) -> tuple[int, Iterator[Derivation]]:
+    """How many rows :func:`tighten` keeps and a generator of them; pruning verifies first."""
+    kept = _kept(certificate) if prune else None
+    count = len(certificate.derivations) if kept is None else kept.count(1)
+    return count, _rebuilt(certificate, kept)
 
 
 def tighten(certificate: Certificate, *, prune: bool = False) -> Certificate:

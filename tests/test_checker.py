@@ -314,6 +314,25 @@ class TestRejections:
         assert report.failure.rule == "uns"
         assert "does not dominate" in report.failure.message
 
+    def test_unsplit_keeps_a_branch_dependence_on_the_other_assumption(self) -> None:
+        # B rests on both A1 and A2, and is both branches of D. Each branch
+        # sheds only its own assumption, so D still rests on {A1, A2} and
+        # cannot prove the feasible problem (x = 0) infeasible.
+        lines = [
+            "VER 1 VAR 1 x INT 1 0 OBJ min 0",
+            "CON 1 C0 G 0 1 0 1",
+            "RTP infeas SOL 0 DER 4",
+            "A1 L 0 1 0 1 { asm } -1",
+            "A2 G 1 1 0 1 { asm } -1",
+            "B G 1 0 { lin 2 1 -1 2 1 } -1",
+            "D G 1 0 { uns 3 1 3 2 } -1",
+        ]
+        report = verify_lines(lines)
+        assert not report.verified
+        assert (report.failure.index, report.failure.rule) == (None, "goal")
+        assert report.stats.reason_counts == {"asm": 2, "lin": 1, "rnd": 0, "uns": 1}
+        assert checked_assumption_sets(read_certificate(iter(lines)))[4] == {1, 2}
+
     def test_out_of_order_event_stream(self) -> None:
         certificate = load_golden("small_range")
         state = CheckerState(certificate.problem, certificate.goal)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import os
 import re
@@ -160,16 +161,31 @@ class TestTighten:
         assert verify_certificate_file(str(out_path)).verified
 
     def test_prune_refuses_unverified_input(self, capsys, tmp_path) -> None:
-        lines = golden_text("small_range").splitlines()
-        lines[13] = "obj G 2 2 0 2 1 1 { lin 2 0 1 1 -1 } -1"
-        bad = tmp_path / "bad.crt"
-        bad.write_text("\n".join(lines) + "\n")
-        out_path = tmp_path / "never.crt"
-        code, out, err = run(capsys, "ttn", str(bad), str(out_path), "--prune")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: cannot prune")
-        assert not out_path.exists()
+        # A row that breaks its rule, then a goal no row proves: neither
+        # writes OUT, and in place the input is left as it was.
+        rejections = (
+            (
+                "obj G 2 2 0 2 1 1 { lin 2 0 1 1 -1 } -1",
+                "lin: combination yields 2x + y >= 1, which does not dominate the stated "
+                "2x + y >= 2",
+            ),
+            (
+                "obj G 1/2 2 0 2 1 1 { lin 2 0 1 1 -1 } -1",
+                "goal: no empty-assumption derivation proves the goal",
+            ),
+        )
+        for replacement, why in rejections:
+            lines = golden_text("small_range").splitlines()
+            lines[13] = replacement
+            bad = tmp_path / "bad.crt"
+            bad.write_text("\n".join(lines) + "\n")
+            before = bad.read_bytes()
+            message = f"error: cannot prune a certificate that does not verify ({why})\n"
+            out_path = tmp_path / "never.crt"
+            assert run(capsys, "ttn", str(bad), str(out_path), "--prune") == (1, "", message)
+            assert not out_path.exists()
+            assert run(capsys, "ttn", str(bad), str(bad), "--prune") == (1, "", message)
+            assert bad.read_bytes() == before
 
     def test_prune_keeps_an_early_hint_of_the_file(self, capsys, tmp_path) -> None:
         # A1 (row 3) is cited by rows 6, 8 and 13. Its hint 6 evicts it before
@@ -227,6 +243,26 @@ class TestTighten:
         assert code == 0
         assert capsys.readouterr().out == "tightened: 5000 derivations (0 pruned)\n"
         assert peak <= 1.4 * parsed, f"peak {peak} B for a {parsed} B certificate"
+
+    def test_prune_writes_each_row_as_it_is_rebuilt(self, capsys, monkeypatch, tmp_path) -> None:
+        # The command is handed the parsed chain, so the peak is what
+        # tightening and writing add to it: no second certificate is built.
+        chain = tmp_path / "chain.crt"
+        chain.write_text("\n".join(chain_lines(5_000)) + "\n")
+        tracemalloc.start()
+        try:
+            with open(chain, encoding="utf-8") as handle:
+                certificate = read_certificate(handle)
+            parsed = tracemalloc.get_traced_memory()[0]
+            monkeypatch.setattr("mipcert.cli.read_certificate", lambda handle: certificate)
+            tracemalloc.reset_peak()
+            code = main(["ttn", str(chain), str(tmp_path / "pruned.crt"), "--prune"])
+            peak = tracemalloc.get_traced_memory()[1] - parsed
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == "tightened: 5000 derivations (0 pruned)\n"
+        assert peak < 0.15 * parsed, f"peak {peak} B over a {parsed} B certificate"
 
 
 class TestHtml:
@@ -312,6 +348,49 @@ class TestSolve:
         assert code == 2
         assert "trailing tokens" in err
 
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_main_restores_the_collector_state(self, capsys, tmp_path, enabled) -> None:
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["check", golden_path("split_infeasible")]) == 0
+            assert gc.isenabled() is enabled
+            assert main(["check", str(tmp_path / "absent.crt")]) == 2
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, tmp_path) -> None:
+        # Commands run with the collector off, so the first collection after
+        # one finds every reference cycle it dropped.
+        def garbage_after(*argv: str) -> int:
+            gc.collect()
+            assert main(list(argv)) == 0
+            capsys.readouterr()
+            return gc.collect()
+
+        chains, problems = [], []
+        for length in (2_000, 2_000, 20_000):  # the first run of each command warms up
+            chains.append(tmp_path / f"chain{len(chains)}.crt")
+            chains[-1].write_text("\n".join(chain_lines(length)) + "\n")
+        for hi in (10, 10, 20):  # the parity problem of tests/test_solver.py
+            problems.append(tmp_path / f"parity{len(problems)}.prb")
+            problems[-1].write_text(
+                "VER 1 VAR 2 x y INT 2 0 1 OBJ min 1 0 1 CON 3 par E 1 2 0 2 1 -2 "
+                f"ypos G 0 1 1 1 xcap L {hi} 1 0 1\n"
+            )
+        out = str(tmp_path / "out")
+        for inputs, command, *rest in (
+            (chains, "check"),
+            (chains, "ttn", out, "--prune"),
+            (chains, "html", out),
+            (problems, "solve", out),
+        ):
+            counts = [garbage_after(command, str(path), *rest) for path in inputs]
+            assert counts[1] == counts[2], (command, counts)
 
 @pytest.mark.parametrize("command", ("check", "ttn", "html", "solve"))
 def test_non_utf8_input_exits_2(capsys, tmp_path, command) -> None:

@@ -71,7 +71,7 @@ MUTANTS = [
     (
         "evicted-row-lookup",  # rows past their last use stay live, so citing them passes
         "checker.py",
-        "            del rows[victim], sets[victim]\n",
+        "            del rows[victim]\n            sets.pop(victim, None)\n",
         "            pass\n",
         ("tests/test_checker.py",),
     ),
@@ -130,7 +130,7 @@ MUTANTS = [
         "cited = (lookup(reason.i1) - {reason.a1}, lookup(reason.i2) - {reason.a2})",
         "cited = (lookup(reason.i1) - {reason.a1, reason.a2}, "
         "lookup(reason.i2) - {reason.a1, reason.a2})",
-        ("tests/test_soundness.py",),
+        ("tests/test_checker.py", "tests/test_soundness.py"),
     ),
     (
         "infeasibility-goal-test",  # any empty-assumption row proves infeasibility

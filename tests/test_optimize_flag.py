@@ -25,8 +25,9 @@ def test_no_assert_statement_in_the_package() -> None:
 
 
 def test_acceptance_suite_passes_under_python_o() -> None:
-    # The acceptance criteria and the soundness oracle, in one subprocess.
-    suites = ("tests/test_acceptance.py", "tests/test_soundness.py")
+    # The acceptance criteria, the soundness oracle and the tightener, which
+    # holds trusted-core code, in one subprocess.
+    suites = ("tests/test_acceptance.py", "tests/test_soundness.py", "tests/test_tighten.py")
     completed = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", *PYTEST_ARGS, *suites],
         cwd=REPO,
