@@ -41,6 +41,7 @@ text is built, by the checks and builders of ``_Tokens``, only when one fails.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import TextIO, Union
 
 from .model import (
@@ -70,10 +71,10 @@ __all__ = [
     "Event",
     "Header",
     "ParseError",
-    "events_from_certificate",
     "parse_certificate",
     "parse_problem",
     "read_certificate",
+    "split_header",
     "write_certificate",
     "write_problem",
 ]
@@ -427,8 +428,7 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
 
 def read_certificate(source: Iterable[str] | TextIO) -> Certificate:
     """Parse certificate text into an in-memory :class:`Certificate`."""
-    events = parse_certificate(source)
-    header = next(events)  # the parser yields the Header first or raises
+    header, events = split_header(parse_certificate(source))
     solutions: list[Solution] = []
     derivations: list[Derivation] = []
     for event in events:
@@ -439,11 +439,17 @@ def read_certificate(source: Iterable[str] | TextIO) -> Certificate:
     return Certificate(header.problem, header.goal, tuple(solutions), tuple(derivations))
 
 
-def events_from_certificate(certificate: Certificate) -> Iterator[Event]:
-    """The event stream an in-memory certificate would parse to."""
-    yield Header(certificate.problem, certificate.goal)
-    yield from certificate.solutions
-    yield from certificate.derivations
+def split_header(source: Certificate | Iterable[Event]) -> tuple[Header, Iterator[Event]]:
+    """The header of a certificate or parsed event stream, and the events after it as they
+    would parse. Raises ValueError when a stream does not start with a Header, or is empty."""
+    if isinstance(source, Certificate):
+        return Header(source.problem, source.goal), chain(source.solutions, source.derivations)
+    events = iter(source)
+    header = next(events, None)
+    if not isinstance(header, Header):
+        msg = "event stream has no header"
+        raise ValueError(msg)
+    return header, events
 
 
 def parse_problem(source: Iterable[str] | TextIO) -> Problem:

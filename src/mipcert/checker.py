@@ -1,9 +1,10 @@
 """Sequential certificate verification with on-the-fly assumption tracking.
 
 The checker consumes the stream of :mod:`mipcert.certfile` — a
-:class:`~mipcert.certfile.Header`, then plain solutions and derivations — and
-verifies each derivation against the rows still live in memory, numbering
-derivations itself and computing assumption sets as it goes:
+:class:`~mipcert.certfile.Header`, which :func:`~mipcert.certfile.split_header`
+requires, then plain solutions and derivations — and verifies each derivation
+against the rows still live in memory, numbering derivations itself and
+computing assumption sets as it goes:
 
 * ``asm`` rows are accepted verbatim; their assumption set is themselves;
 * ``lin``/``rnd`` rows must be dominated by the (rounded) combination of the
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 
-from .certfile import Event, Header, events_from_certificate, parse_certificate
+from .certfile import Event, parse_certificate, split_header
 from .model import (
     KEEP_UNTIL_END,
     Asm,
@@ -353,18 +354,10 @@ def verify_certificate(source: Certificate | Iterable[Event]) -> VerificationRep
     stream ends. Parse errors from an underlying file stream propagate as
     :class:`ParseError`.
 
-    Raises ValueError when the stream does not start with a :class:`Header`
-    (an empty one included) or holds a second one.
+    Raises ValueError when the stream holds a second header or, by
+    :func:`~mipcert.certfile.split_header`, does not start with one.
     """
-    if isinstance(source, Certificate):
-        events: Iterator[Event] = events_from_certificate(source)
-    else:
-        events = iter(source)
-    header = next(events, None)
-    if not isinstance(header, Header):
-        msg = "event stream has no header"
-        raise ValueError(msg)
-
+    header, events = split_header(source)
     state = CheckerState(header.problem, header.goal)
     failure: CheckFailure | None = None
     try:
@@ -387,6 +380,11 @@ def _check_solution(
     ordinal = state.stats.num_solutions
     if isinstance(state.goal, InfeasibleGoal):
         msg = "solutions are not allowed with an infeasibility goal"
+        raise Rejection(CheckFailure(ordinal, "solution", msg))
+    last = solution.assignment.max_index()  # also checked by the parser, for its line
+    if last >= state.problem.num_variables:
+        msg = f"variable index {last} in solution {solution.name!r} out of range for "
+        msg += f"{state.problem.num_variables} variables"
         raise Rejection(CheckFailure(ordinal, "solution", msg))
     feasible, value = evaluate_solution(state.problem, solution)
     if not feasible:

@@ -181,13 +181,6 @@ class SparseVec(_Record):
     def __init__(self, entries: Iterable[tuple[int, Number]]) -> None:
         _set_entries(self, _validated_pairs(entries, "sparse", "zero coefficient stored at index"))
 
-    def __eq__(self, other: object) -> bool:  # the generic one, without its calls
-        if type(other) is not SparseVec:
-            return NotImplemented
-        return self.entries == other.entries
-
-    __hash__ = _Record.__hash__
-
     def __iter__(self) -> Iterator[tuple[int, Number]]:
         return iter(self.entries)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import html
 from collections.abc import Iterable
 
-from .certfile import Event, Header, events_from_certificate
+from .certfile import Event, split_header
 from .checker import NO_ASSUMPTIONS, assumptions_of
 from .model import (
     Asm,
@@ -31,7 +31,6 @@ from .model import (
     Rnd,
     RtpGoal,
     Solution,
-    evaluate_solution,
     format_bounds,
     format_constraint,
     format_linear,
@@ -97,12 +96,9 @@ def _goal_text(goal: RtpGoal) -> str:
 def render_html(source: Certificate | Iterable[Event]) -> str:
     """Render a certificate or its parsed event stream as a standalone HTML document.
 
-    Raises ValueError when the stream does not start with a Header or holds a second one."""
-    events = events_from_certificate(source) if isinstance(source, Certificate) else iter(source)
-    header = next(events, None)
-    if not isinstance(header, Header):
-        msg = "event stream has no header"
-        raise ValueError(msg)
+    Raises ValueError when the stream holds a second header or, by
+    :func:`~mipcert.certfile.split_header`, does not start with one."""
+    header, events = split_header(source)
     problem = header.problem
     names = problem.variable_names
     links: list[str] = []  # the link to every row so far, in combined index order
@@ -160,15 +156,17 @@ def render_html(source: Certificate | Iterable[Event]) -> str:
                 f"<td>{event.last_use}</td></tr>"
             )
         elif isinstance(event, Solution):
-            assignment = ", ".join(
-                f"{html.escape(names[index])} = {format_rational(value)}"
-                for index, value in event.assignment
+            point = dict(event.assignment.entries)
+            assignment = ", ".join(  # a variable with no name is x<i>, as in format_linear
+                f"{html.escape(names[index] if index < len(names) else f'x{index}')} = "
+                f"{format_rational(value)}"
+                for index, value in point.items()
             )
             name = html.escape(event.name)
             emit(
                 f'<tr id="s-{name}"><td>{name}</td>'
                 f"<td>{assignment or 'all zero'}</td>"
-                f"<td>{format_rational(evaluate_solution(problem, event)[1])}</td></tr>"
+                f"<td>{format_rational(problem.objective.evaluate(point))}</td></tr>"
             )
         else:
             msg = "event stream has a second header"

@@ -373,7 +373,7 @@ def solve_lp(
     value = objective.evaluate(at_point)
     duals = tableau.duals(phase2_costs)
     combined = _witness_row(constraints, duals)
-    _require(combined.lhs == objective, "duals must reconstruct the objective")
+    _require(combined.lhs.entries == objective.entries, "duals must reconstruct the objective")
     _require(combined.rhs == value, "duals must reconstruct the optimal value")
     for con in constraints:
         _require(satisfies(con, at_point), "optimal point must be feasible")

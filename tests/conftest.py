@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mipcert import KEEP_UNTIL_END, Certificate, Constraint, Uns, read_certificate
-from mipcert.certfile import Event, events_from_certificate
+from mipcert.certfile import Event, split_header
 from mipcert.checker import CheckerState, Rejection
 from mipcert.model import replace
 
@@ -57,8 +57,7 @@ def certificate_rows(certificate: Certificate) -> tuple[Constraint, ...]:
 def goal_rows(source: Certificate | Iterable[Event]) -> tuple[int, ...]:
     """Indices of the derivations that prove the goal, as ``CheckerState.run``
     yields them, up to the first rejected row if there is one."""
-    events = iter(events_from_certificate(source) if isinstance(source, Certificate) else source)
-    header = next(events)
+    header, events = split_header(source)
     rows: list[int] = []
     try:
         for index in CheckerState(header.problem, header.goal).run(events):

@@ -22,7 +22,7 @@ from conftest import (
 )
 
 import mipcert
-from mipcert.certfile import Header, events_from_certificate, parse_certificate, read_certificate
+from mipcert.certfile import Header, parse_certificate, read_certificate, split_header
 from mipcert.checker import (
     NO_ASSUMPTIONS,
     CheckerState,
@@ -426,6 +426,18 @@ class TestSolutions:
         assert report.failure.rule == "solution"
         assert "infeasibility goal" in report.failure.message
 
+    def test_variable_index_past_the_problem_rejected(self) -> None:
+        certificate = load_golden("small_range")  # 2 variables; x* with x5 = 1 is still feasible
+        point = SparseVec((*certificate.solutions[0].assignment.entries, (5, 1)))
+        wide = replace(certificate, solutions=(Solution("s", point),))
+        header, rest = split_header(wide)
+        for source in (wide, [header, *rest]):
+            failure = verify_certificate(source).failure
+            assert failure.index == 0
+            assert failure.rule == "solution"
+            expected = "variable index 5 in solution 's' out of range for 2 variables"
+            assert failure.message == expected
+
 
 # --- goal semantics ----------------------------------------------------------
 
@@ -543,8 +555,9 @@ class TestCheckerState:
 
 class TestEventStream:
     def test_empty_stream_raises_value_error(self) -> None:
-        with pytest.raises(ValueError, match="^event stream has no header$"):
-            verify_certificate(iter([]))
+        for opener in (verify_certificate, split_header):
+            with pytest.raises(ValueError, match="^event stream has no header$"):
+                opener(iter([]))
 
     def test_stream_ending_before_the_goal_is_proven_is_rejected(self) -> None:
         problem = load_golden("small_range").problem  # feasible
@@ -553,23 +566,31 @@ class TestEventStream:
         assert report.failure.rule == "goal"
 
     def test_second_header_raises_value_error(self) -> None:
-        events = list(events_from_certificate(load_golden("small_range")))
+        header, rest = split_header(load_golden("small_range"))
+        events = [header, *rest]
         with pytest.raises(ValueError, match="^event stream has a second header$"):
             verify_certificate(iter(events + events))
+        header, rest = split_header(iter(events + events))  # opens; the checker raises
+        with pytest.raises(ValueError, match="^event stream has a second header$"):
+            list(CheckerState(header.problem, header.goal).run(rest))
 
     @pytest.mark.parametrize("skip", [1, 2])
     def test_stream_without_leading_header_raises_value_error(self, skip: int) -> None:
-        events = list(events_from_certificate(load_golden("small_range")))
-        with pytest.raises(ValueError, match="^event stream has no header$"):
-            verify_certificate(iter(events[skip:]))
+        header, rest = split_header(load_golden("small_range"))
+        events = [header, *rest]
+        for opener in (verify_certificate, split_header):
+            with pytest.raises(ValueError, match="^event stream has no header$"):
+                opener(iter(events[skip:]))
 
     def test_missing_header_is_reported_under_python_o(self) -> None:
         script = (
+            "from mipcert.certfile import split_header\n"
             "from mipcert.checker import verify_certificate\n"
-            "try:\n"
-            "    verify_certificate(iter([]))\n"
-            "except ValueError as exc:\n"
-            "    print('ValueError:', exc)\n"
+            "for opener in (verify_certificate, split_header):\n"
+            "    try:\n"
+            "        opener(iter([]))\n"
+            "    except ValueError as exc:\n"
+            "        print('ValueError:', exc)\n"
         )
         src = str(Path(mipcert.__file__).resolve().parent.parent)
         completed = subprocess.run(
@@ -581,4 +602,4 @@ class TestEventStream:
             check=False,
         )
         assert completed.returncode == 0, completed.stderr
-        assert completed.stdout == "ValueError: event stream has no header\n"
+        assert completed.stdout == "ValueError: event stream has no header\n" * 2

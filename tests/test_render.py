@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    DATA_DIR,
     GOLDEN_NAMES,
     certificate_rows,
     chain_lines,
@@ -18,7 +19,7 @@ from conftest import (
     load_golden,
 )
 
-from mipcert.certfile import parse_certificate, read_certificate
+from mipcert.certfile import parse_certificate, read_certificate, split_header
 from mipcert.checker import verify_certificate
 from mipcert.model import (
     Certificate,
@@ -113,10 +114,21 @@ class TestStreamedInput:
     def test_stream_without_header_raises_value_error(self) -> None:
         events = list(parse_certificate(golden_text("split_infeasible").splitlines()))
         for headless in ([], events[1:]):
-            with pytest.raises(ValueError, match="event stream has no header"):
-                render_html(headless)
+            for opener in (render_html, split_header):
+                with pytest.raises(ValueError, match="event stream has no header"):
+                    opener(headless)
         with pytest.raises(ValueError, match="event stream has a second header"):
             render_html([*events, events[0]])
+
+
+class TestGoldenPages:
+    """Each golden renders tests/data/<name>.html byte for byte, from memory and from its stream."""
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_page_matches_the_committed_page(self, name: str) -> None:
+        page = (DATA_DIR / f"{name}.html").read_bytes()
+        assert render_html(load_golden(name)).encode() == page
+        assert render_html(parse_certificate(golden_text(name).splitlines())).encode() == page
 
 
 class TestReferencesToNoRow:
@@ -203,6 +215,12 @@ class TestCells:
             line for line in tightened.splitlines() if 'id="c-C6"' in line
         )
         assert c6_row.endswith("<td>10</td></tr>")
+
+    def test_variable_index_past_the_problem_is_written_x_i(self) -> None:
+        certificate = load_golden("small_range")  # 2 variables
+        point = SparseVec((*certificate.solutions[0].assignment.entries, (5, 1)))
+        wide = replace(certificate, solutions=(Solution("s", point),))
+        assert "<td>x = 3/7, y = 1/7, x5 = 1</td><td>1</td>" in render_html(wide)
 
     def test_empty_assignment_renders_as_all_zero(self) -> None:
         certificate = load_golden("small_range")
