@@ -32,8 +32,8 @@ nonzero rules of a sparse vector or a combination are enforced by the model's
 constructors once the whole vector has been read, so their errors carry the
 line where the vector ends.
 
-Rows are read a field group at a time: one list of tokens, a slice of the
-line when it holds the group, or joined over lines keeping each token's line.
+Each row is read from one token list with a running position: its line's
+tokens, joined with later lines' only when the row runs past the line's end.
 Fields are checked once, in file order, inline for a row's own fields; error
 text is built, by the checks and builders of ``_Tokens``, only when one fails.
 """
@@ -108,57 +108,50 @@ _PAIRS_PER_TAKE = 4096
 
 
 class _Tokens:
-    """Whitespace token stream over lines, read one field group (a take) at a
-    time; the field checks below read :attr:`row`, the last take, in order."""
+    """Whitespace token stream over lines: :attr:`row` is the current line's
+    tokens and :attr:`at` the next unread one's position; a read past the row's
+    end joins later lines on. The field checks below take positions in ``row``."""
 
     def __init__(self, lines: Iterable[str]) -> None:
         self._lines = iter(lines)
-        self._buffer: list[str] = []
-        self._position = 0
-        self._row_lines: list[int] | None = None
+        self._row_lines: list[int] | None = None  # each token's line, once the row spans lines
         self.row: list[str] = []
+        self.at = 0
         self.line = 0
 
-    def take(self, n: int) -> list[str]:
-        """The next ``n`` tokens, ended by ``""``, which no check accepts, if
-        the input ends first. They are a slice of the current line when they
-        all sit on it, else joined over lines, keeping each token's line."""
-        position = self._position
-        if n and position == len(self._buffer) and self._fill():
-            position = 0
-        if position + n <= len(self._buffer):
-            self._position, self._row_lines = position + n, None
-            self.row = self._buffer[position : position + n]
-            return self.row
-        row = self._buffer[position:]
-        lines = [self.line] * len(row)
-        self._position = len(self._buffer)
-        while len(row) < n and self._fill():
-            self._position = min(n - len(row), len(self._buffer))
-            row += self._buffer[: self._position]
-            lines += [self.line] * self._position
-        if len(row) < n:
-            row.append("")
-            lines.append(self.line)
-        self.row, self._row_lines = row, lines
-        return row
+    def take(self, n: int) -> tuple[list[str], int]:
+        """The row and the position in it of the next ``n`` tokens, which are then passed."""
+        if self.at + n > len(self.row):
+            self.join(self.at, n)
+        self.at += n
+        return self.row, self.at - n
 
-    def _fill(self) -> bool:
-        """Load the next line holding a token; False when the input ends first."""
+    def join(self, at: int, n: int) -> list[str]:
+        """Drop the row's tokens before ``at`` and join later lines on until it
+        holds ``n``, ending it with ``""``, which no check accepts, if the input
+        ends first. Returns the row, which reading goes on at the start of."""
+        row = self.row[at:]
+        lines = self._row_lines[at:] if self._row_lines else [self.line] * len(row)
         for raw in self._lines:
             self.line += 1
             comment_start = raw.find("%")
-            if comment_start != -1:
-                raw = raw[:comment_start]
-            self._buffer = raw.split()
-            self._position = 0
-            if self._buffer:
-                return True
-        return False
+            tokens = (raw if comment_start == -1 else raw[:comment_start]).split()
+            if not row and len(tokens) >= n:  # the line alone is the row
+                self.row, self.at, self._row_lines = tokens, 0, None
+                return tokens
+            row += tokens
+            lines += [self.line] * len(tokens)
+            if len(row) >= n:
+                break
+        else:
+            row.append("")
+            lines.append(self.line)
+        self.row, self.at, self._row_lines = row, 0, lines if lines[0] != self.line else None
+        return row
 
     def error(self, message: str, position: int = -1, what: str = "") -> ParseError:
-        """``message`` at the line of ``row[position]``; or, when that is the
-        ``""`` past the end of input, the end of input while reading ``what``."""
+        """``message`` at the line of ``row[position]``, by default the line read last;
+        or, at the ``""`` past the end of input, the end of input while reading ``what``."""
         if what and not self.row[position]:
             return self.ended(what)
         lines = self._row_lines
@@ -202,86 +195,93 @@ class _Tokens:
 
     def count(self, keyword: str, context: str, what: str) -> int:
         """A section header: ``keyword`` and the count of what follows."""
-        self.take(2)
-        self.expect(0, keyword, context)
-        return self.natural(1, what)
+        row, at = self.take(2)
+        self.expect(at, keyword, context)
+        return self.natural(at + 1, what)
 
 
-#: For :func:`_take_pairs`: the record built, its errors' name ("": the vector's), the pair fields.
-_ENTRIES = (SparseVec, "", " variable index", " coefficient")
+#: For :func:`_take_pairs`: the record built, its errors' name ("": the vector's), field names.
+_ENTRIES = (SparseVec, "", " length", " variable index", " coefficient")
 _TERMS = {
-    "lin": (Lin, "lin reason", " row index", " multiplier"),
-    "rnd": (Rnd, "rnd reason", " row index", " multiplier"),
+    "lin": (Lin, "lin reason", " terms", " row index", " multiplier"),
+    "rnd": (Rnd, "rnd reason", " terms", " row index", " multiplier"),
 }
 
 
 def _take_pairs(
-    tokens: _Tokens, count: int, upper: int, what: str, tail: int = 0, kind: tuple = _ENTRIES
+    tokens: _Tokens, at: int, upper: int, what: str, kind: tuple = _ENTRIES
 ) -> tuple[SparseVec | Lin | Rnd, int]:
-    """``count`` pairs of an index below ``upper`` and a rational, named
-    ``what`` plus the parts in ``kind``, then ``tail`` more tokens. Returns
-    the record ``kind`` builds of them, whose own ValueError is reported at
-    the vector's last token, and where the tail starts in ``tokens.row``,
-    just past the vector's end."""
-    build, label, index_part, value_part = kind
+    """``k i1 v1 ... ik vk`` from ``tokens.row[at]`` on: a count, then pairs of
+    an index below ``upper`` and a rational, named ``what`` plus the parts in
+    ``kind``. Returns the record ``kind`` builds of the pairs, whose ValueError
+    is reported at the vector's last token, and the position reading goes on at."""
+    row = tokens.row
+    count = row[at]
+    if not (count.isascii() and count.isdigit()):
+        raise tokens.natural_error(at, what, kind[2], None)
     pairs: list[tuple[int, Number]] = []
+    at += 1
+    end = at + 2 * int_from_digits(count)
     while True:
-        chunk = count if count < _PAIRS_PER_TAKE else _PAIRS_PER_TAKE
-        count -= chunk
-        end = 2 * chunk
-        row = tokens.take(end if count else end + tail)
-        for position in range(0, end, 2):  # tokens.natural and .rational, inlined
+        stop = end
+        if stop > len(row):  # join the rest, a bounded take at a time
+            stop = min(end - at, 2 * _PAIRS_PER_TAKE)
+            row, end, at = tokens.join(at, stop), end - at, 0
+        for position in range(at, stop, 2):  # tokens.natural and .rational, inlined
             token = row[position]
             try:
                 index = int(token) if token.isascii() and token.isdigit() else upper
             except ValueError:  # too long for int(), so far beyond any row or variable count
                 index = upper
             if index >= upper:
-                raise tokens.natural_error(position, what, index_part, upper)
+                raise tokens.natural_error(position, what, kind[3], upper)
             try:
                 pairs.append((index, parse_rational(row[position + 1])))
             except ValueError as exc:
-                raise tokens.rational_error(position + 1, what, value_part, exc) from exc
-        if not count:
-            try:
-                return build(pairs), end
-            except ValueError as exc:
-                raise tokens.error(f"{label or what}: {exc}", end - 1) from exc
+                raise tokens.rational_error(position + 1, what, kind[4], exc) from exc
+        if stop == end:
+            break
+        at = stop
+    tokens.at = end
+    try:
+        return kind[0](pairs), end
+    except ValueError as exc:
+        raise tokens.error(f"{kind[1] or what}: {exc}", end - 1) from exc
 
 
 def _parse_problem_sections(tokens: _Tokens) -> Problem:
-    row = tokens.take(2)
-    tokens.expect(0, "VER", "at start of file")
-    if row[1] != "1":
-        raise tokens.error(f"unsupported format version {row[1]!r}", 1, "format version")
+    row, at = tokens.take(2)
+    tokens.expect(at, "VER", "at start of file")
+    if row[at + 1] != "1":
+        raise tokens.error(f"unsupported format version {row[at + 1]!r}", at + 1, "format version")
 
     num_variables = tokens.count("VAR", "after VER section", "variables")
     variable_names: list[str] = []
     while len(variable_names) < num_variables:
-        variable_names += tokens.take(min(num_variables - len(variable_names), _PAIRS_PER_TAKE))
+        row, at = tokens.take(min(num_variables - len(variable_names), _PAIRS_PER_TAKE))
+        variable_names += row[at : tokens.at]
         if not variable_names[-1]:
             raise tokens.ended("variable name")
 
     num_integers = tokens.count("INT", "after VAR section", "integer variables")
     # Past num_variables indices one repeats or is out of range, so the
     # checks below fail within the first num_variables + 1.
-    tokens.take(min(num_integers, num_variables + 1))
+    row, at = tokens.take(min(num_integers, num_variables + 1))
     integer_set: set[int] = set()
-    for position in range(len(tokens.row)):
+    for position in range(at, tokens.at):
         index = tokens.natural(position, "integer variable index", upper=num_variables)
         if index in integer_set:
             raise tokens.error(f"duplicate integer variable index {index}", position)
         integer_set.add(index)
 
-    row = tokens.take(3)
-    tokens.expect(0, "OBJ", "after INT section")
+    row, at = tokens.take(3)
+    tokens.expect(at, "OBJ", "after INT section")
     try:
-        objective_sense = ObjectiveSense(row[1])
+        objective_sense = ObjectiveSense(row[at + 1])
     except ValueError:
-        message = f"expected 'min' or 'max', found {row[1]!r}"
-        raise tokens.error(message, 1, "objective sense") from None
-    length = tokens.natural(2, "objective length")
-    objective = _take_pairs(tokens, length, num_variables, "objective")[0]
+        message = f"expected 'min' or 'max', found {row[at + 1]!r}"
+        raise tokens.error(message, at + 1, "objective sense") from None
+    objective = _take_pairs(tokens, at + 2, num_variables, "objective")[0]
 
     num_constraints = tokens.count("CON", "after OBJ section", "constraints")
     seen: set[str] = set()
@@ -291,15 +291,16 @@ def _parse_problem_sections(tokens: _Tokens) -> Problem:
 
 
 def _parse_goal(tokens: _Tokens) -> RtpGoal:
-    row = tokens.take(2)
-    tokens.expect(0, "RTP", "after CON section")
-    if row[1] == "infeas":
+    row, at = tokens.take(2)
+    tokens.expect(at, "RTP", "after CON section")
+    if row[at + 1] == "infeas":
         return InfeasibleGoal()
-    if row[1] != "range":
-        raise tokens.error(f"expected 'infeas' or 'range', found {row[1]!r}", 1, "goal kind")
-    row = tokens.take(2)
-    lower = None if row[0] == "-inf" else tokens.rational(0, "range lower bound")
-    upper = None if row[1] == "inf" else tokens.rational(1, "range upper bound")
+    if row[at + 1] != "range":
+        message = f"expected 'infeas' or 'range', found {row[at + 1]!r}"
+        raise tokens.error(message, at + 1, "goal kind")
+    row, at = tokens.take(2)
+    lower = None if row[at] == "-inf" else tokens.rational(at, "range lower bound")
+    upper = None if row[at + 1] == "inf" else tokens.rational(at + 1, "range upper bound")
     try:
         return RangeGoal(lower, upper)
     except ValueError as exc:
@@ -312,81 +313,71 @@ def _take_row(
     """``<name> G|L|E <rhs> <sparse>``, a constraint row whose name must be
     new; or, given its ``own_index``, a derivation row, which goes on with
     ``{ <reason> } <last_use>``."""
-    derived = own_index >= 0
-    what = "derivation" if derived else "constraint"
-    row = tokens.take(4)
-    name = row[0]
+    what = "derivation" if own_index >= 0 else "constraint"
+    row, at = tokens.row, tokens.at
+    if at + 4 > len(row):
+        row, at = tokens.join(at, 4), 0
+    name = row[at]
     if not name:
         raise tokens.ended(f"{what} name")
-    sense = _SENSES.get(row[1])
+    sense = _SENSES.get(row[at + 1])
     if sense is None:
-        message = f"unknown sense code {row[1]!r} (expected G, L, or E)"
-        raise tokens.error(message, 1, f"{what} sense")
+        message = f"unknown sense code {row[at + 1]!r} (expected G, L, or E)"
+        raise tokens.error(message, at + 1, f"{what} sense")
     try:  # the checks of tokens.rational, .natural and .expect, inlined
-        rhs = parse_rational(row[2])
+        rhs = parse_rational(row[at + 2])
     except ValueError as exc:
-        raise tokens.rational_error(2, what, " right-hand side", exc) from exc
-    lhs = _LEFT_HAND_SIDES[what]
-    length = row[3]
-    if not (length.isascii() and length.isdigit()):
-        raise tokens.natural_error(3, lhs, " length", None)
-    line = tokens.line  # where an empty left-hand side ends
-    vector, at = _take_pairs(tokens, int_from_digits(length), width, lhs, 3 if derived else 0)
-    if name in seen:
-        message = f"duplicate constraint name {name!r}"
-        raise tokens.error(message, at - 1) if at else ParseError(message, line)
+        raise tokens.rational_error(at + 2, what, " right-hand side", exc) from exc
+    vector, at = _take_pairs(tokens, at + 3, width, _LEFT_HAND_SIDES[what])
+    if name in seen:  # reported at the vector's last token, or at its length when empty
+        raise tokens.error(f"duplicate constraint name {name!r}", at - 1)
     seen.add(name)
     constraint = Constraint(name, sense, vector, rhs)
-    if not derived:
+    if own_index < 0:
         return constraint
 
     row = tokens.row
+    if at + 3 > len(row):
+        row, at = tokens.join(at, 3), 0
     if row[at] != "{":
         tokens.expect(at, "{", "before derivation reason")
     keyword = row[at + 1]
     reason: Reason
     terms = _TERMS.get(keyword)
     if terms is not None:
-        count = row[at + 2]
-        if not (count.isascii() and count.isdigit()):
-            raise tokens.natural_error(at + 2, "combination terms", "", None)
-        count = int_from_digits(count)
-        reason, brace = _take_pairs(tokens, count, own_index, "combination", 2, terms)
+        reason, at = _take_pairs(tokens, at + 2, own_index, "combination", terms)
+        row = tokens.row
     elif keyword == "asm":
-        tokens.expect(at + 2, "}", "after derivation reason")
-        reason, brace = Asm(), -1  # its "}" sat in the head; last_use is taken next
-        tokens.take(1)
+        reason, at = Asm(), at + 2  # its "}" is read with last_use
     elif keyword == "uns":
-        i1 = tokens.natural(at + 2, "unsplit row reference", upper=own_index)
-        tokens.take(5)
-        rest = [  # a1, i2 and a2
-            tokens.natural(k, f"unsplit {part} reference", upper=own_index)
-            for k, part in enumerate(("assumption", "row", "assumption"))
-        ]
-        reason, brace = Uns(i1, *rest), 3
+        references, tokens.at = [], at + 2
+        for part in ("row", "assumption", "row", "assumption"):
+            row, at = tokens.take(1)
+            references.append(tokens.natural(at, f"unsplit {part} reference", upper=own_index))
+        reason, at = Uns(*references), at + 1
     else:
-        message = f"unknown reason keyword {keyword!r}"
-        raise tokens.error(message, at + 1, "reason keyword")
-    row = tokens.row
-    if brace >= 0 and row[brace] != "}":
-        tokens.expect(brace, "}", "after derivation reason")
-    position = brace + 1
-    token = row[position]
+        raise tokens.error(f"unknown reason keyword {keyword!r}", at + 1, "reason keyword")
+    if at + 2 > len(row):
+        row, at = tokens.join(at, 2), 0
+    tokens.at = at + 2
+    if row[at] != "}":
+        tokens.expect(at, "}", "after derivation reason")
+    token = row[at + 1]
     if token == "-1":
         return Derivation(constraint, reason, KEEP_UNTIL_END)
     if not (token.isascii() and token.isdigit()):
-        raise tokens.error(f"expected an integer last_use, found {token!r}", position, "last_use")
+        raise tokens.error(f"expected an integer last_use, found {token!r}", at + 1, "last_use")
     last_use = int_from_digits(token)
     if last_use <= own_index:
         message = f"last_use {last_use} must be -1 or greater than the row's own index {own_index}"
-        raise tokens.error(message, position)
+        raise tokens.error(message, at + 1)
     return Derivation(constraint, reason, last_use)
 
 
 def _expect_end(tokens: _Tokens, section: str) -> None:
-    extra = tokens.take(1)[0]
-    if extra:
-        raise tokens.error(f"trailing tokens after the {section} section: {extra!r}")
+    row, at = tokens.take(1)
+    if row[at]:
+        raise tokens.error(f"trailing tokens after the {section} section: {row[at]!r}", at)
 
 
 def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
@@ -408,14 +399,14 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
     yield Header(problem, goal)
     seen_solution_names: set[str] = set()
     for _ in range(num_solutions):
-        name = tokens.take(2)[0]
+        row, at = tokens.take(2)
+        name = row[at]
         if not name:
             raise tokens.ended("solution name")
         if name in seen_solution_names:
-            raise tokens.error(f"duplicate solution name {name!r}", 0)
+            raise tokens.error(f"duplicate solution name {name!r}", at)
         seen_solution_names.add(name)
-        length = tokens.natural(1, "solution length")
-        yield Solution(name, _take_pairs(tokens, length, num_variables, "solution")[0])
+        yield Solution(name, _take_pairs(tokens, at + 1, num_variables, "solution")[0])
 
     num_derivations = tokens.count("DER", "after SOL section", "derivations")
     seen_names = {constraint.name for constraint in problem.constraints}
@@ -432,11 +423,9 @@ def read_certificate(source: Iterable[str] | TextIO) -> Certificate:
     solutions: list[Solution] = []
     derivations: list[Derivation] = []
     for event in events:
-        if isinstance(event, Solution):
-            solutions.append(event)
-        else:
-            derivations.append(event)
-    return Certificate(header.problem, header.goal, tuple(solutions), tuple(derivations))
+        (solutions if isinstance(event, Solution) else derivations).append(event)
+    solutions, derivations = tuple(solutions), tuple(derivations)  # free the lists first
+    return Certificate(header.problem, header.goal, solutions, derivations)
 
 
 def split_header(source: Certificate | Iterable[Event]) -> tuple[Header, Iterator[Event]]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
+from itertools import chain, pairwise
 from typing import Union
 
 from .numeric import (
@@ -378,7 +379,8 @@ class Certificate(_Record):
     """Problem data, goal, claimed solutions, and the derivation list.
 
     Combined index space: original constraint ``j`` has index ``j``;
-    derivation ``k`` has index ``num_original + k``.
+    derivation ``k`` has index ``num_original + k``. Row names are unique, as are solution names;
+    of several repeated names, the error names the least.
     """
 
     __slots__ = ("problem", "goal", "solutions", "derivations")
@@ -387,6 +389,15 @@ class Certificate(_Record):
     goal: RtpGoal
     solutions: tuple[Solution, ...]
     derivations: tuple[Derivation, ...]
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        rows = chain(self.problem.constraints, (row.constraint for row in self.derivations))
+        for what, records in (("constraint", rows), ("solution", self.solutions)):
+            names = sorted(record.name for record in records)  # a list: less memory than a set
+            for name, following in pairwise(names):
+                if name == following:
+                    raise ValueError(f"duplicate {what} name {name!r}")
 
     @property
     def num_original(self) -> int:

@@ -13,8 +13,10 @@ import pytest
 from conftest import GOLDEN_NAMES, chain_lines, goal_rows, golden_text, load_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parse_error_corpus import CORPUS_PATH, corpus_outcomes, corpus_texts
 
 import mipcert
+import mipcert.certfile
 
 from mipcert.certfile import (
     Header,
@@ -38,7 +40,11 @@ from mipcert.model import (
     SparseVec,
 )
 from mipcert.numeric import Rational as R
+from mipcert.numeric import format_rational
 from mipcert.solve import solve
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (the benchmark's seeded generators)
 
 
 def parse_lines(lines: list[str]):
@@ -195,10 +201,14 @@ def _solver_certificate_text() -> str:
     return written_text(result.certificate)
 
 
-# Each golden and one solver certificate in canonical form, and the gaps a
-# re-layout may put between their tokens.
+# Each golden, one solver certificate and a depth-4 split tree (rows of many
+# fractional pairs, and uns rows) in canonical form, and the gaps a re-layout
+# may put between their tokens.
 CANONICAL_TEXTS = {name: written_text(load_golden(name)) for name in GOLDEN_NAMES}
 CANONICAL_TEXTS["solver split_infeasible"] = _solver_certificate_text()
+CANONICAL_TEXTS["tree depth 4"] = written_text(
+    read_certificate(io.StringIO(workloads.tree_certificate(7, depth=4).text))
+)
 GAPS = (" ", "  ", "\t", "\n", "\n\n", " \n  \n ", " % a note\n", "\n% a whole-line note\n")
 
 
@@ -353,6 +363,64 @@ class TestParseErrors:
             parse_problem(BASE)
         assert excinfo.value.line == 10
         assert "trailing tokens" in excinfo.value.message
+
+
+# Every case of tests/parse_error_corpus.py keeps its line and message.
+CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+CORPUS_TEXTS = corpus_texts()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS))
+def test_parse_error_corpus_is_unchanged(name: str) -> None:
+    assert sorted(CORPUS) == sorted(CORPUS_TEXTS)
+    found = corpus_outcomes(CORPUS_TEXTS[name])
+    assert found.keys() == CORPUS[name].keys()
+    for kind, cases in CORPUS[name].items():
+        assert len(found[kind]) == len(cases), kind
+        changed = [(k, a, b) for k, (a, b) in enumerate(zip(cases, found[kind])) if a != b]
+        assert not changed, (kind, changed[:5])
+
+
+# --- the parser's rational tokens ------------------------------------------
+
+
+def _rationals_in_file_order(certificate) -> list[str]:
+    """Each rational a certificate holds, written, in the order its file holds them:
+    right-hand sides, coefficients, range bounds, solution values and multipliers."""
+    problem = certificate.problem
+    values = [value for _, value in problem.objective]
+    for constraint in problem.constraints:
+        values += [constraint.rhs, *(value for _, value in constraint.lhs)]
+    goal = certificate.goal
+    if isinstance(goal, RangeGoal):
+        values += [bound for bound in (goal.lower, goal.upper) if bound is not None]
+    for solution in certificate.solutions:
+        values += [value for _, value in solution.assignment]
+    for derivation in certificate.derivations:
+        constraint = derivation.constraint
+        values += [constraint.rhs, *(value for _, value in constraint.lhs)]
+        values += [multiplier for _, multiplier in getattr(derivation.reason, "terms", ())]
+    return [format_rational(value) for value in values]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*(golden_text(name) for name in GOLDEN_NAMES), workloads.tree_certificate(7, depth=3).text],
+    ids=[*GOLDEN_NAMES, "tree depth 3"],
+)
+def test_every_rational_token_goes_through_the_module_parse_rational(text, monkeypatch) -> None:
+    # bench/run.py counts and times rational parsing by patching this name.
+    original = mipcert.certfile.parse_rational
+    seen: list[str] = []
+
+    def collect(token: str):
+        seen.append(token)
+        return original(token)
+
+    monkeypatch.setattr(mipcert.certfile, "parse_rational", collect)
+    certificate = read_certificate(io.StringIO(text))
+    assert seen == _rationals_in_file_order(certificate)
+    assert len(seen) > 10
 
 
 # --- numbers beyond CPython's int-string digit limit --------------------------

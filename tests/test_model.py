@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from conftest import load_golden
 from hypothesis import strategies as st
 
 from mipcert.certfile import Header
@@ -357,7 +358,7 @@ def public_records() -> list:
     constraint = con("c", Sense.GE, 1, (0, 1), (2, (1, 2)))
     problem = Problem(("x", "y", "z"), frozenset({0}), vec((1, 3)), ObjectiveSense.MAX, (constraint,))
     goal = RangeGoal(R(0), None)
-    derivation = Derivation(constraint, Lin(((0, R(1)),)), 4)
+    derivation = Derivation(replace(constraint, name="d"), Lin(((0, R(1)),)), 4)
     return [
         lhs,
         constraint,
@@ -457,6 +458,24 @@ def test_replace_reruns_the_invariants() -> None:
         replace(problem, integer_set=frozenset({1}))
     changed = replace(con("c", Sense.GE, 0, (0, 1)), rhs=R(3))
     assert changed == con("c", Sense.GE, 3, (0, 1))
+
+
+def test_certificate_names_are_unique_as_in_a_file() -> None:
+    # The parser's rule and words: no two rows (original or derived) and no
+    # two solutions share a name, else anchors and written files collide.
+    certificate = load_golden("split_infeasible")
+    a1, a2, *rest = certificate.derivations
+    renamed = replace(a2, constraint=replace(a2.constraint, name="A1"))
+    with pytest.raises(ValueError, match="^duplicate constraint name 'A1'$"):
+        replace(certificate, derivations=(a1, renamed, *rest))
+    renamed = replace(a1, constraint=replace(a1.constraint, name="C1"))
+    with pytest.raises(ValueError, match="^duplicate constraint name 'C1'$"):
+        replace(certificate, derivations=(renamed,))
+    problem = Problem(("x",), frozenset(), vec(), ObjectiveSense.MIN, ())
+    solution = Solution("s", vec((0, 1)))
+    with pytest.raises(ValueError, match="^duplicate solution name 's'$"):
+        Certificate(problem, RangeGoal(None, None), (solution, solution))
+    assert Certificate(problem, RangeGoal(None, None), (solution, replace(solution, name="t")))
 
 
 # --- property-based soundness -------------------------------------------
