@@ -129,7 +129,7 @@ class _Tokens:
     def join(self, at: int, n: int) -> list[str]:
         """Drop the row's tokens before ``at`` and join later lines on until it
         holds ``n``, ending it with ``""``, which no check accepts, if the input
-        ends first. Returns the row, which reading goes on at the start of."""
+        ends first. Returns the row; reading goes on from its start."""
         row = self.row[at:]
         lines = self._row_lines[at:] if self._row_lines else [self.line] * len(row)
         for raw in self._lines:
