@@ -108,9 +108,8 @@ _PAIRS_PER_TAKE = 4096
 
 
 class _Tokens:
-    """Whitespace token stream over lines: :attr:`row` is the current line's
-    tokens and :attr:`at` the next unread one's position; a read past the row's
-    end joins later lines on. The field checks below take positions in ``row``."""
+    """Whitespace tokens over lines: :attr:`row`, the current line's, is read from :attr:`at`,
+    and a read past its end joins later lines on. The checks below take positions in ``row``."""
 
     def __init__(self, lines: Iterable[str]) -> None:
         self._lines = iter(lines)
@@ -127,25 +126,27 @@ class _Tokens:
         return self.row, self.at - n
 
     def join(self, at: int, n: int) -> list[str]:
-        """Drop the row's tokens before ``at`` and join later lines on until it
-        holds ``n``, ending it with ``""``, which no check accepts, if the input
-        ends first. Returns the row; reading goes on from its start."""
-        row = self.row[at:]
-        lines = self._row_lines[at:] if self._row_lines else [self.line] * len(row)
+        """Drop the row's tokens before ``at``, join lines on until it holds ``n`` (ending it with
+        ``""``, which no check accepts, if the input ends first) and return it, read from 0 on."""
+        row = lines = None  # the tokens from ``at`` on and their lines, when any are left
+        if at < len(self.row):
+            row = self.row[at:]
+            lines = self._row_lines[at:] if self._row_lines else [self.line] * len(row)
         for raw in self._lines:
             self.line += 1
             comment_start = raw.find("%")
             tokens = (raw if comment_start == -1 else raw[:comment_start]).split()
-            if not row and len(tokens) >= n:  # the line alone is the row
-                self.row, self.at, self._row_lines = tokens, 0, None
-                return tokens
+            if not row:
+                if len(tokens) >= n:  # the line alone is the row
+                    self.row, self.at, self._row_lines = tokens, 0, None
+                    return tokens
+                row, lines = [], []
             row += tokens
             lines += [self.line] * len(tokens)
             if len(row) >= n:
                 break
-        else:
-            row.append("")
-            lines.append(self.line)
+        else:  # the input ended first
+            row, lines = (row or []) + [""], (lines or []) + [self.line]
         self.row, self.at, self._row_lines = row, 0, lines if lines[0] != self.line else None
         return row
 
@@ -211,10 +212,9 @@ _TERMS = {
 def _take_pairs(
     tokens: _Tokens, at: int, upper: int, what: str, kind: tuple = _ENTRIES
 ) -> tuple[SparseVec | Lin | Rnd, int]:
-    """``k i1 v1 ... ik vk`` from ``tokens.row[at]`` on: a count, then pairs of
-    an index below ``upper`` and a rational, named ``what`` plus the parts in
-    ``kind``. Returns the record ``kind`` builds of the pairs, whose ValueError
-    is reported at the vector's last token, and the position reading goes on at."""
+    """``k i1 v1 ... ik vk`` from ``tokens.row[at]`` on: a count, then pairs of an index below
+    ``upper`` and a rational, named ``what`` plus the parts in ``kind``. Returns the record
+    ``kind`` builds of them (its ValueError reported at the last token) and the next position."""
     row = tokens.row
     count = row[at]
     if not (count.isascii() and count.isdigit()):
