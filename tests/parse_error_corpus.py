@@ -31,7 +31,9 @@ _TOKEN = re.compile(r"\S+")
 
 def corpus_texts() -> dict[str, str]:
     """The valid texts the cases are made from."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
     import workloads  # the benchmark's seeded generators
 
     texts = {
