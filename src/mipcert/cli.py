@@ -20,15 +20,18 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
+import stat
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from typing import Optional, Sequence, TextIO
 
-from .certfile import ParseError, parse_certificate, parse_problem, read_certificate
-from .certfile import write_certificate
+from .certfile import ParseError, parse_certificate, parse_problem, write_certificate
 from .checker import VerificationReport, verify_certificate_file
 from .model import InfeasibleGoal, format_bounds
 from .numeric import format_rational
-from .tighten import tightened_rows
+from .tighten import TightenedFile
 
 __all__ = ["main"]
 
@@ -111,19 +114,38 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if report.verified else 1
 
 
-def _cmd_ttn(args: argparse.Namespace, out: TextIO) -> int:
-    with open(args.input, encoding="utf-8") as handle:
-        certificate = read_certificate(handle)
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A text handle on a new file beside the file ``path`` resolves to, which replaces that file,
+    keeping its mode bits, once the block has written all of it. If the block raises, the new file
+    is removed and ``path`` is left as it was. A new ``path`` gets the mode ``open`` gives."""
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.urandom(6).hex()}.tmp"
     try:
-        kept, rows = tightened_rows(certificate, prune=args.prune)  # verified before OUT opens
+        with open(temporary, "x", encoding="utf-8") as handle:
+            yield handle
+        with suppress(FileNotFoundError):
+            os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(temporary, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
+
+
+def _cmd_ttn(args: argparse.Namespace, out: TextIO) -> int:
+    try:
+        tightened = TightenedFile(args.input, prune=args.prune)  # verified before OUT opens
+    except UnicodeDecodeError:
+        raise
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    with open(args.output, "w", encoding="utf-8") as handle:
-        write_certificate(certificate, handle, (kept, rows))
-    dropped = len(certificate.derivations) - kept
+    with _replacing(args.output) as handle:
+        tightened.write(handle)
+    dropped = tightened.derivations - tightened.kept
     out.write(
-        f"tightened: {kept} derivations"
+        f"tightened: {tightened.kept} derivations"
         + (f" ({dropped} pruned)" if args.prune else "")
         + "\n"
     )
@@ -135,7 +157,7 @@ def _cmd_html(args: argparse.Namespace, out: TextIO) -> int:
 
     with open(args.input, encoding="utf-8") as handle:
         document = render_html(parse_certificate(handle))  # whole before OUT is opened
-    with open(args.output, "w", encoding="utf-8") as handle:
+    with _replacing(args.output) as handle:
         handle.write(document)
     out.write(f"wrote {args.output}\n")
     return 0

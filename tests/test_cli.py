@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import importlib
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 import mipcert
 from mipcert.certfile import read_certificate, write_problem
 from mipcert.checker import verify_certificate_file
+from mipcert import cli
 from mipcert.cli import main
 from mipcert.render import render_html
 
@@ -242,27 +245,118 @@ class TestTighten:
             tracemalloc.stop()
         assert code == 0
         assert capsys.readouterr().out == "tightened: 5000 derivations (0 pruned)\n"
-        assert peak <= 1.4 * parsed, f"peak {peak} B for a {parsed} B certificate"
+        assert peak <= 1.1 * parsed, f"peak {peak} B for a {parsed} B certificate"
 
-    def test_prune_writes_each_row_as_it_is_rebuilt(self, capsys, monkeypatch, tmp_path) -> None:
-        # The command is handed the parsed chain, so the peak is what
-        # tightening and writing add to it: no second certificate is built.
+    def test_prune_peaks_as_check_does(self, capsys, tmp_path) -> None:
+        # ttn --prune checks the file as check does, on its own hints, and
+        # adds only its reference arrays: it holds no certificate.
         chain = tmp_path / "chain.crt"
         chain.write_text("\n".join(chain_lines(5_000)) + "\n")
+        peaks = []
         tracemalloc.start()
         try:
-            with open(chain, encoding="utf-8") as handle:
-                certificate = read_certificate(handle)
-            parsed = tracemalloc.get_traced_memory()[0]
-            monkeypatch.setattr("mipcert.cli.read_certificate", lambda handle: certificate)
-            tracemalloc.reset_peak()
-            code = main(["ttn", str(chain), str(tmp_path / "pruned.crt"), "--prune"])
-            peak = tracemalloc.get_traced_memory()[1] - parsed
+            for run_command in (
+                lambda: verify_certificate_file(str(chain)).verified,
+                lambda: main(["ttn", str(chain), str(tmp_path / "pruned.crt"), "--prune"]) == 0,
+            ):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert run_command()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        assert code == 0
         assert capsys.readouterr().out == "tightened: 5000 derivations (0 pruned)\n"
-        assert peak < 0.15 * parsed, f"peak {peak} B over a {parsed} B certificate"
+        check, ttn = peaks
+        assert ttn <= 1.1 * check, f"ttn --prune peak {ttn} B, check peak {check} B"
+
+    def test_input_changed_between_the_passes_exits_2(self, capsys, monkeypatch, tmp_path) -> None:
+        # The second pass reads the input again; a different text there is refused and
+        # OUT keeps its bytes, whatever the change does to the rows it copies.
+        tighten_module = importlib.import_module("mipcert.tighten")
+        first_pass = tighten_module.TightenedFile.__init__
+        source, output = tmp_path / "in.crt", tmp_path / "out.crt"
+        original = golden_text("split_infeasible")
+        edits = (
+            original.replace("A1 L 0 1 0 1", "A1 L 0 1 0 2"),  # a number, same length
+            original.replace("DER 11", "DER 12") + "J1 L 100 1 0 1 { asm } -1\n",
+            original[: original.index("C10 ")],  # cut inside the rows
+            original.replace("{ asm }", "{ lin 0 }", 1),
+            original + "% a comment\n",
+            original.encode().decode() + "x",
+        )
+        for edit in edits:
+            def edit_after_first_pass(self, *args, edit=edit, **kwargs) -> None:
+                first_pass(self, *args, **kwargs)
+                source.write_text(edit)
+
+            monkeypatch.setattr(tighten_module.TightenedFile, "__init__", edit_after_first_pass)
+            source.write_text(original)
+            output.write_bytes(b"kept")
+            for prune in ((), ("--prune",)):
+                code, out, err = run(capsys, "ttn", str(source), str(output), *prune)
+                assert (code, out) == (2, ""), edit
+                assert err == f"error: {source} changed while it was read\n"
+                assert output.read_bytes() == b"kept"
+                assert sorted(tmp_path.iterdir()) == [source, output]
+                source.write_text(original)
+
+
+class TestReplacingOutput:
+    """ttn and html write OUT through a new file that replaces it only once complete."""
+
+    def test_a_failed_write_leaves_out_as_it_was(self, capsys, monkeypatch, tmp_path) -> None:
+        output, before = tmp_path / "out.crt", golden_text("split_infeasible").encode()
+
+        def write_half(self, sink) -> None:
+            sink.write("VER 1\n" * 10_000)
+            raise OSError(28, "No space left on device")
+
+        tighten_module = importlib.import_module("mipcert.tighten")
+        monkeypatch.setattr(tighten_module.TightenedFile, "write", write_half)
+        for source in (golden_path("small_range"), str(output)):  # elsewhere, and in place
+            output.write_bytes(before)
+            code, out, err = run(capsys, "ttn", source, str(output))
+            assert (code, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
+            assert output.read_bytes() == before
+            assert list(tmp_path.iterdir()) == [output]
+
+    @pytest.mark.parametrize("existing", (True, False))
+    def test_a_writer_raising_half_way_leaves_no_file(self, tmp_path, existing) -> None:
+        output = tmp_path / "out"
+        if existing:
+            output.write_bytes(b"before")
+        with pytest.raises(OSError, match="No space"):
+            with cli._replacing(str(output)) as handle:
+                handle.write("x" * 100_000)
+                raise OSError(28, "No space left on device")
+        assert list(tmp_path.iterdir()) == ([output] if existing else [])
+        assert not existing or output.read_bytes() == b"before"
+
+    def test_symlinked_out_is_written_through(self, capsys, tmp_path) -> None:
+        target, link = tmp_path / "target.html", tmp_path / "link.html"
+        target.write_text("old")
+        link.symlink_to(target)
+        for command in ("ttn", "html"):
+            assert run(capsys, command, golden_path("small_range"), str(link))[0] == 0
+            assert link.is_symlink() and os.readlink(link) == str(target)
+            assert target.read_text().startswith("VER 1" if command == "ttn" else "<!DOCTYPE")
+            assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_modes_are_those_of_out_or_of_a_new_file(self, capsys, tmp_path) -> None:
+        existing, new = tmp_path / "existing.crt", tmp_path / "new.crt"
+        existing.write_text("old")
+        existing.chmod(0o640)
+        umask = os.umask(0o027)
+        try:
+            for output in (existing, new):
+                assert run(capsys, "ttn", golden_path("small_range"), str(output))[0] == 0
+            with open(tmp_path / "plain", "w"):  # what open() gives a new file
+                pass
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
 
 
 class TestHtml:

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
+import re
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -13,8 +19,11 @@ from conftest import (
     goal_rows,
     load_golden,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mipcert.certfile import read_certificate
+from mipcert.certfile import parse_problem, read_certificate, write_certificate
+from mipcert.cli import main
 from mipcert.checker import CheckerState, verify_certificate
 from mipcert.model import (
     KEEP_UNTIL_END,
@@ -31,7 +40,14 @@ from mipcert.model import (
     replace,
 )
 from mipcert.numeric import Rational as R
+from mipcert.numeric import format_rational, parse_rational
+from mipcert.solve import SolveConfig, solve
 from mipcert.tighten import compute_last_use, prune_unused, tighten
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (the benchmark's seeded generators)
+
+tighten_module = importlib.import_module("mipcert.tighten")
 
 
 def strip_last_use(certificate: Certificate) -> Certificate:
@@ -206,7 +222,6 @@ class TestPrune:
                 super().__init__(*args)
                 states.append(self)
 
-        tighten_module = importlib.import_module("mipcert.tighten")
         monkeypatch.setattr(tighten_module, "CheckerState", Recording)
         certificate = read_certificate(iter(chain_lines(2_000)))
         pruned = prune_unused(certificate)
@@ -239,3 +254,112 @@ class TestTighten:
     def test_tighten_preserves_verification(self, name: str, prune: bool) -> None:
         tight = tighten(load_golden(name), prune=prune)
         assert verify_certificate(tight).verified
+
+
+# --- the file form: mipcert ttn ----------------------------------------------
+
+
+def _number_tokens() -> st.SearchStrategy[str]:
+    """``[-]p`` or ``[-]p/q`` (q > 0) as the parser accepts them: leading zeros, ``-0``, ``0/q``,
+    ``q = 1`` and unreduced fractions included."""
+    digits = st.integers(min_value=0, max_value=10**40).map(str)
+    zeros = st.sampled_from(("", "0", "000"))
+    numerator = st.builds(lambda s, z, d: s + z + d, st.sampled_from(("", "-")), zeros, digits)
+    denominator = st.builds(lambda z, d: z + d, zeros, st.integers(1, 10**40).map(str))
+    scaled = st.builds(  # p/q with a common factor
+        lambda p, q, k: f"{p * k}/{q * k}", st.integers(-(10**20), 10**20), st.integers(1, 10**20),
+        st.integers(1, 10**6),
+    )
+    return st.one_of(numerator, st.builds(lambda p, q: f"{p}/{q}", numerator, denominator), scaled)
+
+
+class TestCanonical:
+    @settings(max_examples=400, deadline=None)
+    @given(_number_tokens())
+    @example("-0")
+    @example("0/7")
+    @example("-0/7")
+    @example("12/1")
+    @example("-6/4")
+    @example("4" * 4400)  # past the interpreter's 4,300-digit int-string limit
+    @example("-0" + "7" * 4400)
+    @example("6" * 4400 + "/4")
+    @example("1/" + "3" * 4400)
+    @example("3" * 5000 + "/" + "3" * 5000)
+    def test_copier_writes_what_the_writer_writes(self, token: str) -> None:
+        assert tighten_module._canonical(token) == format_rational(parse_rational(token))
+
+
+def _non_canonical(token: str, previous: str, choice: int) -> str:
+    """``token`` or, for a number the grammar accepts there, an equal one in another form."""
+    if re.fullmatch(r"[0-9]+", token):  # also a count, an index or a last use
+        return "0" + token if choice % 2 else token
+    if re.fullmatch(r"-[0-9]+", token) and previous != "}":  # not a last use of -1
+        return ("-0" + token[1:], f"{2 * int(token)}/2", token)[choice % 3]
+    match = re.fullmatch(r"(-?)([0-9]+)/([0-9]+)", token)
+    if match is None:
+        return token
+    sign, p, q = match.groups()
+    return (f"{sign}0{p}/{q}", f"{sign}{2 * int(p)}/{2 * int(q)}", token)[choice % 3]
+
+
+def _written(certificate: Certificate) -> str:
+    sink = io.StringIO()
+    write_certificate(certificate, sink)
+    return sink.getvalue()
+
+
+def _solved(problem_text: str) -> Certificate:
+    problem = parse_problem(io.StringIO(problem_text))
+    return solve(problem, SolveConfig(cg_objective=True)).certificate
+
+
+# Canonical texts of the goldens, a depth-5 split tree (fractional pairs, uns rows, dead
+# subtrees), and solver certificates with solutions and rnd and uns rows.
+TTN_TEXTS = [_written(load_golden(name)) for name in GOLDEN_NAMES] + [
+    _written(read_certificate(io.StringIO(workloads.tree_certificate(7, depth=5).text))),
+    _written(_solved(workloads.knapsack_problem(1203, 10).text)),
+    _written(_solved(workloads.parity_problem(4).text)),
+    _written(solve(load_golden("rounding_chain").problem, SolveConfig(cg_objective=True)).certificate),
+]
+GAPS = (" ", "  ", "\t", "\n", "\n\n", " \n  \n ", " % a note\n", "\n% a whole-line note\n")
+
+
+class TestTightenedFile:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ttn_writes_what_the_in_memory_tightener_writes(self, data) -> None:
+        # The two emitters, tokens copied from the file and records written, agree on any
+        # layout (rows split over lines, comments, several rows on one line) and any number form.
+        text, prune = data.draw(st.sampled_from(TTN_TEXTS)), data.draw(st.booleans())
+        tokens = text.split()
+        forms = data.draw(st.lists(st.integers(0, 5), min_size=len(tokens), max_size=len(tokens)))
+        tokens[2:] = map(_non_canonical, tokens[2:], tokens[1:], forms[2:])  # not VER's 1
+        gaps = data.draw(st.lists(st.sampled_from(GAPS), min_size=len(tokens), max_size=len(tokens)))
+        text = "".join(gap + token for gap, token in zip(gaps, tokens)) + data.draw(st.sampled_from(GAPS))
+        expected = io.StringIO()
+        write_certificate(tighten(read_certificate(io.StringIO(text)), prune=prune), expected)
+        with tempfile.TemporaryDirectory() as directory:
+            source, output = Path(directory, "in.crt"), Path(directory, "out.crt")
+            source.write_text(text)
+            argv = ["ttn", str(source), str(output)] + (["--prune"] if prune else [])
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0
+            assert output.read_text() == expected.getvalue()
+        kept = len(read_certificate(io.StringIO(expected.getvalue())).derivations)
+        assert out.getvalue().startswith(f"tightened: {kept} derivations")
+
+    def test_the_file_form_builds_no_certificate(self, monkeypatch, tmp_path) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate was built")
+
+        monkeypatch.setattr(tighten_module, "Certificate", refuse)
+        monkeypatch.setattr("mipcert.model.Certificate.__init__", refuse)
+        monkeypatch.setattr("mipcert.certfile.read_certificate", refuse)
+        chain = tmp_path / "chain.crt"
+        chain.write_text("\n".join(chain_lines(50)) + "\n")
+        tightened = tighten_module.TightenedFile(str(chain), prune=True)
+        sink = io.StringIO()
+        tightened.write(sink)
+        assert (tightened.derivations, tightened.kept) == (50, 50)
+        assert sink.getvalue().count("\n") == 11 + 50
