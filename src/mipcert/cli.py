@@ -31,7 +31,6 @@ from .certfile import ParseError, parse_certificate, parse_problem, write_certif
 from .checker import VerificationReport, verify_certificate_file
 from .model import InfeasibleGoal, format_bounds
 from .numeric import format_rational
-from .tighten import TightenedFile
 
 __all__ = ["main"]
 
@@ -134,6 +133,8 @@ def _replacing(path: str) -> Iterator[TextIO]:
 
 
 def _cmd_ttn(args: argparse.Namespace, out: TextIO) -> int:
+    from .ttn import TightenedFile  # here, so that only ttn compiles it
+
     try:
         tightened = TightenedFile(args.input, prune=args.prune)  # verified before OUT opens
     except UnicodeDecodeError:

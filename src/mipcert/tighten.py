@@ -4,37 +4,32 @@ One plan, over flat arrays: each derivation's references to derivations and wher
 :func:`_schedule` marks the goal-proving rows and, backwards, every row a kept row cites, then
 gives each kept row its new contiguous index and each derivation its last use, the new index of
 the last later kept row citing it (-1: none). Original rows are never evicted or moved, and a
-reference to no row (possible only in memory) stays as it is.
+reference to no row (possible only in memory) stays as it is. :mod:`mipcert.ttn` runs the same
+plan over a file.
 
 ``prune_unused`` verifies with each last use the earlier of the row's own hint and the computed
 one, so it evicts as the tightened certificate will, while the verdict and failure message stay
-the input's own. :class:`TightenedFile` (``mipcert ttn``) builds no certificate: its first pass
-parses the file, verifying it as ``mipcert check`` does when pruning, and keeps the header, the
-solutions and the arrays; its second copies each kept row's tokens, renumbered and re-formatted
-only where not canonical, and refuses a file whose text (by its CRC-32) changed between the
-passes. It writes what ``write_certificate`` writes of the in-memory result, which is idempotent
-and keeps a verifying certificate verifying.
+the input's own. Each output derivation is built once, sharing the input's constraint, and its
+reason when no reference moves. The result is idempotent and verification-preserving.
 """
 
 from __future__ import annotations
 
-import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, islice, repeat
-from math import gcd
 from operator import itemgetter, sub
-from typing import TextIO
 
-from .certfile import Event, parse_certificate, split_header, write_certificate
+from .certfile import Event
 from .checker import CheckerState, Rejection
-from .model import KEEP_UNTIL_END, Certificate, Derivation, InfeasibleGoal, Lin, Problem, Reason
-from .model import Rnd, RtpGoal, Uns, replace
-from .numeric import format_rational, parse_rational
+from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Problem, Reason, Rnd, RtpGoal, Uns
+from .model import replace
 
-__all__ = ["TightenedFile", "compute_last_use", "prune_unused", "tighten"]
+__all__ = ["compute_last_use", "prune_unused", "tighten"]
 
 _FIRST = itemgetter(0)
+#: Events :func:`_recorded` reads ahead.
+_READ_AHEAD = 64
 
 
 def _references(reason: Reason) -> Iterable[int]:
@@ -47,30 +42,44 @@ def _recorded(
     events: Iterable[Event], num_original: int, ends: array, targets: array, solutions: list
 ) -> Iterator[Event]:
     """``events``, each derivation's references to derivations appended to ``targets`` and
-    their end to ``ends``, and each solution to ``solutions``, on the way."""
-    derived = num_original.__le__
-    for event in events:
-        if isinstance(event, Derivation):
-            targets.extend(filter(derived, _references(event.reason)))
-            ends.append(len(targets))
+    their end to ``ends``, and each solution to ``solutions``, on the way. They are read a batch
+    ahead, so that a parser and the checker consuming them do not evict each other's working
+    set from the cache at every row; an error reading them is raised after the events before it.
+    """
+    derived, events = num_original.__le__, iter(events)
+    while True:
+        batch: list[Event] = []
+        try:
+            batch.extend(islice(events, _READ_AHEAD))
+        except Exception as error:  # raised below, where streaming them would have raised it
+            failure: Exception | None = error
         else:
-            solutions.append(event)
-        yield event
+            failure = None
+        for event in batch:
+            if isinstance(event, Derivation):
+                targets.extend(filter(derived, _references(event.reason)))
+                ends.append(len(targets))
+            else:
+                solutions.append(event)
+            yield event
+        if failure is not None:
+            raise failure
+        if len(batch) < _READ_AHEAD:
+            return
 
 
 def _schedule(
-    num_original: int, ends: array, targets: array, goals: Iterable[int] | None = None
+    num_original: int, ends: array, targets: array, goals: bytearray | None = None
 ) -> tuple[bytearray | None, array, array]:
-    """The kept derivations (None: all, else ``goals`` and what kept rows cite), each row's
-    index once the rest are dropped, and each derivation's last use among the kept rows."""
+    """The kept derivations (None: all, else those ``goals`` marks and what kept rows cite),
+    each row's index once the rest are dropped, and each derivation's last use among the kept
+    rows."""
     count = len(ends)
     cited = map(sub, ends, chain((0,), ends))  # each derivation's number of references
     owners = array("q", chain.from_iterable(map(repeat, range(count), cited)))
     kept, new_index = None, array("q", range(num_original + count))
     if goals is not None:
-        kept = bytearray(count)
-        for index in goals:
-            kept[index - num_original] = 1
+        kept = goals + bytes(count - len(goals))
         # References point backwards, so a row's mark is final when the sweep reaches it.
         for owner, reference in zip(reversed(owners), reversed(targets)):
             if kept[owner]:
@@ -83,14 +92,19 @@ def _schedule(
     return kept, new_index, last_use
 
 
-def _goal_rows(problem: Problem, goal: RtpGoal, events: Iterable[Event]) -> array:
-    """The indices of the derivations that prove the goal; ValueError unless ``events`` verify."""
+def _goal_marks(problem: Problem, goal: RtpGoal, events: Iterable[Event]) -> bytearray:
+    """A 1 for each derivation that proves the goal, a 0 for each other up to the last that does;
+    ValueError unless ``events`` verify."""
+    marks, first = bytearray(), problem.num_constraints
     try:
-        return array("q", CheckerState(problem, goal).run(events))
+        for index in CheckerState(problem, goal).run(events):
+            marks += bytes(index - first - len(marks))
+            marks.append(1)
     except Rejection as rejection:
         failure = rejection.failure
         msg = f"cannot prune a certificate that does not verify ({failure.rule}: {failure.message})"
         raise ValueError(msg) from rejection
+    return marks
 
 
 def _earlier(hint: int, computed: int) -> int:
@@ -114,12 +128,13 @@ def _tightened(certificate: Certificate, prune: bool) -> Certificate:
     for _ in _recorded(certificate.derivations, num_original, ends, targets, []):
         pass
     if prune:
+        last_uses = _schedule(num_original, ends, targets)[2]
         scheduled = (
-            Derivation(derivation.constraint, derivation.reason, _earlier(derivation.last_use, last))
-            for derivation, last in zip(certificate.derivations, _schedule(num_original, ends, targets)[2])
+            Derivation(d.constraint, d.reason, _earlier(d.last_use, last))
+            for d, last in zip(certificate.derivations, last_uses)
         )
         events = chain(certificate.solutions, scheduled)
-        goals = _goal_rows(certificate.problem, certificate.goal, events)
+        goals = _goal_marks(certificate.problem, certificate.goal, events)
     kept, new_index, last_use = _schedule(num_original, ends, targets, goals)
     derivations = tuple(
         Derivation(d.constraint, _renumbered(d.reason, new_index), last_use[position])
@@ -142,127 +157,3 @@ def prune_unused(certificate: Certificate) -> Certificate:
 def tighten(certificate: Certificate, *, prune: bool = False) -> Certificate:
     """Tighten a certificate: optional pruning, then last-use fill-in."""
     return prune_unused(certificate) if prune else compute_last_use(certificate)
-
-
-def _canonical(token: str) -> str:
-    """``format_rational(parse_rational(token))`` for a number token the parser accepts: ``p/q``
-    costs one ``gcd`` and builds no rational, unless a part is too long for ``int()``."""
-    if token.isdigit() and token[0] != "0":
-        return token
-    numerator, slash, denominator = token.partition("/")
-    try:
-        p, q = int(numerator), int(denominator) if slash else 1
-    except ValueError:  # past the interpreter's int-string limit
-        return format_rational(parse_rational(token))
-    divisor = gcd(p, q)
-    if divisor == 1 < q and numerator.lstrip("-")[0] != "0" and denominator[0] != "0":
-        return token
-    p, q = p // divisor, q // divisor
-    return str(p) if q == 1 else f"{p}/{q}"
-
-
-def _tokens(text: str) -> list[str]:
-    if "%" in text:
-        text = "\n".join(line.partition("%")[0] for line in text.split("\n"))
-    return text.split()
-
-
-class TightenedFile:
-    """``mipcert ttn`` of the certificate file at ``path``. Construction is the first pass, a
-    ValueError when pruning a certificate that does not verify; it keeps the file's ``problem``,
-    ``goal`` and ``solutions``, and counts its ``derivations`` and those ``kept``. :meth:`write`
-    is the second pass."""
-
-    def __init__(self, path: str, *, prune: bool = False) -> None:
-        self.path, self._crc, ends, targets, self.solutions = path, 0, array("q"), array("q"), []
-        with open(path, encoding="utf-8") as handle:
-            header, events = split_header(parse_certificate(self._lines(handle)))
-            self.problem, self.goal = header.problem, header.goal
-            num_original = self.problem.num_constraints
-            events = _recorded(events, num_original, ends, targets, self.solutions)
-            goals = _goal_rows(self.problem, self.goal, events) if prune else None
-            for _ in events:  # the rest of the file, when it was not verified
-                pass
-        self._kept, self._new_index, self._last_use = _schedule(num_original, ends, targets, goals)
-        self.derivations = len(ends)
-        self.kept = self.derivations if goals is None else self._kept.count(1)
-
-    def _lines(self, handle: TextIO) -> Iterator[str]:
-        for line in handle:
-            self._crc = zlib.crc32(line.encode(), self._crc)
-            yield line
-
-    def _batches(self, handle: TextIO) -> Iterator[list[str]]:
-        """The tokens of ``handle``, whole lines at a time."""
-        rest = ""
-        for text in iter(lambda: handle.read(1 << 16), ""):
-            self._crc = zlib.crc32(text.encode(), self._crc)
-            text, _, rest = (rest + text).rpartition("\n")
-            yield _tokens(text)
-        yield _tokens(rest)
-
-    def write(self, sink: TextIO) -> None:
-        """Write ``write_certificate(tighten(certificate, prune=prune))`` to ``sink``, reading
-        the file again; OSError if its text is not what the first pass read."""
-        write_certificate(self, sink, (self.kept, ()))  # the header and solutions, then DER <kept>
-        first_pass, self._crc = self._crc, 0
-        with open(self.path, encoding="utf-8") as handle:
-            batches = self._batches(handle)
-            try:
-                self._copy_rows(batches, sink)
-                unchanged = not any(batches) and self._crc == first_pass
-            except (ValueError, LookupError, ArithmeticError, StopIteration):
-                unchanged = False  # tokens the first pass did not read
-        if not unchanged:
-            raise OSError(f"{self.path} changed while it was read")
-
-    def _copy_rows(self, batches: Iterator[list[str]], sink: TextIO) -> None:
-        problem, goal, count = self.problem, self.goal, self.derivations
-        at = (  # the tokens before DER: VER VAR INT OBJ CON RTP SOL, their operands and rows
-            15 + problem.num_variables + len(problem.integer_set) + 2 * len(problem.objective)
-            + sum(4 + 2 * len(constraint.lhs) for constraint in problem.constraints)
-            + (0 if isinstance(goal, InfeasibleGoal) else 2)
-            + sum(2 + 2 * len(solution.assignment) for solution in self.solutions)
-        )
-        row: list[str] = []
-
-        def need(n: int) -> None:
-            """``row`` from ``at`` on, batches joined on until it holds ``n`` tokens."""
-            nonlocal row, at
-            row, at = row[at:], 0
-            while len(row) < n:
-                row += next(batches)
-
-        while at >= len(row):
-            at, row = at - len(row), next(batches)
-        need(2)
-        if row[0] != "DER" or int(row[1]) != count:
-            raise ValueError("no DER section where the first pass read it")
-        at, kept, new_index, last_use = 2, self._kept, self._new_index, self._last_use
-        for position in range(count):
-            if at + 4 > len(row):
-                need(4)
-            brace = 4 + 2 * int(row[at + 3])  # <name> <sense> <rhs> <k> <k pairs> {
-            if at + brace + 3 > len(row):
-                need(brace + 3)
-            keyword = row[at + brace + 1]
-            end = brace + (
-                4 if keyword == "asm" else 8 if keyword == "uns" else 5 + 2 * int(row[at + brace + 2])
-            )
-            if at + end > len(row):
-                need(end)
-            tokens, at = row[at : at + end], at + end
-            if kept is not None and not kept[position]:
-                continue
-            first, step = (brace + 2, 1) if keyword == "uns" else (brace + 3, 2)
-            for place in range(first, end - 2, step):  # the references
-                reference = int(tokens[place])
-                if new_index[reference] != reference:
-                    tokens[place] = str(new_index[reference])
-            tokens[-1] = str(last_use[position])
-            line = " ".join(tokens)
-            if "/" in line or " -0" in line or line.count(" 0") != line.count(" 0 "):
-                tokens[2:brace] = map(_canonical, tokens[2:brace])
-                tokens[brace + 2 : -2] = map(_canonical, tokens[brace + 2 : -2])
-                line = " ".join(tokens)
-            sink.write(line + "\n")

@@ -18,6 +18,10 @@ DATA_DIR = Path(__file__).parent / "data"
 
 GOLDEN_NAMES = ("small_range", "rounding_chain", "split_infeasible")
 
+#: Whitespace a re-layout may put between two tokens of a certificate: rows split
+#: over lines, comments, several rows on one line.
+GAPS = (" ", "  ", "\t", "\n", "\n\n", " \n  \n ", " % a note\n", "\n% a whole-line note\n")
+
 
 def load_golden(name: str) -> Certificate:
     with open(DATA_DIR / f"{name}.crt", encoding="utf-8") as handle:

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import GOLDEN_NAMES, chain_lines, goal_rows, golden_text, load_golden
+from conftest import GAPS, GOLDEN_NAMES, chain_lines, goal_rows, golden_text, load_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from parse_error_corpus import CORPUS_PATH, corpus_outcomes, corpus_texts
@@ -202,14 +202,13 @@ def _solver_certificate_text() -> str:
 
 
 # Each golden, one solver certificate and a depth-4 split tree (rows of many
-# fractional pairs, and uns rows) in canonical form, and the gaps a re-layout
-# may put between their tokens.
+# fractional pairs, and uns rows) in canonical form; conftest's GAPS are the
+# gaps a re-layout may put between their tokens.
 CANONICAL_TEXTS = {name: written_text(load_golden(name)) for name in GOLDEN_NAMES}
 CANONICAL_TEXTS["solver split_infeasible"] = _solver_certificate_text()
 CANONICAL_TEXTS["tree depth 4"] = written_text(
     read_certificate(io.StringIO(workloads.tree_certificate(7, depth=4).text))
 )
-GAPS = (" ", "  ", "\t", "\n", "\n\n", " \n  \n ", " % a note\n", "\n% a whole-line note\n")
 
 
 # --- positioned parse errors ----------------------------------------------

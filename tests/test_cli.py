@@ -190,6 +190,28 @@ class TestTighten:
             assert run(capsys, "ttn", str(bad), str(bad), "--prune") == (1, "", message)
             assert bad.read_bytes() == before
 
+    def test_prune_reports_what_check_reports_first(self, capsys, tmp_path) -> None:
+        # A broken row, then text that does not parse: --prune checks the rows as they are
+        # read, as check does, so the broken row is what it reports; without --prune the
+        # file only has to parse.
+        lines = golden_text("small_range").splitlines()
+        lines[13] = "obj G 2 2 0 2 1 1 { lin 2 0 1 1 -1 } -1 trailing"
+        bad = tmp_path / "bad.crt"
+        bad.write_text("\n".join(lines) + "\n")
+        out_path = tmp_path / "out.crt"
+        assert run(capsys, "check", str(bad))[:2] == (
+            1,
+            "rejected at index 2 (lin): combination yields 2x + y >= 1, which does not dominate "
+            "the stated 2x + y >= 2\n",
+        )
+        code, out, err = run(capsys, "ttn", str(bad), str(out_path), "--prune")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot prune a certificate that does not verify (lin: ")
+        code, out, err = run(capsys, "ttn", str(bad), str(out_path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 14: trailing tokens after the DER section: 'trailing'\n"
+        assert not out_path.exists()
+
     def test_prune_keeps_an_early_hint_of_the_file(self, capsys, tmp_path) -> None:
         # A1 (row 3) is cited by rows 6, 8 and 13. Its hint 6 evicts it before
         # row 8 cites it, so the file as given does not verify.
@@ -272,8 +294,8 @@ class TestTighten:
     def test_input_changed_between_the_passes_exits_2(self, capsys, monkeypatch, tmp_path) -> None:
         # The second pass reads the input again; a different text there is refused and
         # OUT keeps its bytes, whatever the change does to the rows it copies.
-        tighten_module = importlib.import_module("mipcert.tighten")
-        first_pass = tighten_module.TightenedFile.__init__
+        ttn_module = importlib.import_module("mipcert.ttn")
+        first_pass = ttn_module.TightenedFile.__init__
         source, output = tmp_path / "in.crt", tmp_path / "out.crt"
         original = golden_text("split_infeasible")
         edits = (
@@ -289,7 +311,7 @@ class TestTighten:
                 first_pass(self, *args, **kwargs)
                 source.write_text(edit)
 
-            monkeypatch.setattr(tighten_module.TightenedFile, "__init__", edit_after_first_pass)
+            monkeypatch.setattr(ttn_module.TightenedFile, "__init__", edit_after_first_pass)
             source.write_text(original)
             output.write_bytes(b"kept")
             for prune in ((), ("--prune",)):
@@ -311,8 +333,8 @@ class TestReplacingOutput:
             sink.write("VER 1\n" * 10_000)
             raise OSError(28, "No space left on device")
 
-        tighten_module = importlib.import_module("mipcert.tighten")
-        monkeypatch.setattr(tighten_module.TightenedFile, "write", write_half)
+        ttn_module = importlib.import_module("mipcert.ttn")
+        monkeypatch.setattr(ttn_module.TightenedFile, "write", write_half)
         for source in (golden_path("small_range"), str(output)):  # elsewhere, and in place
             output.write_bytes(before)
             code, out, err = run(capsys, "ttn", source, str(output))

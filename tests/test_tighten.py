@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    GAPS,
     GOLDEN_NAMES,
     chain_lines,
     described_derivations,
@@ -48,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (the benchmark's seeded generators)
 
 tighten_module = importlib.import_module("mipcert.tighten")
+ttn_module = importlib.import_module("mipcert.ttn")
 
 
 def strip_last_use(certificate: Certificate) -> Certificate:
@@ -287,7 +289,7 @@ class TestCanonical:
     @example("1/" + "3" * 4400)
     @example("3" * 5000 + "/" + "3" * 5000)
     def test_copier_writes_what_the_writer_writes(self, token: str) -> None:
-        assert tighten_module._canonical(token) == format_rational(parse_rational(token))
+        assert ttn_module._canonical(token) == format_rational(parse_rational(token))
 
 
 def _non_canonical(token: str, previous: str, choice: int) -> str:
@@ -309,20 +311,17 @@ def _written(certificate: Certificate) -> str:
     return sink.getvalue()
 
 
-def _solved(problem_text: str) -> Certificate:
-    problem = parse_problem(io.StringIO(problem_text))
-    return solve(problem, SolveConfig(cg_objective=True)).certificate
-
-
 # Canonical texts of the goldens, a depth-5 split tree (fractional pairs, uns rows, dead
 # subtrees), and solver certificates with solutions and rnd and uns rows.
+SOLVED = (
+    parse_problem(io.StringIO(workloads.knapsack_problem(1203, 10).text)),
+    parse_problem(io.StringIO(workloads.parity_problem(4).text)),
+    load_golden("rounding_chain").problem,
+)
 TTN_TEXTS = [_written(load_golden(name)) for name in GOLDEN_NAMES] + [
     _written(read_certificate(io.StringIO(workloads.tree_certificate(7, depth=5).text))),
-    _written(_solved(workloads.knapsack_problem(1203, 10).text)),
-    _written(_solved(workloads.parity_problem(4).text)),
-    _written(solve(load_golden("rounding_chain").problem, SolveConfig(cg_objective=True)).certificate),
+    *(_written(solve(problem, SolveConfig(cg_objective=True)).certificate) for problem in SOLVED),
 ]
-GAPS = (" ", "  ", "\t", "\n", "\n\n", " \n  \n ", " % a note\n", "\n% a whole-line note\n")
 
 
 class TestTightenedFile:
@@ -335,8 +334,8 @@ class TestTightenedFile:
         tokens = text.split()
         forms = data.draw(st.lists(st.integers(0, 5), min_size=len(tokens), max_size=len(tokens)))
         tokens[2:] = map(_non_canonical, tokens[2:], tokens[1:], forms[2:])  # not VER's 1
-        gaps = data.draw(st.lists(st.sampled_from(GAPS), min_size=len(tokens), max_size=len(tokens)))
-        text = "".join(gap + token for gap, token in zip(gaps, tokens)) + data.draw(st.sampled_from(GAPS))
+        gaps = st.lists(st.sampled_from(GAPS), min_size=len(tokens), max_size=len(tokens))
+        text = "".join(map(str.__add__, data.draw(gaps), tokens)) + data.draw(st.sampled_from(GAPS))
         expected = io.StringIO()
         write_certificate(tighten(read_certificate(io.StringIO(text)), prune=prune), expected)
         with tempfile.TemporaryDirectory() as directory:
@@ -353,12 +352,11 @@ class TestTightenedFile:
         def refuse(*args, **kwargs):
             raise AssertionError("a certificate was built")
 
-        monkeypatch.setattr(tighten_module, "Certificate", refuse)
         monkeypatch.setattr("mipcert.model.Certificate.__init__", refuse)
         monkeypatch.setattr("mipcert.certfile.read_certificate", refuse)
         chain = tmp_path / "chain.crt"
         chain.write_text("\n".join(chain_lines(50)) + "\n")
-        tightened = tighten_module.TightenedFile(str(chain), prune=True)
+        tightened = ttn_module.TightenedFile(str(chain), prune=True)
         sink = io.StringIO()
         tightened.write(sink)
         assert (tightened.derivations, tightened.kept) == (50, 50)
