@@ -126,9 +126,11 @@ def _replacing(path: str) -> Iterator[TextIO]:
         with suppress(FileNotFoundError):
             os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(temporary, target)
-    except BaseException:
+    except BaseException as error:
         with suppress(FileNotFoundError):
             os.unlink(temporary)
+        if isinstance(error, OSError) and error.filename == temporary:  # say it of OUT
+            raise OSError(error.errno, error.strerror, path) from None
         raise
 
 

@@ -354,6 +354,18 @@ class TestReplacingOutput:
         assert list(tmp_path.iterdir()) == ([output] if existing else [])
         assert not existing or output.read_bytes() == b"before"
 
+    def test_an_out_that_cannot_be_written_is_named_in_the_error(self, capsys, tmp_path) -> None:
+        # The new file is an implementation detail: errors name OUT, as open(OUT, "w") would.
+        for output, why in (
+            (tmp_path / "absent" / "out", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        ):
+            for command in ("ttn", "html"):
+                code, out, err = run(capsys, command, golden_path("small_range"), str(output))
+                assert (code, out) == (2, "")
+                assert err.startswith("error: [Errno ") and err.endswith(f"] {why}: '{output}'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_symlinked_out_is_written_through(self, capsys, tmp_path) -> None:
         target, link = tmp_path / "target.html", tmp_path / "link.html"
         target.write_text("old")
