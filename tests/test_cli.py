@@ -274,20 +274,23 @@ class TestTighten:
         # adds only its reference arrays: it holds no certificate.
         chain = tmp_path / "chain.crt"
         chain.write_text("\n".join(chain_lines(5_000)) + "\n")
+        commands = (
+            lambda: verify_certificate_file(str(chain)).verified,
+            lambda: main(["ttn", str(chain), str(tmp_path / "pruned.crt"), "--prune"]) == 0,
+        )
+        for run_command in commands:  # imports and first-use caches out of the count
+            assert run_command()
         peaks = []
         tracemalloc.start()
         try:
-            for run_command in (
-                lambda: verify_certificate_file(str(chain)).verified,
-                lambda: main(["ttn", str(chain), str(tmp_path / "pruned.crt"), "--prune"]) == 0,
-            ):
+            for run_command in commands:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 assert run_command()
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        assert capsys.readouterr().out == "tightened: 5000 derivations (0 pruned)\n"
+        assert capsys.readouterr().out == "tightened: 5000 derivations (0 pruned)\n" * 2
         check, ttn = peaks
         assert ttn <= 1.1 * check, f"ttn --prune peak {ttn} B, check peak {check} B"
 
@@ -304,7 +307,7 @@ class TestTighten:
             original[: original.index("C10 ")],  # cut inside the rows
             original.replace("{ asm }", "{ lin 0 }", 1),
             original + "% a comment\n",
-            original.encode().decode() + "x",
+            original + "x",  # a token after the rows
         )
         for edit in edits:
             def edit_after_first_pass(self, *args, edit=edit, **kwargs) -> None:
