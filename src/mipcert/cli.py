@@ -115,33 +115,43 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
 
 @contextmanager
 def _replacing(path: str) -> Iterator[TextIO]:
-    """A text handle on a new file beside the file ``path`` resolves to, which replaces that file,
-    keeping its mode bits, once the block has written all of it. If the block raises, the new file
-    is removed and ``path`` is left as it was. A new ``path`` gets the mode ``open`` gives."""
-    target = os.path.realpath(path)
-    temporary = f"{target}.{os.urandom(6).hex()}.tmp"
+    """A text handle on OUT ``path`` that leaves it as it was if the block raises. A regular file
+    is replaced, keeping its mode bits, by a new file beside the file ``path`` resolves to once the
+    block has written all of it; a new file is made by ``open`` and removed if the block raises.
+    Anything else (a device, a FIFO, a file in a directory that takes no new file) is written
+    through ``open(path, "w")`` as it is."""
+    target, temporary = os.path.realpath(path), None
     try:
-        with open(temporary, "x", encoding="utf-8") as handle:
+        mode: Optional[int] = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None  # a new file
+    except OSError:
+        mode = 0  # open() says why
+    if mode and stat.S_ISREG(mode):
+        beside = os.path.join(os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")
+        with suppress(OSError):  # else OUT is written in place
+            descriptor = os.open(beside, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            temporary = beside
+    try:
+        with open(path if temporary is None else descriptor, "w", encoding="utf-8") as handle:
             yield handle
-        with suppress(FileNotFoundError):
-            os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
-        os.replace(temporary, target)
-    except BaseException as error:
-        with suppress(FileNotFoundError):
-            os.unlink(temporary)
-        if isinstance(error, OSError) and error.filename == temporary:  # say it of OUT
-            raise OSError(error.errno, error.strerror, path) from None
+        if temporary is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+            os.replace(temporary, target)
+    except BaseException:
+        if temporary is not None or mode is None:
+            with suppress(OSError):
+                os.unlink(target if temporary is None else temporary)
         raise
 
 
 def _cmd_ttn(args: argparse.Namespace, out: TextIO) -> int:
+    from .tighten import NotVerified
     from .ttn import TightenedFile  # here, so that only ttn compiles it
 
     try:
         tightened = TightenedFile(args.input, prune=args.prune)  # verified before OUT opens
-    except UnicodeDecodeError:
-        raise
-    except ValueError as exc:
+    except NotVerified as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     with _replacing(args.output) as handle:

@@ -25,11 +25,13 @@ from .checker import CheckerState, Rejection
 from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Problem, Reason, Rnd, RtpGoal, Uns
 from .model import replace
 
-__all__ = ["compute_last_use", "prune_unused", "tighten"]
+__all__ = ["NotVerified", "compute_last_use", "prune_unused", "tighten"]
 
 _FIRST = itemgetter(0)
-#: Events :func:`_recorded` reads ahead.
-_READ_AHEAD = 64
+
+
+class NotVerified(ValueError):
+    """Pruning was asked of a certificate that does not verify."""
 
 
 def _references(reason: Reason) -> Iterable[int]:
@@ -42,30 +44,15 @@ def _recorded(
     events: Iterable[Event], num_original: int, ends: array, targets: array, solutions: list
 ) -> Iterator[Event]:
     """``events``, each derivation's references to derivations appended to ``targets`` and
-    their end to ``ends``, and each solution to ``solutions``, on the way. They are read a batch
-    ahead, so that a parser and the checker consuming them do not evict each other's working
-    set from the cache at every row; an error reading them is raised after the events before it.
-    """
-    derived, events = num_original.__le__, iter(events)
-    while True:
-        batch: list[Event] = []
-        try:
-            batch.extend(islice(events, _READ_AHEAD))
-        except Exception as error:  # raised below, where streaming them would have raised it
-            failure: Exception | None = error
+    their end to ``ends``, and each solution to ``solutions``, on the way."""
+    derived = num_original.__le__
+    for event in events:
+        if isinstance(event, Derivation):
+            targets.extend(filter(derived, _references(event.reason)))
+            ends.append(len(targets))
         else:
-            failure = None
-        for event in batch:
-            if isinstance(event, Derivation):
-                targets.extend(filter(derived, _references(event.reason)))
-                ends.append(len(targets))
-            else:
-                solutions.append(event)
-            yield event
-        if failure is not None:
-            raise failure
-        if len(batch) < _READ_AHEAD:
-            return
+            solutions.append(event)
+        yield event
 
 
 def _schedule(
@@ -94,7 +81,7 @@ def _schedule(
 
 def _goal_marks(problem: Problem, goal: RtpGoal, events: Iterable[Event]) -> bytearray:
     """A 1 for each derivation that proves the goal, a 0 for each other up to the last that does;
-    ValueError unless ``events`` verify."""
+    NotVerified unless ``events`` verify."""
     marks, first = bytearray(), problem.num_constraints
     try:
         for index in CheckerState(problem, goal).run(events):
@@ -103,7 +90,7 @@ def _goal_marks(problem: Problem, goal: RtpGoal, events: Iterable[Event]) -> byt
     except Rejection as rejection:
         failure = rejection.failure
         msg = f"cannot prune a certificate that does not verify ({failure.rule}: {failure.message})"
-        raise ValueError(msg) from rejection
+        raise NotVerified(msg) from rejection
     return marks
 
 

@@ -54,8 +54,8 @@ def _tokens(text: str) -> list[str]:
 
 
 class TightenedFile:
-    """``mipcert ttn`` of the certificate file at ``path``. Construction is the first pass, a
-    ValueError when pruning a certificate that does not verify; it keeps the file's ``problem``,
+    """``mipcert ttn`` of the certificate file at ``path``. Construction is the first pass,
+    NotVerified when pruning a certificate that does not verify; it keeps the file's ``problem``,
     ``goal`` and ``solutions``, and counts its ``derivations`` and those ``kept``. :meth:`write`
     is the second pass."""
 
@@ -81,12 +81,15 @@ class TightenedFile:
 
     def _batches(self, handle: TextIO) -> Iterator[list[str]]:
         """The second pass's tokens of ``handle``, whole lines at a time."""
-        rest = ""
+        pending: list[str] = []  # the pieces of a line not yet ended, joined once it ends
         for text in iter(lambda: handle.read(1 << 16), ""):
             self._crc = zlib.crc32(text.encode(), self._crc)
-            text, _, rest = (rest + text).rpartition("\n")
-            yield _tokens(text)
-        yield _tokens(rest)
+            head, newline, tail = text.rpartition("\n")
+            pending.append(head if newline else tail)
+            if newline:
+                yield _tokens("".join(pending))
+                pending = [tail]
+        yield _tokens("".join(pending))
 
     def write(self, sink: TextIO) -> None:
         """Write ``write_certificate(tighten(certificate, prune=prune))`` to ``sink``, reading

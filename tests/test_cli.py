@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -378,6 +379,43 @@ class TestReplacingOutput:
             assert link.is_symlink() and os.readlink(link) == str(target)
             assert target.read_text().startswith("VER 1" if command == "ttn" else "<!DOCTYPE")
             assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_an_out_that_is_not_a_regular_file_is_written_through(self, capsys, tmp_path) -> None:
+        # A FIFO is still a FIFO its reader reads the page from, and a device is not replaced.
+        fifo, received = tmp_path / "fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+        reader.start()
+        assert run(capsys, "html", golden_path("small_range"), str(fifo))[0] == 0
+        reader.join(timeout=30)
+        assert received[0] == render_html(load_golden("small_range"))
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        before = os.stat(os.devnull)
+        assert run(capsys, "ttn", golden_path("small_range"), os.devnull)[0] == 0
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode) and (after.st_ino, after.st_rdev) == (
+            before.st_ino,
+            before.st_rdev,
+        )
+        assert sorted(tmp_path.iterdir()) == [fifo]
+
+    def test_an_out_in_a_directory_that_takes_no_new_file_is_written_in_place(
+        self, capsys, monkeypatch, tmp_path
+    ) -> None:
+        expected, output = tmp_path / "expected.crt", tmp_path / "out.crt"
+        assert run(capsys, "ttn", golden_path("small_range"), str(expected))[0] == 0
+        output.write_text("old")
+        refused = cli.os.open
+
+        def no_new_file(name, flags, *args):
+            if flags & os.O_CREAT:
+                raise PermissionError(13, "Permission denied", name)
+            return refused(name, flags, *args)
+
+        monkeypatch.setattr(cli.os, "open", no_new_file)
+        assert run(capsys, "ttn", golden_path("small_range"), str(output))[0] == 0
+        assert output.read_text() == expected.read_text()
+        assert sorted(tmp_path.iterdir()) == [expected, output]
 
     def test_modes_are_those_of_out_or_of_a_new_file(self, capsys, tmp_path) -> None:
         existing, new = tmp_path / "existing.crt", tmp_path / "new.crt"

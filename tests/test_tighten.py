@@ -348,6 +348,21 @@ class TestTightenedFile:
         kept = len(read_certificate(io.StringIO(expected.getvalue())).derivations)
         assert out.getvalue().startswith(f"tightened: {kept} derivations")
 
+    @pytest.mark.parametrize("end", ("\n", ""))
+    def test_a_line_longer_than_a_read_is_copied_as_rows_on_lines_are(self, tmp_path, end) -> None:
+        # The second pass reads 64 KB at a time; a whole certificate on one line spans many reads.
+        lines = chain_lines(5000)
+        one_line, row_lines = tmp_path / "one_line.crt", tmp_path / "row_lines.crt"
+        one_line.write_text(" ".join(lines) + end)
+        row_lines.write_text("\n".join(lines) + "\n")
+        assert one_line.stat().st_size > 2 << 16
+        written = []
+        for source in (one_line, row_lines):
+            sink = io.StringIO()
+            ttn_module.TightenedFile(str(source), prune=True).write(sink)
+            written.append(sink.getvalue())
+        assert written[0] == written[1]
+
     def test_the_file_form_builds_no_certificate(self, monkeypatch, tmp_path) -> None:
         def refuse(*args, **kwargs):
             raise AssertionError("a certificate was built")
