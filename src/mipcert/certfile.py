@@ -490,12 +490,9 @@ def write_problem(problem: Problem, sink: TextIO) -> None:
         sink.write(_constraint_line(constraint) + "\n")
 
 
-def write_certificate(
-    certificate: Certificate, sink: TextIO, rows: tuple[int, Iterable[Derivation]] | None = None
-) -> None:
+def write_certificate(certificate: Certificate, sink: TextIO, count: int | None = None) -> None:
     """Write a certificate in canonical form; re-parsing yields an equal value.
-    ``rows`` (a count, then that many rows, written as they arrive) replaces its own."""
-    count, derivations = rows or (len(certificate.derivations), certificate.derivations)
+    Given a ``count``, write ``DER <count>`` and none of its rows, which the caller writes."""
     write_problem(certificate.problem, sink)
     goal = certificate.goal
     if isinstance(goal, InfeasibleGoal):
@@ -506,7 +503,8 @@ def write_certificate(
     sink.write(f"SOL {len(certificate.solutions)}\n")
     for solution in certificate.solutions:
         sink.write(f"{solution.name} {_format_pairs(solution.assignment)}\n")
-    sink.write(f"DER {count}\n")
+    derivations = certificate.derivations if count is None else ()
+    sink.write(f"DER {len(derivations) if count is None else count}\n")
     for derivation in derivations:
         sink.write(
             f"{_constraint_line(derivation.constraint)} "

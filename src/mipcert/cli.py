@@ -192,7 +192,7 @@ def _cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     else:
         out.write(f"{result.status}\n")
     if result.certificate is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with _replacing(args.output) as handle:
             write_certificate(result.certificate, handle)
         out.write(f"wrote {args.output} ({result.num_nodes} nodes)\n")
     return 0

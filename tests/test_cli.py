@@ -249,6 +249,26 @@ class TestTighten:
         assert (code, out) == (0, "tightened: 11 derivations (1 pruned)\n")
         assert padded.read_text() == elsewhere.read_text()
 
+    def test_an_input_that_cannot_be_read_twice_is_refused(self, tmp_path) -> None:
+        # A pipe on /dev/stdin is refused before it is read and before OUT is opened;
+        # /dev/stdin redirected from a regular file is read twice as that file is.
+        output, expected = tmp_path / "out.crt", tmp_path / "expected.crt"
+        assert main(["ttn", golden_path("small_range"), str(expected)]) == 0
+        src = str(Path(mipcert.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-c", "import sys\nfrom mipcert.cli import main\nsys.exit(main())"]
+        argv += ["ttn", "/dev/stdin", str(output)]
+        options = {"capture_output": True, "env": {**os.environ, "PYTHONPATH": src}, "timeout": 60}
+        piped = subprocess.run(argv, input=Path(golden_path("small_range")).read_bytes(), **options)
+        assert (piped.returncode, piped.stdout) == (2, b"")
+        assert piped.stderr == (
+            b"error: /dev/stdin is not a regular file, and ttn reads its input twice\n"
+        )
+        assert not output.exists()
+        with open(golden_path("small_range"), "rb") as stdin:
+            redirected = subprocess.run(argv, stdin=stdin, **options)
+        assert (redirected.returncode, redirected.stderr) == (0, b"")
+        assert output.read_bytes() == expected.read_bytes()
+
     def test_prune_holds_the_certificate_about_once(self, capsys, tmp_path) -> None:
         # tracemalloc counts the same bytes on every run of one interpreter;
         # RSS does not. The raw chain keeps no row live by its own hints.
@@ -328,23 +348,32 @@ class TestTighten:
 
 
 class TestReplacingOutput:
-    """ttn and html write OUT through a new file that replaces it only once complete."""
+    """ttn, html and solve write OUT through a new file that replaces it only once complete."""
 
     def test_a_failed_write_leaves_out_as_it_was(self, capsys, monkeypatch, tmp_path) -> None:
-        output, before = tmp_path / "out.crt", golden_text("split_infeasible").encode()
+        directory = tmp_path / "out"
+        directory.mkdir()
+        output = directory / "out.crt"
+        problem = write_problem_file(load_golden("split_infeasible").problem, tmp_path / "p.mip")
 
-        def write_half(self, sink) -> None:
+        def write_half(self, sink) -> None:  # TightenedFile.write, and write_certificate
             sink.write("VER 1\n" * 10_000)
             raise OSError(28, "No space left on device")
 
         ttn_module = importlib.import_module("mipcert.ttn")
         monkeypatch.setattr(ttn_module.TightenedFile, "write", write_half)
-        for source in (golden_path("small_range"), str(output)):  # elsewhere, and in place
-            output.write_bytes(before)
-            code, out, err = run(capsys, "ttn", source, str(output))
-            assert (code, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
-            assert output.read_bytes() == before
-            assert list(tmp_path.iterdir()) == [output]
+        monkeypatch.setattr(cli, "write_certificate", write_half)
+        cases = (  # the command, OUT's bytes, the input elsewhere, and what it prints first
+            ("ttn", golden_text("split_infeasible"), golden_path("small_range"), ""),
+            ("solve", Path(problem).read_text(), problem, "infeasible\n"),
+        )
+        failed = "error: [Errno 28] No space left on device\n"
+        for command, before, elsewhere, printed in cases:
+            for source in (elsewhere, str(output)):  # elsewhere, and in place
+                output.write_text(before)
+                assert run(capsys, command, source, str(output)) == (2, printed, failed)
+                assert output.read_text() == before
+                assert list(directory.iterdir()) == [output]
 
     @pytest.mark.parametrize("existing", (True, False))
     def test_a_writer_raising_half_way_leaves_no_file(self, tmp_path, existing) -> None:
@@ -657,14 +686,28 @@ def test_html_loads_no_solver(tmp_path) -> None:
     assert set(modules) == TRUSTED_MODULES | {"mipcert.render"}
 
 
-def test_readme_counts_the_trusted_core_lines() -> None:
-    package = Path(mipcert.__file__).resolve().parent
-    files = [package / f"{name.partition('.')[2] or '__init__'}.py" for name in TRUSTED_MODULES]
+PACKAGE = Path(mipcert.__file__).resolve().parent
+
+
+def _lines_stated_and_counted(command: str, files: list[Path]) -> tuple[int, int]:
+    """The count README.md states as ``<n> lines by `<command>```, and the lines of ``files``."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.search(rf"([\d,]+)\s+lines\s+by\s+`{re.escape(command)}`", readme)
+    assert stated is not None, command
     total = sum(path.read_bytes().count(b"\n") for path in files)  # as `wc -l` counts
-    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
-    stated = re.search(r"([\d,]+)\s+lines\s+by\s+`wc -l`", readme)
-    assert stated is not None
-    assert int(stated.group(1).replace(",", "")) == total
+    return int(stated.group(1).replace(",", "")), total
+
+
+def test_readme_counts_the_trusted_core_lines() -> None:
+    files = [PACKAGE / f"{name.partition('.')[2] or '__init__'}.py" for name in TRUSTED_MODULES]
+    stated, total = _lines_stated_and_counted("wc -l", files)
+    assert stated == total
+
+
+def test_readme_counts_the_package_lines() -> None:
+    # Each change in the package's size shows here, next to the trusted core's.
+    stated, total = _lines_stated_and_counted("wc -l src/mipcert/*.py", list(PACKAGE.glob("*.py")))
+    assert stated == total
 
 
 def test_readme_library_example_runs(tmp_path) -> None:

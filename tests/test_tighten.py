@@ -350,7 +350,8 @@ class TestTightenedFile:
 
     @pytest.mark.parametrize("end", ("\n", ""))
     def test_a_line_longer_than_a_read_is_copied_as_rows_on_lines_are(self, tmp_path, end) -> None:
-        # The second pass reads 64 KB at a time; a whole certificate on one line spans many reads.
+        # The second pass reads line by line, as the parser does; a whole certificate on one line
+        # is one line of many rows, each copied from the one token list of that line.
         lines = chain_lines(5000)
         one_line, row_lines = tmp_path / "one_line.crt", tmp_path / "row_lines.crt"
         one_line.write_text(" ".join(lines) + end)
@@ -362,6 +363,20 @@ class TestTightenedFile:
             ttn_module.TightenedFile(str(source), prune=True).write(sink)
             written.append(sink.getvalue())
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_a_header_longer_than_a_take_is_skipped_to_der(self, tmp_path, prune) -> None:
+        # The second pass skips the tokens before DER at most 4,096 at a time: 5,000 variable
+        # names, one a line, make that two takes, the first ending among the names.
+        lines = chain_lines(50)
+        lines[1:3] = ["VAR 5000", *(f"x{index}" for index in range(5000))]
+        text = "\n".join(lines) + "\n"
+        source = tmp_path / "in.crt"
+        source.write_text(text)
+        expected, sink = io.StringIO(), io.StringIO()
+        write_certificate(tighten(read_certificate(io.StringIO(text)), prune=prune), expected)
+        ttn_module.TightenedFile(str(source), prune=prune).write(sink)
+        assert sink.getvalue() == expected.getvalue()
 
     def test_the_file_form_builds_no_certificate(self, monkeypatch, tmp_path) -> None:
         def refuse(*args, **kwargs):
