@@ -36,6 +36,7 @@ Each row is read from one token list with a running position: its line's
 tokens, joined with later lines' only when the row runs past the line's end.
 Fields are checked once, in file order, inline for a row's own fields; error
 text is built, by the checks and builders of ``_Tokens``, only when one fails.
+Rows of one parse whose short left-hand sides have the same tokens share one record.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ _LEFT_HAND_SIDES = {what: f"{what} left-hand side" for what in ("constraint", "d
 #: a count the input cannot back holds no more tokens than those read so far.
 _PAIRS_PER_TAKE = 4096
 
+#: The tokens of a left-hand side of at most 8 pairs, from its count on, by the count. One parse
+#: shares the records of at most _SHARED such vectors, keyed by their tokens joined by spaces,
+#: of at most _SHARED characters.
+_SHORT_SPANS = {str(pairs): 2 * pairs + 1 for pairs in range(9)}
+_SHARED = 256
+
+_ASM = Asm()  # the reason of every asm row
+
 
 class _Tokens:
     """Whitespace tokens over lines: :attr:`row`, the current line's, is read from :attr:`at`,
@@ -117,6 +126,7 @@ class _Tokens:
         self.row: list[str] = []
         self.at = 0
         self.line = 0
+        self.vectors: dict[str, SparseVec] = {}  # the shared left-hand sides, by their tokens
 
     def take(self, n: int) -> tuple[list[str], int]:
         """The row and the position in it of the next ``n`` tokens, which are then passed."""
@@ -328,7 +338,15 @@ def _take_row(
         rhs = parse_rational(row[at + 2])
     except ValueError as exc:
         raise tokens.rational_error(at + 2, what, " right-hand side", exc) from exc
-    vector, at = _take_pairs(tokens, at + 3, width, _LEFT_HAND_SIDES[what])
+    end = at + 3 + _SHORT_SPANS.get(row[at + 3], 0)  # past the vector, if it is short
+    key = " ".join(row[at + 3 : end])  # if the row ends first, too few tokens for a stored key
+    vector = tokens.vectors.get(key)
+    if vector is not None:
+        at = tokens.at = end
+    else:  # so every error is _take_pairs'; the tokens of a stored key parsed without one
+        vector, at = _take_pairs(tokens, at + 3, width, _LEFT_HAND_SIDES[what])
+        if len(tokens.vectors) < _SHARED and end <= len(row) and 0 < len(key) <= _SHARED:
+            tokens.vectors[key] = vector
     if name in seen:  # reported at the vector's last token, or at its length when empty
         raise tokens.error(f"duplicate constraint name {name!r}", at - 1)
     seen.add(name)
@@ -348,7 +366,7 @@ def _take_row(
         reason, at = _take_pairs(tokens, at + 2, own_index, "combination", terms)
         row = tokens.row
     elif keyword == "asm":
-        reason, at = Asm(), at + 2  # its "}" is read with last_use
+        reason, at = _ASM, at + 2  # its "}" is read with last_use
     elif keyword == "uns":
         references, tokens.at = [], at + 2
         for part in ("row", "assumption", "row", "assumption"):

@@ -178,6 +178,34 @@ class TestTokenizer:
         expected = read_certificate(io.StringIO(CANONICAL_TEXTS[name]))
         assert read_certificate(io.StringIO(text)) == expected
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_vectors_split_over_lines_are_not_shared_and_parse_alike(self, data) -> None:
+        # With a line break in every gap no row holds a whole non-empty vector, so each row
+        # builds its own left-hand side, where the one-line text shares those that repeat.
+        name = data.draw(st.sampled_from(sorted(CANONICAL_TEXTS)))
+        tokens = CANONICAL_TEXTS[name].split()
+        breaks = st.sampled_from([gap for gap in GAPS if "\n" in gap])
+        gaps = data.draw(st.lists(breaks, min_size=len(tokens), max_size=len(tokens)))
+        events = list(parse_certificate(io.StringIO("".join(map(str.__add__, gaps, tokens)))))
+        assert events == list(parse_certificate([" ".join(tokens)]))
+        derived = (event.constraint for event in events if isinstance(event, Derivation))
+        rows = [*events[0].problem.constraints, *derived]
+        vectors = [row.lhs for row in rows if row.lhs]  # an empty one is a single token
+        assert len({id(vector) for vector in vectors}) == len(vectors)
+
+    def test_shared_left_hand_sides_do_not_outlive_a_parse(self) -> None:
+        three = ["VER 1", "VAR 3", "x y z", "INT 0", "OBJ min", "0", "CON 2"]
+        rows = ["C1 G 0 1 2 1", "C2 L 4 1 2 1", "RTP infeas", "SOL 0", "DER 0"]
+        certificate = parse_lines(three + rows)
+        assert certificate.problem.constraints[1].lhs is certificate.problem.constraints[0].lhs
+        with pytest.raises(ParseError) as excinfo:
+            parse_lines(["VER 1", "VAR 2", "x y", *three[3:], *rows])
+        assert excinfo.value.line == 8
+        assert excinfo.value.message == (
+            "constraint left-hand side variable index 2 out of range (must be < 2)"
+        )
+
     def test_vectors_longer_than_one_take(self) -> None:
         width = 9000
         names = " ".join(f"v{index}" for index in range(width))
@@ -230,6 +258,12 @@ def _splice(lineno: int, *replacement: str) -> list[str]:
 
 
 DER_ROW = "obj G 1 2 0 2 1 1 {{ {reason} }} {last_use}"
+
+#: Rows that put a duplicate name far from the row it repeats: 50 constraints, 99 derivations
+#: and 49 solutions, with names of their own.
+FILLER_CONSTRAINTS = [f"F{k} G 0 1 0 1" for k in range(50)]
+FILLER_DERIVATIONS = [f"D{k} G 0 1 0 1 {{ asm }} -1" for k in range(1, 100)]
+FILLER_SOLUTIONS = [f"s{k} 1 0 1" for k in range(49)]
 
 
 def _der(reason: str, last_use: str = "-1") -> list[str]:
@@ -303,6 +337,19 @@ INVALID_CASES = [
     pytest.param(_splice(14, "obj G 1 2 0 2 1 1", "lin 2 0 1 1 -1 } -1"), 15, "expected '{' before derivation reason, found 'lin'", id="missing-brace-own-line"),
     pytest.param(_splice(14, "obj G 1 2 0 2 1 1 { lin", "two 0 1 1 -1 } -1"), 15, "expected a nonnegative count for combination terms, found 'two'", id="lin-count-own-line"),
     pytest.param(_splice(14, "obj G 1 0 { uns 0", "5 1 0 } -1"), 15, "unsplit assumption reference 5 out of range (must be < 2)", id="second-uns-reference-own-line"),
+    # A duplicate name is reported at its row's left-hand side's last token (a constraint's or
+    # a derivation's, also when that vector repeats an earlier row's, whose record is then
+    # shared) and at the name itself for a solution, however far apart the two rows are.
+    pytest.param(_mut(9, "C1 L 1 2 0 5 1 -1"), 9, "duplicate constraint name 'C1'", id="duplicate-constraint-repeated-lhs"),
+    pytest.param(_splice(9, "C1 L 1 2 0 3", "1 -2"), 10, "duplicate constraint name 'C1'", id="duplicate-constraint-lhs-split-row"),
+    pytest.param(_splice(9, "C1", "L 1 2 0 5 1 -1"), 10, "duplicate constraint name 'C1'", id="duplicate-constraint-repeated-lhs-split-row"),
+    pytest.param(BASE[:6] + ["CON 52", BASE[7], *FILLER_CONSTRAINTS, "C1 L 1 2 0 3 1 -2", *BASE[9:]], 59, "duplicate constraint name 'C1'", id="duplicate-constraint-far"),
+    pytest.param(_splice(13, "DER 2", BASE[13], "obj G 0 2 0 2 1 1 { asm } -1"), 15, "duplicate constraint name 'obj'", id="duplicate-derivation-repeated-lhs"),
+    pytest.param(_splice(13, "DER 2", BASE[13], "obj G 0 2 0 2", "1 1 { asm } -1"), 16, "duplicate constraint name 'obj'", id="duplicate-derivation-lhs-split-row"),
+    pytest.param([*BASE[:12], "DER 101", BASE[13], *FILLER_DERIVATIONS, "D1 G 0 1 0 1 { asm } -1"], 114, "duplicate constraint name 'D1'", id="duplicate-derivation-far-repeated-lhs"),
+    pytest.param([*BASE[:12], "DER 101", BASE[13], *FILLER_DERIVATIONS, "C2 G 0 1 1 1 { asm } -1"], 114, "duplicate constraint name 'C2'", id="derivation-name-clash-far"),
+    pytest.param(_splice(11, "SOL 2", BASE[11], "x*", "0"), 13, "duplicate solution name 'x*'", id="duplicate-solution-split-row"),
+    pytest.param([*BASE[:10], "SOL 51", BASE[11], *FILLER_SOLUTIONS, "x* 0", *BASE[12:]], 62, "duplicate solution name 'x*'", id="duplicate-solution-far"),
 ]
 
 
@@ -384,20 +431,32 @@ def test_parse_error_corpus_is_unchanged(name: str) -> None:
 
 
 def _rationals_in_file_order(certificate) -> list[str]:
-    """Each rational a certificate holds, written, in the order its file holds them:
-    right-hand sides, coefficients, range bounds, solution values and multipliers."""
+    """Each rational a parse of a certificate's canonical text converts, written, in file order:
+    right-hand sides, coefficients, range bounds, solution values and multipliers. A row's
+    left-hand side whose text an earlier row's had is shared, not converted again, when it has
+    at most 8 pairs and 256 characters and the parse keeps fewer than 256 of them."""
+    shared: set[str] = set()
+
+    def row_values(constraint) -> list:
+        lhs = constraint.lhs
+        text = " ".join([str(len(lhs)), *(f"{i} {format_rational(v)}" for i, v in lhs)])
+        if text in shared:
+            return [constraint.rhs]
+        if len(lhs) <= 8 and len(text) <= 256 and len(shared) < 256:
+            shared.add(text)
+        return [constraint.rhs, *(value for _, value in lhs)]
+
     problem = certificate.problem
     values = [value for _, value in problem.objective]
     for constraint in problem.constraints:
-        values += [constraint.rhs, *(value for _, value in constraint.lhs)]
+        values += row_values(constraint)
     goal = certificate.goal
     if isinstance(goal, RangeGoal):
         values += [bound for bound in (goal.lower, goal.upper) if bound is not None]
     for solution in certificate.solutions:
         values += [value for _, value in solution.assignment]
     for derivation in certificate.derivations:
-        constraint = derivation.constraint
-        values += [constraint.rhs, *(value for _, value in constraint.lhs)]
+        values += row_values(derivation.constraint)
         values += [multiplier for _, multiplier in getattr(derivation.reason, "terms", ())]
     return [format_rational(value) for value in values]
 

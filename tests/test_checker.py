@@ -201,6 +201,22 @@ class TestEviction:
         assert report.stats.peak_live == 3
         assert peak < 100_000
 
+    def test_streamed_check_of_a_fully_live_chain_holds_under_360_bytes_a_row(self) -> None:
+        # Every hint is -1, so the check keeps each row; the rows share one left-hand side.
+        lines = chain_lines(20_000)
+        tracemalloc.start()
+        try:
+            report = verify_certificate(parse_certificate(iter(lines)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verified
+        assert report.stats.peak_live == 20_001
+        assert peak < 360 * 20_000
+        certificate = read_certificate(iter(lines))
+        shared = certificate.problem.constraints[0].lhs
+        assert all(derivation.constraint.lhs is shared for derivation in certificate.derivations)
+
     def test_reference_to_evicted_row_faults(self) -> None:
         certificate = load_golden("rounding_chain")
         derivations = list(certificate.derivations)
