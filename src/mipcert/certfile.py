@@ -108,11 +108,9 @@ _LEFT_HAND_SIDES = {what: f"{what} left-hand side" for what in ("constraint", "d
 _PAIRS_PER_TAKE = 4096
 
 #: The tokens of a left-hand side of at most 8 pairs, from its count on, by the count. One parse
-#: shares the records of at most _SHARED such vectors, keyed by their tokens joined by spaces,
-#: of at most _SHARED characters.
+#: shares at most _SHARED such vectors, each of at most _SHARED characters, by their tokens.
 _SHORT_SPANS = {str(pairs): 2 * pairs + 1 for pairs in range(9)}
 _SHARED = 256
-
 _ASM = Asm()  # the reason of every asm row
 
 
@@ -127,6 +125,7 @@ class _Tokens:
         self.at = 0
         self.line = 0
         self.vectors: dict[str, SparseVec] = {}  # the shared left-hand sides, by their tokens
+        self.ends: set[str] = set()  # their last tokens: a row whose vector ends otherwise misses
 
     def take(self, n: int) -> tuple[list[str], int]:
         """The row and the position in it of the next ``n`` tokens, which are then passed."""
@@ -339,14 +338,17 @@ def _take_row(
     except ValueError as exc:
         raise tokens.rational_error(at + 2, what, " right-hand side", exc) from exc
     end = at + 3 + _SHORT_SPANS.get(row[at + 3], 0)  # past the vector, if it is short
-    key = " ".join(row[at + 3 : end])  # if the row ends first, too few tokens for a stored key
-    vector = tokens.vectors.get(key)
+    key = vector = None  # no key is built for a vector that can be neither found nor stored
+    if end <= len(row) and (row[end - 1] in tokens.ends or len(tokens.vectors) < _SHARED):
+        key = " ".join(row[at + 3 : end])
+        vector = tokens.vectors.get(key)
     if vector is not None:
         at = tokens.at = end
     else:  # so every error is _take_pairs'; the tokens of a stored key parsed without one
         vector, at = _take_pairs(tokens, at + 3, width, _LEFT_HAND_SIDES[what])
-        if len(tokens.vectors) < _SHARED and end <= len(row) and 0 < len(key) <= _SHARED:
+        if key and len(tokens.vectors) < _SHARED and len(key) <= _SHARED:
             tokens.vectors[key] = vector
+            tokens.ends.add(row[end - 1])
     if name in seen:  # reported at the vector's last token, or at its length when empty
         raise tokens.error(f"duplicate constraint name {name!r}", at - 1)
     seen.add(name)

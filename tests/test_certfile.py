@@ -206,6 +206,17 @@ class TestTokenizer:
             "constraint left-hand side variable index 2 out of range (must be < 2)"
         )
 
+    def test_a_parse_shares_at_most_256_left_hand_sides_of_at_most_256_characters(self) -> None:
+        head = ["VER 1", "VAR 1", "x", "INT 0", "OBJ min", "0", "CON 0", "RTP infeas", "SOL 0"]
+        vectors = [f"1 0 {k}" for k in range(1, 301)] + ["1 0 " + "9" * 300]
+        rows = [f"{name}{k} G 0 {lhs} {{ asm }} -1" for name in "DE"
+                for k, lhs in enumerate(vectors)]
+        derivations = parse_lines([*head, f"DER {len(rows)}", *rows]).derivations
+        first, again = derivations[: len(vectors)], derivations[len(vectors) :]
+        assert [a.constraint.lhs == b.constraint.lhs for a, b in zip(first, again)] == [True] * 301
+        shared = [a.constraint.lhs is b.constraint.lhs for a, b in zip(first, again)]
+        assert shared == [True] * 256 + [False] * 45
+
     def test_vectors_longer_than_one_take(self) -> None:
         width = 9000
         names = " ".join(f"v{index}" for index in range(width))
