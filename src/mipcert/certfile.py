@@ -337,7 +337,7 @@ def _take_row(
         rhs = parse_rational(row[at + 2])
     except ValueError as exc:
         raise tokens.rational_error(at + 2, what, " right-hand side", exc) from exc
-    end = at + 3 + _SHORT_SPANS.get(row[at + 3], 0)  # past the vector, if it is short
+    end = at + 3 + _SHORT_SPANS.get(row[at + 3], 0)  # past a short vector, else at its start
     key = vector = None  # no key is built for a vector that can be neither found nor stored
     if end <= len(row) and (row[end - 1] in tokens.ends or len(tokens.vectors) < _SHARED):
         key = " ".join(row[at + 3 : end])
