@@ -12,8 +12,8 @@ unbounded solve, which produces no certificate); 1 when a certificate is
 rejected or an operation needs a verified certificate and does not get one;
 2 on malformed input or usage errors.
 
-Commands run with the cyclic garbage collector off: no per-row record closes a
-reference cycle, so its walks over a held certificate would free nothing.
+No per-row record closes a reference cycle, so commands run with the collector
+off, and :func:`entry` first freezes the imports' objects out of its last walk.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .checker import VerificationReport, verify_certificate_file
 from .model import InfeasibleGoal, format_bounds
 from .numeric import format_rational
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -226,5 +226,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             gc.enable()
 
 
+def entry() -> int:
+    """``main`` on the command line, after :func:`gc.freeze`: the program's entry."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

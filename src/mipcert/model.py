@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from itertools import chain, pairwise
+from math import gcd
 from typing import Union
 
 from .numeric import (
@@ -404,8 +405,8 @@ class Certificate(_Record):
         return self.problem.num_constraints
 
 
-#: An assumption set: combined indices of the Asm rows a row depends on.
-AssumptionSet = frozenset
+#: An assumption set: combined indices of the Asm rows a row depends on, increasing.
+AssumptionSet = tuple[int, ...]
 
 
 def _sign_ok(row_sense: Sense, sign: int, target: Sense) -> bool:
@@ -434,16 +435,18 @@ def linear_combine(terms: Sequence[tuple[Constraint, Number]], target_sense: Sen
     deriving an =-row requires every participating row to be an equality.
     Raises RuleViolation identifying the first offending term.
 
-    The sum runs on Python ints: each output coefficient and the right-hand
-    side is kept as an unreduced ``[numerator, denominator]`` pair, adding
-    numerators when the denominators match and cross-multiplying otherwise.
-    Each entry is reduced once, at the end, to an ``int`` when integral and
-    to a :data:`Rational` otherwise; entries that cancel to zero are dropped.
-    The entries are then sorted and nonzero, so the result's vector is built
-    without running the validating :class:`SparseVec` constructor again.
+    The sum runs on Python ints. Each output coefficient and the right-hand
+    side is kept as an unreduced ``[numerator, denominator]`` pair times
+    ``scale``, the lcm of the multipliers' denominators so far, which a new
+    denominator raises by rescaling every sum; so a pair's denominator comes
+    only from the coefficients. Each entry is reduced once, at the end, over
+    ``scale``: to an ``int`` when integral, else a :data:`Rational`, dropping
+    entries that cancel to zero. The entries are then sorted and nonzero, so
+    the result's vector skips the validating :class:`SparseVec` constructor.
     """
     sums: dict[int, list[int]] = {}
     rhs_numerator, rhs_denominator = 0, 1
+    scale = 1
     for position, (constraint, multiplier) in enumerate(terms):
         m_numerator = multiplier.numerator
         if not _sign_ok(constraint.sense, m_numerator, target_sense):
@@ -456,9 +459,16 @@ def linear_combine(terms: Sequence[tuple[Constraint, Number]], target_sense: Sen
         if not m_numerator:
             continue
         m_denominator = multiplier.denominator
+        if scale % m_denominator:
+            grow = m_denominator // gcd(scale, m_denominator)
+            scale *= grow
+            for pair in sums.values():
+                pair[0] *= grow
+            rhs_numerator *= grow
+        m_numerator *= scale // m_denominator
         for index, coeff in constraint.lhs.entries:
             numerator = m_numerator * coeff.numerator
-            denominator = m_denominator * coeff.denominator
+            denominator = coeff.denominator
             pair = sums.get(index)
             if pair is None:
                 sums[index] = [numerator, denominator]
@@ -469,7 +479,7 @@ def linear_combine(terms: Sequence[tuple[Constraint, Number]], target_sense: Sen
                 pair[1] *= denominator
         rhs = constraint.rhs
         numerator = m_numerator * rhs.numerator
-        denominator = m_denominator * rhs.denominator
+        denominator = rhs.denominator
         if denominator == rhs_denominator:
             rhs_numerator += numerator
         else:
@@ -478,11 +488,13 @@ def linear_combine(terms: Sequence[tuple[Constraint, Number]], target_sense: Sen
     entries = []
     for index, (numerator, denominator) in sums.items():
         if numerator:
+            denominator *= scale
             value = numerator if denominator == 1 else _reduced(numerator, denominator)
             entries.append((index, value))
     entries.sort()  # by index, as the indices differ
     lhs = object.__new__(SparseVec)
     _set_entries(lhs, tuple(entries))
+    rhs_denominator *= scale
     rhs = rhs_numerator if rhs_denominator == 1 else _reduced(rhs_numerator, rhs_denominator)
     return Constraint("_combined", target_sense, lhs, rhs)
 

@@ -82,10 +82,6 @@ def _reason_cell(links: list[str], reason) -> str:
     )
 
 
-def _assumptions_cell(links: list[str], assumptions: AssumptionSet) -> str:
-    return ", ".join(_link(links, index) for index in sorted(assumptions)) or "&empty;"
-
-
 def _goal_text(goal: RtpGoal) -> str:
     if isinstance(goal, InfeasibleGoal):
         return "prove infeasibility"
@@ -150,9 +146,10 @@ def render_html(source: Certificate | Iterable[Event]) -> str:
             assumptions = assumptions_of(event.reason, index, lookup)
             if assumptions:
                 sets[index] = assumptions
+            listed = ", ".join(_link(links, reference) for reference in assumptions)
             derivation_rows.append(
                 f"{cells}<td>{_reason_cell(links, event.reason)}</td>"
-                f"<td>{_assumptions_cell(links, assumptions)}</td>"
+                f"<td>{listed or '&empty;'}</td>"
                 f"<td>{event.last_use}</td></tr>"
             )
         elif isinstance(event, Solution):

@@ -80,11 +80,13 @@ def keep_every_row(certificate: Certificate) -> Certificate:
 
 
 def checked_assumption_sets(certificate: Certificate) -> dict[int, frozenset[int]]:
-    """Each derivation's assumption set as the checker computes it.
+    """Each derivation's assumption set as the checker computes it, as a frozenset.
 
     A :class:`CheckerState` checks the derivations in order, and each set is
-    read right after its row is checked, while the row is live. Collection
-    stops at the first rejected row.
+    read right after its row is checked, while the row is live. Each stored
+    set must be a strictly increasing tuple; its contents are returned as a
+    frozenset, to compare with sets written in any order. Collection stops at
+    the first rejected row.
     """
     state = CheckerState(certificate.problem, certificate.goal)
     sets: dict[int, frozenset[int]] = {}
@@ -94,7 +96,9 @@ def checked_assumption_sets(certificate: Certificate) -> dict[int, frozenset[int
             state.verify_derivation(derivation, index)
         except Rejection:
             break
-        sets[index] = state.assumptions(index)
+        stored = state.assumptions(index)
+        assert type(stored) is tuple and all(a < b for a, b in zip(stored, stored[1:])), stored
+        sets[index] = frozenset(stored)
     return sets
 
 

@@ -52,6 +52,9 @@ from mipcert.model import (
 from mipcert.numeric import Rational as R
 from mipcert.tighten import compute_last_use
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (the benchmark's seeded generators)
+
 
 def verify_lines(lines: list[str]):
     return verify_certificate(parse_certificate(lines))
@@ -216,6 +219,21 @@ class TestEviction:
         certificate = read_certificate(iter(lines))
         shared = certificate.problem.constraints[0].lhs
         assert all(derivation.constraint.lhs is shared for derivation in certificate.derivations)
+
+    def test_streamed_check_of_a_kept_tree_holds_under_450_bytes_a_row(self) -> None:
+        # Every hint of the split tree is -1, so the check keeps each row and its
+        # assumption set. At depth 9 that traced 665 B a row with frozensets and
+        # 308 B with sorted tuples.
+        lines = workloads.tree_certificate(7, depth=9).text.splitlines()
+        tracemalloc.start()
+        try:
+            report = verify_certificate(parse_certificate(iter(lines)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verified
+        assert report.stats.peak_live == 1_804
+        assert peak < 450 * report.stats.num_derivations, peak
 
     def test_reference_to_evicted_row_faults(self) -> None:
         certificate = load_golden("rounding_chain")
@@ -530,8 +548,8 @@ class TestCheckerState:
         rows = certificate_rows(certificate)
         for index in range(certificate.num_original, len(rows)):
             assert state.row(index) == rows[index]
-            assert state.assumptions(index) == expected[index]
-        assert state.assumptions(0) == frozenset()
+            assert state.assumptions(index) == tuple(sorted(expected[index]))
+        assert state.assumptions(0) == ()
 
     def test_rejected_derivation_raises_with_its_failure(self) -> None:
         certificate = load_golden("split_infeasible")
@@ -551,7 +569,7 @@ class TestCheckerState:
             state.verify_derivation(derivation, index)
         assert state.assumptions(1) is state.assumptions(2)
         assert state.assumptions(0) is state.assumptions(3) is NO_ASSUMPTIONS
-        assert NO_ASSUMPTIONS == frozenset()
+        assert NO_ASSUMPTIONS == ()
 
     def test_per_row_records_have_no_instance_dict(self) -> None:
         lhs = SparseVec(((0, 1),))

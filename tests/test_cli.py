@@ -590,6 +590,31 @@ class TestCollector:
             counts = [garbage_after(command, str(path), *rest) for path in inputs]
             assert counts[1] == counts[2], (command, counts)
 
+    def test_only_the_program_entry_freezes_the_collector(self, capsys) -> None:
+        # An in-process main leaves the frozen objects alone; `python -m mipcert.cli`
+        # freezes the imports' objects, so the collection at exit skips them.
+        frozen = gc.get_freeze_count()
+        assert main(["check", golden_path("split_infeasible")]) == 0
+        assert gc.get_freeze_count() == frozen
+        capsys.readouterr()
+        script = (
+            "import gc, runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('mipcert.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    print(exit.code, gc.get_freeze_count() > 0)\n"
+        )
+        src = str(Path(mipcert.__file__).resolve().parent.parent)
+        completed = subprocess.run(
+            [sys.executable, "-c", script, "check", golden_path("split_infeasible")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+            check=False,
+        )
+        assert completed.stdout == "verified: infeasible\n0 True\n", completed.stderr
+
 @pytest.mark.parametrize("command", ("check", "ttn", "html", "solve"))
 def test_non_utf8_input_exits_2(capsys, tmp_path, command) -> None:
     binary = tmp_path / "binary.crt"

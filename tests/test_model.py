@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -684,6 +685,31 @@ class TestIntKernel:
         assert whole.lhs.entries == ((0, 28), (1, 30)) and whole.rhs == 7
         assert all(type(value) is int for _, value in whole.lhs.entries)
         assert type(whole.rhs) is int
+
+    def test_mixed_multiplier_denominators_cost_no_more_than_a_fraction_sum(self) -> None:
+        # Multipliers alternating 1/6 and 1/10: when each new denominator multiplied the
+        # sums' denominators, 32k terms cost 14x a Fraction sum and grew 2.4x from 16k.
+        # Both costs are timed in this process, best of 5.
+        row = Constraint("C", Sense.GE, SparseVec(((0, 1), (1, 2))), 1)
+
+        def best(run) -> float:
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        costs = {}
+        for k in (16_000, 32_000):
+            terms = [(row, Fraction(1, 6 if i % 2 else 10)) for i in range(k)]
+            costs[k] = best(lambda: linear_combine(terms, Sense.GE))
+        fraction_sum = best(lambda: sum((m for _, m in terms), Fraction(0)))
+        assert costs[32_000] <= 1.5 * fraction_sum, (costs, fraction_sum)
+        assert costs[32_000] <= 2.5 * costs[16_000], costs
+        total = Fraction(16_000, 6) + Fraction(16_000, 10)
+        combined = linear_combine(terms, Sense.GE)
+        assert combined.lhs.entries == ((0, total), (1, 2 * total)) and combined.rhs == total
 
     @pytest.mark.parametrize("multiplier", [-1, Fraction(-1, 3), Fraction(-4, 2)])
     def test_wrong_sign_message_is_the_same_for_both_types(self, multiplier) -> None:
