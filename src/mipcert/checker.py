@@ -31,7 +31,7 @@ so certificates far larger than memory stream through; referencing an evicted
 row is a hard error, and a row whose last use is -1 is kept to the end. The
 live store is two dicts keyed by combined index, every row and each non-empty
 assumption set, so a live row costs one or two dict entries and no object of
-its own beside its assumption set, a tuple of 40 + 8n bytes. The peak number
+its own beside a tuple of 40 + 8n bytes for n assumptions. The peak number
 of live rows (originals included) is reported in the statistics, and nothing
 per row: a caller that wants each goal-proving row or assumption set drives a
 :class:`CheckerState`, reading them from :meth:`~CheckerState.run` and
