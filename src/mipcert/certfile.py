@@ -25,12 +25,13 @@ derivations) and must point strictly before the referencing derivation.
 :func:`parse_certificate` is a generator emitting one :class:`Header`, then
 each declared :class:`~mipcert.model.Solution` and each
 :class:`~mipcert.model.Derivation` in file order, and returns once the file
-has ended cleanly. It never materializes the solution or derivation lists, so
-arbitrarily long certificates can be verified in bounded memory. Every parse
-error carries the 1-based line number where it was detected. The order and
-nonzero rules of a sparse vector or a combination are enforced by the model's
-constructors once the whole vector has been read, so their errors carry the
-line where the vector ends.
+has ended cleanly. It holds at most ``_BATCH`` derivations, parsed in a run
+ahead of its consumer, so arbitrarily long certificates can be verified in
+bounded memory. Every parse error comes after the rows before it and carries
+the 1-based line number where it was detected. The order and nonzero rules of
+a sparse vector or a combination are enforced by the model's constructors
+once the whole vector has been read, so their errors carry the line where the
+vector ends.
 
 Each row is read from one token list with a running position: its line's
 tokens, joined with later lines' only when the row runs past the line's end.
@@ -112,6 +113,9 @@ _PAIRS_PER_TAKE = 4096
 _SHORT_SPANS = {str(pairs): 2 * pairs + 1 for pairs in range(9)}
 _SHARED = 256
 _ASM = Asm()  # the reason of every asm row
+#: Derivations parsed in a run before any of them is yielded, so that the parser and its consumer
+#: each take rows in a run on a warm cache. The parser holds at most this many events.
+_BATCH = 64
 
 
 class _Tokens:
@@ -405,8 +409,10 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
 
     Raises :class:`ParseError` (with a 1-based line number) on any grammar or
     invariant violation. The Header comes once the SOL count is read; each
-    solution and derivation is yielded as parsed and never retained here. The
-    generator returns after checking that nothing follows the DER section.
+    solution is yielded as parsed, and derivations are parsed in runs of up to
+    ``_BATCH``, at most that many held here, each run yielded before any error
+    that stopped it. The generator returns after checking that nothing follows
+    the DER section.
     """
     tokens = _Tokens(source)
     problem = _parse_problem_sections(tokens)
@@ -428,11 +434,16 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
         seen_solution_names.add(name)
         yield Solution(name, _take_pairs(tokens, at + 1, num_variables, "solution")[0])
 
-    num_derivations = tokens.count("DER", "after SOL section", "derivations")
+    first = problem.num_constraints
+    end = first + tokens.count("DER", "after SOL section", "derivations")
     seen_names = {constraint.name for constraint in problem.constraints}
-    num_original = problem.num_constraints
-    for own_index in range(num_original, num_original + num_derivations):
-        yield _take_row(tokens, num_variables, seen_names, own_index)
+    for start in range(first, end, _BATCH):
+        batch = []
+        try:  # the rows read are yielded, and then whatever stopped the batch is raised
+            for own_index in range(start, min(start + _BATCH, end)):
+                batch.append(_take_row(tokens, num_variables, seen_names, own_index))
+        finally:
+            yield from batch
 
     _expect_end(tokens, "DER")
 

@@ -27,7 +27,8 @@ solution meets the finite primal bound (if any), every derivation checks, and
 the goal was proven by the time the stream ends.
 
 Rows whose declared last-use index has passed are always evicted from memory,
-so certificates far larger than memory stream through; referencing an evicted
+and the parser reads at most a run of ``certfile._BATCH`` rows ahead, so
+certificates far larger than memory stream through; referencing an evicted
 row is a hard error, and a row whose last use is -1 is kept to the end. The
 live store is two dicts keyed by combined index, every row and each non-empty
 assumption set, so a live row costs one or two dict entries and no object of

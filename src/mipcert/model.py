@@ -438,8 +438,8 @@ def linear_combine(terms: Sequence[tuple[Constraint, Number]], target_sense: Sen
     The sum runs on Python ints. Each output coefficient and the right-hand
     side is kept as an unreduced ``[numerator, denominator]`` pair times
     ``scale``, the lcm of the multipliers' denominators so far, which a new
-    denominator raises by rescaling every sum; so a pair's denominator comes
-    only from the coefficients. Each entry is reduced once, at the end, over
+    denominator raises by rescaling every sum; so a pair's denominator is the
+    lcm of its coefficients'. Each entry is reduced once, at the end, over
     ``scale``: to an ``int`` when integral, else a :data:`Rational`, dropping
     entries that cancel to zero. The entries are then sorted and nonzero, so
     the result's vector skips the validating :class:`SparseVec` constructor.
@@ -475,16 +475,18 @@ def linear_combine(terms: Sequence[tuple[Constraint, Number]], target_sense: Sen
             elif pair[1] == denominator:
                 pair[0] += numerator
             else:
-                pair[0] = pair[0] * denominator + numerator * pair[1]
-                pair[1] *= denominator
+                grow = denominator // gcd(pair[1], denominator)
+                pair[1] *= grow  # the lcm of the two denominators
+                pair[0] = pair[0] * grow + numerator * (pair[1] // denominator)
         rhs = constraint.rhs
         numerator = m_numerator * rhs.numerator
         denominator = rhs.denominator
         if denominator == rhs_denominator:
             rhs_numerator += numerator
         else:
-            rhs_numerator = rhs_numerator * denominator + numerator * rhs_denominator
-            rhs_denominator *= denominator
+            grow = denominator // gcd(rhs_denominator, denominator)
+            rhs_denominator *= grow
+            rhs_numerator = rhs_numerator * grow + numerator * (rhs_denominator // denominator)
     entries = []
     for index, (numerator, denominator) in sums.items():
         if numerator:

@@ -47,8 +47,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (the benchmark's seeded generators)
 
 
+BATCH = mipcert.certfile._BATCH
+
+
 def parse_lines(lines: list[str]):
     return read_certificate(lines)
+
+
+def chain_derivations(length: int) -> list[Derivation]:
+    """The derivations of ``chain_lines(length)``, built without the parser."""
+    return [
+        Derivation(Constraint(f"D{k}", Sense.GE, SparseVec(((0, 1),)), 0), Lin(((k - 1, 1),)))
+        for k in range(1, length + 1)
+    ]
 
 
 def written_text(certificate) -> str:
@@ -134,6 +145,61 @@ class TestEventStream:
         assert isinstance(next(events), Header)
         assert next(events).name == "first"
         with pytest.raises(ParseError, match="line 13"):
+            next(events)
+
+    @pytest.mark.parametrize("count", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 1])
+    def test_derivations_are_yielded_in_file_order_whatever_their_count(self, count) -> None:
+        header, *derivations = parse_certificate(chain_lines(count))
+        assert isinstance(header, Header)
+        assert derivations == chain_derivations(count)
+
+    def test_the_parser_reads_at_most_a_batch_of_rows_ahead(self) -> None:
+        lines = chain_lines(3 * BATCH + 5)
+        first = lines.index(f"DER {3 * BATCH + 5}") + 1
+        read = 0
+
+        def counted():
+            nonlocal read
+            for line in lines:
+                read += 1
+                yield line
+
+        events = parse_certificate(counted())
+        next(events)  # the header
+        ahead = []  # derivation rows read past those taken, after each take
+        for taken in range(1, 3 * BATCH + 6):
+            next(events)
+            ahead.append(read - first - taken)
+        assert max(ahead) == BATCH - 1 and min(ahead) == 0, ahead
+        assert next(events, None) is None
+
+    @pytest.mark.parametrize("j", [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH])
+    def test_a_parse_error_comes_after_the_rows_before_it(self, j: int) -> None:
+        lines = chain_lines(2 * BATCH + 1)
+        first = lines.index(f"DER {2 * BATCH + 1}") + 1
+        lines[first + j] = lines[first + j].replace(" G ", " Q ")
+        events = parse_certificate(lines)
+        taken = [next(events) for _ in range(j + 1)]
+        assert taken[1:] == chain_derivations(j)
+        with pytest.raises(ParseError) as excinfo:
+            next(events)
+        error = excinfo.value
+        assert (error.line, error.message) == (
+            first + j + 1,
+            "unknown sense code 'Q' (expected G, L, or E)",
+        )
+
+    def test_a_read_error_comes_after_the_rows_before_it(self) -> None:
+        lines = chain_lines(BATCH + 1)
+
+        def failing():
+            yield from lines[:-2]
+            raise OSError("the disk went away")
+
+        events = parse_certificate(failing())
+        assert isinstance(next(events), Header)
+        assert [next(events) for _ in range(BATCH - 1)] == chain_derivations(BATCH - 1)
+        with pytest.raises(OSError, match="the disk went away"):
             next(events)
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)

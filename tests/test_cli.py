@@ -119,6 +119,28 @@ class TestCheck:
         assert code == 1
         assert out.startswith("rejected (goal):")
 
+    @pytest.mark.parametrize(
+        "after",
+        [
+            pytest.param(b"D5 Q 0 1 0 1 { lin 1 4 1 } -1\n", id="malformed-row"),
+            pytest.param(b"% " + b"." * 10_000 + b"\nD5 \xff\n", id="not-utf8"),
+        ],
+    )
+    def test_a_rule_broken_before_unreadable_input_is_the_rejection(
+        self, capsys, tmp_path, after
+    ) -> None:
+        # Row 4 claims x >= 1 from x >= 0, and the next row cannot be read: the rejection is
+        # reported, as the row before the input goes bad. Past 8 KB of padding the byte 0xff
+        # is decoded only after row 4 is read.
+        lines = chain_lines(6)
+        first = lines.index("DER 6") + 1
+        lines[first + 3] = "D4 G 1 1 0 1 { lin 1 3 1 } -1"
+        bad = tmp_path / "bad.crt"
+        bad.write_bytes("\n".join(lines[: first + 4]).encode() + b"\n" + after)
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, err) == (1, "")
+        assert out.startswith("rejected at index 4 (lin): ")
+
     def test_parse_error_exits_2(self, capsys, tmp_path) -> None:
         mangled = tmp_path / "mangled.crt"
         mangled.write_text("VER 2\n")

@@ -711,6 +711,34 @@ class TestIntKernel:
         combined = linear_combine(terms, Sense.GE)
         assert combined.lhs.entries == ((0, total), (1, 2 * total)) and combined.rhs == total
 
+    def test_mixed_coefficient_denominators_cost_no_more_than_a_fraction_sum(self) -> None:
+        # Rows whose coefficients and right-hand sides alternate 1/6 and 1/10: when each new
+        # denominator multiplied a sum's denominator, 32k terms cost 12x a Fraction sum and
+        # grew 3.4x from 16k. Both costs are timed in this process, best of 5.
+        rows = [
+            Constraint("C", Sense.GE, SparseVec(((0, part), (1, 2 * part))), part)
+            for part in (Fraction(1, 6), Fraction(1, 10))
+        ]
+
+        def best(run) -> float:
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        costs = {}
+        for k in (16_000, 32_000):
+            terms = [(rows[i % 2], 1) for i in range(k)]
+            costs[k] = best(lambda: linear_combine(terms, Sense.GE))
+        fraction_sum = best(lambda: sum((row.rhs for row, _ in terms), Fraction(0)))
+        assert costs[32_000] <= 1.5 * fraction_sum, (costs, fraction_sum)
+        assert costs[32_000] <= 2.5 * costs[16_000], costs
+        total = Fraction(16_000, 6) + Fraction(16_000, 10)
+        combined = linear_combine(terms, Sense.GE)
+        assert combined.lhs.entries == ((0, total), (1, 2 * total)) and combined.rhs == total
+
     @pytest.mark.parametrize("multiplier", [-1, Fraction(-1, 3), Fraction(-4, 2)])
     def test_wrong_sign_message_is_the_same_for_both_types(self, multiplier) -> None:
         row = Constraint("C", Sense.GE, SparseVec(((0, 1),)), 1)
