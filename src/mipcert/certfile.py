@@ -42,7 +42,7 @@ Rows of one parse whose short left-hand sides have the same tokens share one rec
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import chain
 from typing import TextIO, Union
 
@@ -192,7 +192,7 @@ class _Tokens:
     def natural_error(self, position: int, what: str, part: str, upper: int | None) -> ParseError:
         token = self.row[position]
         if token.isascii() and token.isdigit():
-            value = format_rational(int_from_digits(token))
+            value = token.lstrip("0") or "0"  # as format_rational writes it, in linear time
             return self.error(f"{what}{part} {value} out of range (must be < {upper})", position)
         kind = "count" if upper is None else "index"
         message = f"expected a nonnegative {kind} for {what}{part}, found {token!r}"
@@ -404,21 +404,11 @@ def _expect_end(tokens: _Tokens, section: str) -> None:
         raise tokens.error(f"trailing tokens after the {section} section: {row[at]!r}", at)
 
 
-def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
-    """Stream events from certificate text: the Header, solutions, derivations.
-
-    Raises :class:`ParseError` (with a 1-based line number) on any grammar or
-    invariant violation. The Header comes once the SOL count is read; each
-    solution is yielded as parsed, and derivations are parsed in runs of up to
-    ``_BATCH``, at most that many held here, each run yielded before any error
-    that stopped it. The generator returns after checking that nothing follows
-    the DER section.
-    """
-    tokens = _Tokens(source)
+def _take_front(tokens: _Tokens) -> Generator[Header | Solution, None, Problem]:
+    """The sections before DER: their Header once the SOL count is read, then each solution as
+    parsed. Returns the problem."""
     problem = _parse_problem_sections(tokens)
     goal = _parse_goal(tokens)
-    num_variables = problem.num_variables
-
     num_solutions = tokens.count("SOL", "after RTP section", "solutions")
     if isinstance(goal, InfeasibleGoal) and num_solutions != 0:
         raise tokens.error("an infeasibility goal admits no solutions (SOL must be 0)")
@@ -432,9 +422,23 @@ def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
         if name in seen_solution_names:
             raise tokens.error(f"duplicate solution name {name!r}", at)
         seen_solution_names.add(name)
-        yield Solution(name, _take_pairs(tokens, at + 1, num_variables, "solution")[0])
+        yield Solution(name, _take_pairs(tokens, at + 1, problem.num_variables, "solution")[0])
+    return problem
 
-    first = problem.num_constraints
+
+def parse_certificate(source: Iterable[str] | TextIO) -> Iterator[Event]:
+    """Stream events from certificate text: the Header, solutions, derivations.
+
+    Raises :class:`ParseError` (with a 1-based line number) on any grammar or
+    invariant violation. The Header comes once the SOL count is read; each
+    solution is yielded as parsed, and derivations are parsed in runs of up to
+    ``_BATCH``, at most that many held here, each run yielded before any error
+    that stopped it. The generator returns after checking that nothing follows
+    the DER section.
+    """
+    tokens = _Tokens(source)
+    problem = yield from _take_front(tokens)
+    num_variables, first = problem.num_variables, problem.num_constraints
     end = first + tokens.count("DER", "after SOL section", "derivations")
     seen_names = {constraint.name for constraint in problem.constraints}
     for start in range(first, end, _BATCH):
@@ -521,22 +525,26 @@ def write_problem(problem: Problem, sink: TextIO) -> None:
         sink.write(_constraint_line(constraint) + "\n")
 
 
-def write_certificate(certificate: Certificate, sink: TextIO, count: int | None = None) -> None:
-    """Write a certificate in canonical form; re-parsing yields an equal value.
-    Given a ``count``, write ``DER <count>`` and none of its rows, which the caller writes."""
-    write_problem(certificate.problem, sink)
-    goal = certificate.goal
+def _write_front(
+    problem: Problem, goal: RtpGoal, solutions: Sequence[Solution], sink: TextIO
+) -> None:
+    """Write the sections before DER in canonical form."""
+    write_problem(problem, sink)
     if isinstance(goal, InfeasibleGoal):
         sink.write("RTP infeas\n")
     else:
         lower, upper = format_bounds(goal)
         sink.write(f"RTP range {lower} {upper}\n")
-    sink.write(f"SOL {len(certificate.solutions)}\n")
-    for solution in certificate.solutions:
+    sink.write(f"SOL {len(solutions)}\n")
+    for solution in solutions:
         sink.write(f"{solution.name} {_format_pairs(solution.assignment)}\n")
-    derivations = certificate.derivations if count is None else ()
-    sink.write(f"DER {len(derivations) if count is None else count}\n")
-    for derivation in derivations:
+
+
+def write_certificate(certificate: Certificate, sink: TextIO) -> None:
+    """Write a certificate in canonical form; re-parsing yields an equal value."""
+    _write_front(certificate.problem, certificate.goal, certificate.solutions, sink)
+    sink.write(f"DER {len(certificate.derivations)}\n")
+    for derivation in certificate.derivations:
         sink.write(
             f"{_constraint_line(derivation.constraint)} "
             f"{_format_reason(derivation.reason)} {format_rational(derivation.last_use)}\n"

@@ -1,16 +1,16 @@
 """Certificate tightening: last-use indices and dead-derivation pruning.
 
-One plan, over flat arrays: each derivation's references to derivations and where they end.
-:func:`_schedule` marks the goal-proving rows and, backwards, every row a kept row cites, then
-gives each kept row its new contiguous index and each derivation its last use, the new index of
-the last later kept row citing it (-1: none). Original rows are never evicted or moved, and a
-reference to no row (possible only in memory) stays as it is. :mod:`mipcert.ttn` runs the same
-plan over a file.
+One plan, :func:`_plan`, for the in-memory tightener here and the file tightener of
+:mod:`mipcert.ttn`: one pass over a certificate's events records each derivation's references to
+derivations and where they end in flat arrays. With pruning, that pass is also the check of
+``mipcert check``, on the input's own hints, so the verdict and failure message are the input's
+own. :func:`_schedule` then marks the goal-proving rows and, backwards, every row a kept row
+cites, and gives each kept row its new contiguous index and each derivation its last use, the new
+index of the last later kept row citing it (-1: none). Original rows are never evicted or moved,
+and a reference to no row (possible only in memory) stays as it is.
 
-``prune_unused`` verifies with each last use the earlier of the row's own hint and the computed
-one, so it evicts as the tightened certificate will, while the verdict and failure message stay
-the input's own. Each output derivation is built once, sharing the input's constraint, and its
-reason when no reference moves. The result is idempotent and verification-preserving.
+Each output derivation is built once, sharing the input's constraint, and its reason when no
+reference moves. The result is idempotent and verification-preserving.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, sub
 
-from .certfile import Event
+from .certfile import Event, Header, split_header
 from .checker import CheckerState, Rejection
-from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Problem, Reason, Rnd, RtpGoal, Uns
+from .model import KEEP_UNTIL_END, Certificate, Derivation, Lin, Reason, Rnd, Uns
 from .model import replace
 
 __all__ = ["NotVerified", "compute_last_use", "prune_unused", "tighten"]
@@ -41,17 +41,15 @@ def _references(reason: Reason) -> Iterable[int]:
 
 
 def _recorded(
-    events: Iterable[Event], num_original: int, ends: array, targets: array, solutions: list
+    events: Iterable[Event], num_original: int, ends: array, targets: array
 ) -> Iterator[Event]:
     """``events``, each derivation's references to derivations appended to ``targets`` and
-    their end to ``ends``, and each solution to ``solutions``, on the way."""
+    their end to ``ends`` on the way."""
     derived = num_original.__le__
     for event in events:
         if isinstance(event, Derivation):
             targets.extend(filter(derived, _references(event.reason)))
             ends.append(len(targets))
-        else:
-            solutions.append(event)
         yield event
 
 
@@ -79,24 +77,28 @@ def _schedule(
     return kept, new_index, last_use
 
 
-def _goal_marks(problem: Problem, goal: RtpGoal, events: Iterable[Event]) -> bytearray:
-    """A 1 for each derivation that proves the goal, a 0 for each other up to the last that does;
-    NotVerified unless ``events`` verify."""
-    marks, first = bytearray(), problem.num_constraints
-    try:
-        for index in CheckerState(problem, goal).run(events):
-            marks += bytes(index - first - len(marks))
-            marks.append(1)
-    except Rejection as rejection:
-        failure = rejection.failure
-        msg = f"cannot prune a certificate that does not verify ({failure.rule}: {failure.message})"
-        raise NotVerified(msg) from rejection
-    return marks
-
-
-def _earlier(hint: int, computed: int) -> int:
-    """The earlier of two last uses, where -1 (none) is never the earlier."""
-    return computed if hint == KEEP_UNTIL_END or KEEP_UNTIL_END < computed < hint else hint
+def _plan(
+    header: Header, events: Iterable[Event], prune: bool
+) -> tuple[bytearray | None, array, array]:
+    """``_schedule`` of a certificate's events after its ``header``. Pruning keeps the rows that
+    prove the goal, found by checking the events on their own hints; NotVerified unless they
+    verify."""
+    problem, ends, targets, goals = header.problem, array("q"), array("q"), None
+    num_original = problem.num_constraints
+    events = _recorded(events, num_original, ends, targets)
+    if prune:
+        goals = bytearray()
+        try:
+            for index in CheckerState(problem, header.goal).run(events):
+                goals += bytes(index - num_original - len(goals))
+                goals.append(1)
+        except Rejection as rejection:
+            rule, message = rejection.failure.rule, rejection.failure.message
+            msg = f"cannot prune a certificate that does not verify ({rule}: {message})"
+            raise NotVerified(msg) from rejection
+    for _ in events:  # the rest of the events, when they were not verified
+        pass
+    return _schedule(num_original, ends, targets, goals)
 
 
 def _renumbered(reason: Reason, new_index: array) -> Reason:
@@ -111,18 +113,7 @@ def _renumbered(reason: Reason, new_index: array) -> Reason:
 
 
 def _tightened(certificate: Certificate, prune: bool) -> Certificate:
-    num_original, ends, targets, goals = certificate.num_original, array("q"), array("q"), None
-    for _ in _recorded(certificate.derivations, num_original, ends, targets, []):
-        pass
-    if prune:
-        last_uses = _schedule(num_original, ends, targets)[2]
-        scheduled = (
-            Derivation(d.constraint, d.reason, _earlier(d.last_use, last))
-            for d, last in zip(certificate.derivations, last_uses)
-        )
-        events = chain(certificate.solutions, scheduled)
-        goals = _goal_marks(certificate.problem, certificate.goal, events)
-    kept, new_index, last_use = _schedule(num_original, ends, targets, goals)
+    kept, new_index, last_use = _plan(*split_header(certificate), prune)
     derivations = tuple(
         Derivation(d.constraint, _renumbered(d.reason, new_index), last_use[position])
         for position, d in enumerate(certificate.derivations)

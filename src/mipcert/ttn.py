@@ -1,14 +1,14 @@
 """``mipcert ttn``: tightening a certificate file in two passes that build no certificate.
 
-The first pass parses the file, and with pruning runs the same check as ``mipcert check`` on the
-file's own hints; it keeps the header, the solutions and the reference arrays that
-:mod:`mipcert.tighten` plans from. The second pass reads the file again and copies each kept
-row's tokens, renumbering references, writing the new last use and re-formatting a number only
-where its token is not canonical. Both passes read the file through one line reader, which takes
-a CRC-32 of the text, into the parser's tokenizer, so they split it into the same tokens and a
-file that changed between them is refused. A file that cannot be read twice (a pipe, a FIFO) is
-refused before it is read. The output is what ``write_certificate`` writes of the in-memory
-``tighten(certificate, prune=prune)``.
+The first pass parses the file into :func:`mipcert.tighten._plan`, the in-memory tightener's one
+plan: each derivation's references, and with pruning the check of ``mipcert check`` on the file's
+own hints. The second pass reads the file again. It parses the header and the solutions, writes
+them as ``write_certificate`` does, and copies each kept row's tokens, renumbering references,
+writing the new last use and re-formatting a number only where its token is not canonical. Both
+passes read the file through one line reader, which takes a CRC-32 of the text, into the parser's
+tokenizer, so they split it into the same tokens and a file that changed between them is refused.
+A file that cannot be read twice (a pipe, a FIFO) is refused before it is read. The output is
+what ``write_certificate`` writes of the in-memory ``tighten(certificate, prune=prune)``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ from __future__ import annotations
 import os
 import stat
 import zlib
-from array import array
 from collections.abc import Iterator
 from math import gcd
 from typing import TextIO
 
-from .certfile import _PAIRS_PER_TAKE, _Tokens, parse_certificate, split_header, write_certificate
-from .model import InfeasibleGoal
+from .certfile import ParseError, _Tokens, _take_front, _write_front, parse_certificate
+from .certfile import split_header
 from .numeric import format_rational, parse_rational
-from .tighten import _goal_marks, _recorded, _schedule
+from .tighten import _plan
 
 __all__ = ["TightenedFile"]
 
@@ -52,25 +51,18 @@ def _canonical(token: str) -> str:
 
 class TightenedFile:
     """``mipcert ttn`` of the certificate file at ``path``. Construction is the first pass,
-    NotVerified when pruning a certificate that does not verify; it keeps the file's ``problem``,
-    ``goal`` and ``solutions``, and counts its ``derivations`` and those ``kept``. :meth:`write`
-    is the second pass."""
+    NotVerified when pruning a certificate that does not verify; it counts the file's
+    ``derivations`` and those ``kept``. :meth:`write` is the second pass."""
 
     def __init__(self, path: str, *, prune: bool = False) -> None:
-        self.path, self._crc, ends, targets, self.solutions = path, 0, array("q"), array("q"), []
+        self.path, self._crc = path, 0
         with open(path, encoding="utf-8") as handle:
             if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
                 raise OSError(f"{path} is not a regular file, and ttn reads its input twice")
-            header, events = split_header(parse_certificate(self._lines(handle)))
-            self.problem, self.goal = header.problem, header.goal
-            num_original = self.problem.num_constraints
-            events = _recorded(events, num_original, ends, targets, self.solutions)
-            goals = _goal_marks(self.problem, self.goal, events) if prune else None
-            for _ in events:  # the rest of the file, when it was not verified
-                pass
-        self._kept, self._new_index, self._last_use = _schedule(num_original, ends, targets, goals)
-        self.derivations = len(ends)
-        self.kept = self.derivations if goals is None else self._kept.count(1)
+            events = parse_certificate(self._lines(handle))
+            self._kept, self._new_index, self._last_use = _plan(*split_header(events), prune)
+        self.derivations = len(self._last_use)
+        self.kept = self.derivations if self._kept is None else self._kept.count(1)
 
     def _lines(self, handle: TextIO) -> Iterator[str]:
         """The lines of ``handle``, taken into the CRC-32 of the pass that reads them."""
@@ -81,34 +73,25 @@ class TightenedFile:
     def write(self, sink: TextIO) -> None:
         """Write ``write_certificate(tighten(certificate, prune=prune))`` to ``sink``, reading
         the file again; OSError if its text is not what the first pass read."""
-        write_certificate(self, sink, self.kept)  # the header and solutions, then DER <kept>
         first_pass, self._crc = self._crc, 0
         with open(self.path, encoding="utf-8") as handle:
             tokens = _Tokens(self._lines(handle))
             try:
+                header, *solutions = _take_front(tokens)
+                _write_front(header.problem, header.goal, solutions, sink)
                 self._copy_rows(tokens, sink)
                 row, at = tokens.take(1)
                 unchanged = not row[at] and self._crc == first_pass  # "": the input's end
-            except (ValueError, LookupError, ArithmeticError):
-                unchanged = False  # tokens the first pass did not read
+            except (ParseError, ValueError, LookupError, ArithmeticError):
+                unchanged = False  # text the first pass did not read
         if not unchanged:
             raise OSError(f"{self.path} changed while it was read")
 
     def _copy_rows(self, tokens: _Tokens, sink: TextIO) -> None:
-        problem, goal, count = self.problem, self.goal, self.derivations
-        skip = (  # the tokens before DER: VER VAR INT OBJ CON RTP SOL, their operands and rows
-            15 + problem.num_variables + len(problem.integer_set) + 2 * len(problem.objective)
-            + sum(4 + 2 * len(constraint.lhs) for constraint in problem.constraints)
-            + (0 if isinstance(goal, InfeasibleGoal) else 2)
-            + sum(2 + 2 * len(solution.assignment) for solution in self.solutions)
-        )
-        while skip:  # a bounded take at a time, as the parser reads long vectors
-            step = min(skip, _PAIRS_PER_TAKE)
-            tokens.take(step)
-            skip -= step
-        row, at = tokens.take(2)
-        if row[at] != "DER" or int(row[at + 1]) != count:
-            raise ValueError("no DER section where the first pass read it")
+        count = self.derivations
+        if tokens.count("DER", "after SOL section", "derivations") != count:
+            raise ValueError("not the DER count the first pass read")
+        sink.write(f"DER {self.kept}\n")
         kept, new_index, last_use = self._kept, self._new_index, self._last_use
         for position in range(count):
             row, at = tokens.row, tokens.at

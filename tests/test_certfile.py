@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -591,6 +592,30 @@ class TestLongNumbers:
         assert f"x* 2 0 1/{big_text} 1 {big_text}/3\n" in written
         assert read_certificate(io.StringIO(written)) == certificate
         assert written_text(read_certificate(io.StringIO(written))) == written
+
+    def test_an_index_too_long_for_int_is_refused_in_linear_time(self) -> None:
+        # The refusal names the index by its digits, without a leading zero, as format_rational
+        # writes its value; converting and formatting it cost 3.7x from 100k digits to 200k.
+        # Both refusals are timed in this process, best of 5.
+        def refusal(digits: int) -> str:
+            lines = list(BASE)
+            lines[5] = f"1 00{'9' * digits} 2"
+            with pytest.raises(ParseError) as excinfo:
+                parse_lines(lines)
+            return str(excinfo.value)
+
+        def best(digits: int) -> float:
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                refusal(digits)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        costs = {digits: best(digits) for digits in (100_000, 200_000)}
+        assert costs[200_000] <= 2.5 * costs[100_000], costs
+        message = f"objective variable index {'9' * 100_000} out of range (must be < 2)"
+        assert refusal(100_000) == f"line 6: {message}"
 
     def test_5000_digit_multiplier_verifies(self) -> None:
         from mipcert.checker import verify_certificate

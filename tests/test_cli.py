@@ -339,20 +339,27 @@ class TestTighten:
 
     def test_input_changed_between_the_passes_exits_2(self, capsys, monkeypatch, tmp_path) -> None:
         # The second pass reads the input again; a different text there is refused and
-        # OUT keeps its bytes, whatever the change does to the rows it copies.
+        # OUT keeps its bytes, whatever the change does to the header or the rows it copies.
         ttn_module = importlib.import_module("mipcert.ttn")
         first_pass = ttn_module.TightenedFile.__init__
         source, output = tmp_path / "in.crt", tmp_path / "out.crt"
-        original = golden_text("split_infeasible")
-        edits = (
-            original.replace("A1 L 0 1 0 1", "A1 L 0 1 0 2"),  # a number, same length
-            original.replace("DER 11", "DER 12") + "J1 L 100 1 0 1 { asm } -1\n",
-            original[: original.index("C10 ")],  # cut inside the rows
-            original.replace("{ asm }", "{ lin 0 }", 1),
-            original + "% a comment\n",
-            original + "x",  # a token after the rows
+        split, small = golden_text("split_infeasible"), golden_text("small_range")
+        edits = (  # the text the first pass reads, and the text the second pass reads
+            (split, split.replace("A1 L 0 1 0 1", "A1 L 0 1 0 2")),  # a number, same length
+            (split, split.replace("DER 11", "DER 12") + "J1 L 100 1 0 1 { asm } -1\n"),
+            (split, split[: split.index("C10 ")]),  # cut inside the rows
+            (split, split.replace("{ asm }", "{ lin 0 }", 1)),
+            (split, split + "% a comment\n"),
+            (split, split + "x"),  # a token after the rows
+            (split, split.replace("x1 x2", "x1 x22")),  # a variable renamed to a longer name
+            (small, small.replace("OBJ min\n2 0 2", "OBJ min\n2 0 3")),  # an objective coefficient
+            (small, small.replace("RTP range 1 1", "RTP range 1 2")),  # a bound of the goal
+            (small, small.replace("x* 2 0 3/7", "x* 2 0 4/7")),  # a solution value
+            (split, split.replace("VER 1", "VER 2")),  # no longer parses
         )
-        for edit in edits:
+        for original, edit in edits:
+            assert edit != original
+
             def edit_after_first_pass(self, *args, edit=edit, **kwargs) -> None:
                 first_pass(self, *args, **kwargs)
                 source.write_text(edit)
@@ -411,15 +418,19 @@ class TestReplacingOutput:
 
     def test_an_out_that_cannot_be_written_is_named_in_the_error(self, capsys, tmp_path) -> None:
         # The new file is an implementation detail: errors name OUT, as open(OUT, "w") would.
+        a_regular_file = tmp_path / "file"
+        a_regular_file.write_text("kept")
         for output, why in (
             (tmp_path / "absent" / "out", "No such file or directory"),
             (tmp_path, "Is a directory"),
+            (a_regular_file / "out", "Not a directory"),  # OUT's stat fails, and not as absent
         ):
             for command in ("ttn", "html"):
                 code, out, err = run(capsys, command, golden_path("small_range"), str(output))
                 assert (code, out) == (2, "")
                 assert err.startswith("error: [Errno ") and err.endswith(f"] {why}: '{output}'\n")
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [a_regular_file]
+        assert a_regular_file.read_text() == "kept"
 
     def test_symlinked_out_is_written_through(self, capsys, tmp_path) -> None:
         target, link = tmp_path / "target.html", tmp_path / "link.html"
@@ -755,6 +766,17 @@ def test_readme_counts_the_package_lines() -> None:
     # Each change in the package's size shows here, next to the trusted core's.
     stated, total = _lines_stated_and_counted("wc -l src/mipcert/*.py", list(PACKAGE.glob("*.py")))
     assert stated == total
+
+
+def test_no_package_line_is_over_100_columns() -> None:
+    # The line counts above measure code at the width these files use; wider lines would shrink it.
+    wide = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert wide == []
 
 
 def test_readme_library_example_runs(tmp_path) -> None:

@@ -32,6 +32,7 @@ from mipcert.model import (
     dominates,
     evaluate_solution,
     format_constraint,
+    format_linear,
     is_absurd,
     linear_combine,
     replace,
@@ -297,6 +298,9 @@ class TestFormatConstraint:
     def test_equality(self) -> None:
         assert format_constraint(con("E", Sense.EQ, 0, (0, 1)), ("x",)) == "x = 0"
 
+    def test_a_variable_past_the_names_is_shown_by_index(self) -> None:
+        assert format_linear(vec((0, 1), (2, (-3, 2))), ("a", "b")) == "a - 3/2x2"
+
 
 class TestProblemAndSolution:
     def _problem(self) -> Problem:
@@ -423,6 +427,12 @@ def test_record_equality_is_type_exact() -> None:
     assert ("c", Sense.LE, constraint.lhs, R(2)) != constraint
     assert Asm() == Asm() and hash(Asm()) == hash(Asm())
     assert InfeasibleGoal() == InfeasibleGoal() and Asm() != InfeasibleGoal()
+
+
+def test_record_repr_names_each_field() -> None:
+    assert repr(RangeGoal(R(1, 2), None)) == "RangeGoal(lower=Fraction(1, 2), upper=None)"
+    assert repr(Uns(4, 1, 5, 2)) == "Uns(i1=4, a1=1, i2=5, a2=2)"
+    assert repr(InfeasibleGoal()) == "InfeasibleGoal()"
 
 
 def test_record_constructors_take_each_field_once() -> None:
