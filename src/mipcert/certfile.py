@@ -184,7 +184,8 @@ class _Tokens:
         """A count, or with ``upper`` an index below it, named ``what + part``."""
         token = self.row[position]
         if token.isascii() and token.isdigit():
-            value = int_from_digits(token)
+            digits = token.lstrip("0")  # by its length first: a long token is never converted
+            value = int(digits or "0") if len(digits) < 19 else 10**18  # more than any input holds
             if upper is None or value < upper:
                 return value
         raise self.natural_error(position, what, part, upper)

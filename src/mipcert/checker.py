@@ -273,7 +273,7 @@ class CheckerState:
 
         rows, sets = self._rows, self._assumptions
         kind = _KINDS.get(type(reason))  # an asm row has nothing more to check
-        if kind is None:  # pragma: no cover - exhaustive over Reason
+        if kind is None:  # a hand-made derivation's reason may be anything
             msg = f"unknown reason {reason!r}"
             raise Rejection(CheckFailure(index, "reason", msg))
         try:

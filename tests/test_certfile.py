@@ -593,10 +593,21 @@ class TestLongNumbers:
         assert read_certificate(io.StringIO(written)) == certificate
         assert written_text(read_certificate(io.StringIO(written))) == written
 
+    @staticmethod
+    def _costs(refusal) -> dict[int, float]:
+        """The time ``refusal(digits)`` takes at 100k and 200k digits, in this process, best of 5
+        rounds that time both, so that both sizes see the same load on the machine."""
+        costs = {100_000: float("inf"), 200_000: float("inf")}
+        for _ in range(5):
+            for digits in costs:
+                start = time.perf_counter()
+                refusal(digits)
+                costs[digits] = min(costs[digits], time.perf_counter() - start)
+        return costs
+
     def test_an_index_too_long_for_int_is_refused_in_linear_time(self) -> None:
         # The refusal names the index by its digits, without a leading zero, as format_rational
         # writes its value; converting and formatting it cost 3.7x from 100k digits to 200k.
-        # Both refusals are timed in this process, best of 5.
         def refusal(digits: int) -> str:
             lines = list(BASE)
             lines[5] = f"1 00{'9' * digits} 2"
@@ -604,18 +615,37 @@ class TestLongNumbers:
                 parse_lines(lines)
             return str(excinfo.value)
 
-        def best(digits: int) -> float:
-            times = []
-            for _ in range(5):
-                start = time.perf_counter()
-                refusal(digits)
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        costs = {digits: best(digits) for digits in (100_000, 200_000)}
+        costs = self._costs(refusal)
         assert costs[200_000] <= 2.5 * costs[100_000], costs
         message = f"objective variable index {'9' * 100_000} out of range (must be < 2)"
         assert refusal(100_000) == f"line 6: {message}"
+
+    @pytest.mark.parametrize(
+        "lineno, line, message",
+        [
+            (4, "INT 1 {}", "line 4: integer variable index {} out of range (must be < 2)"),
+            (
+                14,
+                "obj G 1 2 0 2 1 1 {{ uns {} 0 0 0 }} -1",
+                "line 14: unsplit row reference {} out of range (must be < 2)",
+            ),
+            (2, "VAR {}", "line 14: unexpected end of input while reading variable name"),
+            (13, "DER {}", "line 14: unexpected end of input while reading derivation name"),
+        ],
+        ids=("INT-index", "uns-reference", "VAR-count", "DER-count"),
+    )
+    def test_a_long_natural_is_refused_in_linear_time(self, lineno, line, message) -> None:
+        # An index's or a count's digits are counted before they are converted: an index of more
+        # digits than its bound is out of range, and a count of 19 or more counts more than any
+        # input holds, so the input ends first. Converting first cost 2.7-3.0x per doubling.
+        def refusal(digits: int) -> str:
+            with pytest.raises(ParseError) as excinfo:
+                parse_lines(_mut(lineno, line.format(f"00{'9' * digits}")))
+            return str(excinfo.value)
+
+        costs = self._costs(refusal)
+        assert costs[200_000] <= 2.5 * costs[100_000], costs
+        assert refusal(100_000) == message.format("9" * 100_000)
 
     def test_5000_digit_multiplier_verifies(self) -> None:
         from mipcert.checker import verify_certificate

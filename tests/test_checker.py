@@ -382,6 +382,16 @@ class TestRejections:
         assert report.failure.rule == "order"
         assert "last_use" in report.failure.message
 
+    def test_unknown_reason_in_memory(self) -> None:
+        # A reason that is none of the four, as a hand-made derivation can hold, is rejected.
+        certificate = load_golden("small_range")
+        derivations = (replace(certificate.derivations[0], reason="lin"),)
+        report = verify_certificate(replace(certificate, derivations=derivations))
+        assert not report.verified
+        failure = report.failure
+        assert (failure.index, failure.rule) == (2, "reason")
+        assert failure.message == "unknown reason 'lin'"
+
 
 # --- solutions and primal bounds --------------------------------------------
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import mipcert
 from mipcert.certfile import read_certificate, write_problem
 from mipcert.checker import verify_certificate_file
-from mipcert import cli
+from mipcert import writing
 from mipcert.cli import main
 from mipcert.render import render_html
 
@@ -391,7 +391,7 @@ class TestReplacingOutput:
 
         ttn_module = importlib.import_module("mipcert.ttn")
         monkeypatch.setattr(ttn_module.TightenedFile, "write", write_half)
-        monkeypatch.setattr(cli, "write_certificate", write_half)
+        monkeypatch.setattr(writing, "write_certificate", write_half)
         cases = (  # the command, OUT's bytes, the input elsewhere, and what it prints first
             ("ttn", golden_text("split_infeasible"), golden_path("small_range"), ""),
             ("solve", Path(problem).read_text(), problem, "infeasible\n"),
@@ -410,7 +410,7 @@ class TestReplacingOutput:
         if existing:
             output.write_bytes(b"before")
         with pytest.raises(OSError, match="No space"):
-            with cli._replacing(str(output)) as handle:
+            with writing._replacing(str(output)) as handle:
                 handle.write("x" * 100_000)
                 raise OSError(28, "No space left on device")
         assert list(tmp_path.iterdir()) == ([output] if existing else [])
@@ -467,14 +467,14 @@ class TestReplacingOutput:
         expected, output = tmp_path / "expected.crt", tmp_path / "out.crt"
         assert run(capsys, "ttn", golden_path("small_range"), str(expected))[0] == 0
         output.write_text("old")
-        refused = cli.os.open
+        refused = writing.os.open
 
         def no_new_file(name, flags, *args):
             if flags & os.O_CREAT:
                 raise PermissionError(13, "Permission denied", name)
             return refused(name, flags, *args)
 
-        monkeypatch.setattr(cli.os, "open", no_new_file)
+        monkeypatch.setattr(writing.os, "open", no_new_file)
         assert run(capsys, "ttn", golden_path("small_range"), str(output))[0] == 0
         assert output.read_text() == expected.read_text()
         assert sorted(tmp_path.iterdir()) == [expected, output]
@@ -702,16 +702,15 @@ TRUSTED_MODULES = {
 }
 
 
-def _loaded_after(argv: list[str]) -> tuple[list[str], str]:
-    """Run ``mipcert`` in a fresh interpreter. Returns the package modules it
-    loaded, and its exit code with the loaded ones of the renderer and solver."""
+def _loaded_after(argv: list[str]) -> tuple[list[str], int]:
+    """Run ``mipcert`` in a fresh interpreter. Returns the package modules it loaded, and its
+    exit code."""
     script = (
         "import sys\n"
         "from mipcert.cli import main\n"
         "code = main()\n"
-        "heavy = ('mipcert.render', 'mipcert.simplex', 'mipcert.solve')\n"
         "print(*sorted(name for name in sys.modules if name.startswith('mipcert')))\n"
-        "print(code, [name for name in heavy if name in sys.modules])\n"
+        "print(code)\n"
     )
     src = str(Path(mipcert.__file__).resolve().parent.parent)
     completed = subprocess.run(
@@ -723,25 +722,29 @@ def _loaded_after(argv: list[str]) -> tuple[list[str], str]:
         check=False,
     )
     assert completed.returncode == 0, completed.stderr
-    modules, heavy = completed.stdout.splitlines()[-2:]
-    return modules.split(), heavy
+    modules, code = completed.stdout.splitlines()[-2:]
+    return modules.split(), int(code)
 
 
-@pytest.mark.parametrize("command", ("check", "ttn"))
-def test_check_and_ttn_load_no_solver_or_renderer(tmp_path, command) -> None:
-    argv = [command, golden_path("split_infeasible")]
-    if command == "ttn":
-        argv.append(str(tmp_path / "out.crt"))
-    modules, heavy = _loaded_after(argv)
-    assert heavy == "0 []"
-    if command == "check":  # the trusted core: everything `check` runs
-        assert set(modules) == TRUSTED_MODULES
+#: What each command loads besides the trusted core: ``check`` loads no more, so nothing that
+#: writes OUT, renders or solves is part of it.
+COMMAND_MODULES = {
+    "check": set(),
+    "ttn": {"mipcert.ttn", "mipcert.writing"},
+    "html": {"mipcert.render", "mipcert.writing"},
+    "solve": {"mipcert.simplex", "mipcert.solve", "mipcert.writing"},
+}
 
 
-def test_html_loads_no_solver(tmp_path) -> None:
-    modules, heavy = _loaded_after(["html", golden_path("split_infeasible"), str(tmp_path / "p")])
-    assert heavy == "0 ['mipcert.render']"
-    assert set(modules) == TRUSTED_MODULES | {"mipcert.render"}
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_its_modules_and_no_others(tmp_path, command) -> None:
+    source = golden_path("split_infeasible")
+    if command == "solve":
+        source = write_problem_file(load_golden("split_infeasible").problem, tmp_path / "p.mip")
+    argv = [command, source] + ([] if command == "check" else [str(tmp_path / "out")])
+    modules, code = _loaded_after(argv)
+    assert code == 0
+    assert set(modules) == TRUSTED_MODULES | COMMAND_MODULES[command]
 
 
 PACKAGE = Path(mipcert.__file__).resolve().parent
