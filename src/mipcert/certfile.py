@@ -230,12 +230,9 @@ def _take_pairs(
     ``upper`` and a rational, named ``what`` plus the parts in ``kind``. Returns the record
     ``kind`` builds of them (its ValueError reported at the last token) and the next position."""
     row = tokens.row
-    count = row[at]
-    if not (count.isascii() and count.isdigit()):
-        raise tokens.natural_error(at, what, kind[2], None)
+    end = at + 1 + 2 * tokens.natural(at, what, kind[2])  # a long count, by its length
     pairs: list[tuple[int, Number]] = []
     at += 1
-    end = at + 2 * int_from_digits(count)
     while True:
         stop = end
         if stop > len(row):  # join the rest, a bounded take at a time

@@ -1,4 +1,4 @@
-"""Exact rational LP solving by two-phase primal simplex.
+"""Exact rational LP solving by two-phase primal simplex, and warm starts by dual simplex.
 
 This is the engine underneath the certifying MILP solver. It minimizes a
 linear objective over free variables subject to ``>=`` / ``<=`` / ``=`` rows
@@ -27,6 +27,11 @@ rule governs both phases, so the method terminates without any anticycling
 heuristics. Artificial columns are never entering candidates; after phase
 one, basic artificials are pivoted out degenerately where possible, and rows
 where that is impossible are redundant and stay inert.
+
+Warm starts. :func:`solve_lp_from` appends a branch row to an optimal tableau
+with its new slack basic, eliminated against the basis, so the artificial
+block still holds the basis inverse and the basis stays dual feasible. Then
+:meth:`_Tableau.run_dual` runs a dual simplex, also by Bland's rule.
 
 The tableau holds no rationals. Each row is a list of ``int`` numerators,
 the right-hand side last, over one positive ``int`` denominator; a row starts
@@ -69,6 +74,7 @@ __all__ = [
     "LpUnbounded",
     "LpWitnessError",
     "solve_lp",
+    "solve_lp_from",
 ]
 
 _ZERO = Rational(0)
@@ -151,13 +157,9 @@ class _Tableau:
     """
 
     def __init__(self, num_variables: int, constraints: Sequence[Constraint]) -> None:
-        n = num_variables
-        m = len(constraints)
-        num_ineq = sum(1 for c in constraints if c.sense is not Sense.EQ)
-        self.num_variables = n
-        self.num_rows = m
-        self.art_start = 2 * n + num_ineq
-        self.width = self.art_start + m
+        self.num_variables = num_variables
+        # Columns: u and w per variable, a slack per inequality, an artificial per row.
+        self.art_start = self.width = 2 * num_variables
         # Row flips (+1 or -1) applied during normalization; duals flip back.
         self.flips: list[int] = []
         self.rows: list[list[int]] = []
@@ -167,26 +169,52 @@ class _Tableau:
         # the objective value, over cost_den; run_phase sets it.
         self.cost_row = [0] * (self.width + 1)
         self.cost_den = 1
+        for con in constraints:
+            self.add_row(con, cold=True)
 
-        ineq_seen = 0
-        for i, con in enumerate(constraints):
-            flip = 1 if con.rhs >= 0 else -1
-            den = lcm(con.rhs.denominator, *(c.denominator for _, c in con.lhs))
-            row = [0] * (self.width + 1)
-            for index, coeff in con.lhs:
-                entry = flip * coeff.numerator * (den // coeff.denominator)
-                row[index] = entry          # u part
-                row[n + index] = -entry     # w part
-            if con.sense is not Sense.EQ:
-                slack = flip * den
-                row[2 * n + ineq_seen] = slack if con.sense is Sense.LE else -slack
-                ineq_seen += 1
-            row[self.art_start + i] = den
-            row[-1] = flip * con.rhs.numerator * (den // con.rhs.denominator)
-            self.flips.append(flip)
-            self.rows.append(row)
-            self.dens.append(den)
-            self.basis.append(self.art_start + i)
+    def copy(self) -> _Tableau:
+        """A copy that changes independently of this tableau: each list copied, each row too."""
+        twin = object.__new__(_Tableau)
+        for name, value in vars(self).items():
+            setattr(twin, name, value[:] if type(value) is list else value)
+        twin.rows = [row[:] for row in self.rows]
+        return twin
+
+    def add_row(self, con: Constraint, cold: bool = False) -> None:
+        """Append ``con`` with a new artificial column and, for an inequality, a new slack
+        column. A cold row, as the tableau is built, is flipped to a nonnegative rhs, with its
+        artificial basic. A warm row, an inequality, is flipped so that its slack entry is 1,
+        with its slack basic, and is eliminated against the basis (see the module docstring).
+        """
+        slack = self.art_start
+        inequality = con.sense is not Sense.EQ
+        for row in self.rows + [self.cost_row]:
+            if inequality:
+                row.insert(slack, 0)
+            row.insert(-1, 0)
+        if inequality:
+            self.basis = [basic + 1 if basic >= slack else basic for basic in self.basis]
+            self.art_start += 1
+        self.width += 2 if inequality else 1
+        flip = 1 if (con.rhs >= 0 if cold else con.sense is Sense.LE) else -1
+        den = lcm(con.rhs.denominator, *(c.denominator for _, c in con.lhs))
+        row = [0] * (self.width + 1)
+        for index, coeff in con.lhs:
+            entry = flip * coeff.numerator * (den // coeff.denominator)
+            row[index] = entry                          # u part
+            row[self.num_variables + index] = -entry    # w part
+        if inequality:
+            row[slack] = flip * den if con.sense is Sense.LE else -flip * den
+        row[-2] = den
+        row[-1] = flip * con.rhs.numerator * (den // con.rhs.denominator)
+        for r, basic in enumerate(self.basis):
+            if row[basic]:
+                support = [(j, entry) for j, entry in enumerate(self.rows[r]) if entry]
+                den = _eliminate(row, den, row[basic], support, self.dens[r])
+        self.flips.append(flip)
+        self.rows.append(row)
+        self.dens.append(den)
+        self.basis.append(self.width - 1 if cold else slack)
 
     def pivot(self, row: int, col: int) -> None:
         """Pivot on ``(row, col)`` in place.
@@ -257,6 +285,30 @@ class _Tableau:
                 return entering
             self.pivot(leaving, entering)
 
+    def run_dual(self) -> int | None:
+        """Dual simplex from a dual feasible basis, by Bland's rule over the columns in reverse
+        order: leave on the row of negative rhs whose basic column is largest, and enter on the
+        least ratio of reduced cost to minus a negative entry, ties going to the largest column.
+        Returns None on optimality, or a row of negative rhs and no negative structural entry.
+        """
+        while True:
+            negative = [r for r, row in enumerate(self.rows) if row[-1] < 0]
+            if not negative:
+                return None
+            leaving = max(negative, key=self.basis.__getitem__)
+            # Column j's ratio is cost_row[j] / -row[j]: the denominators are common to all
+            # columns and the divisors positive, so ratios compare by cross-multiplication.
+            row, cost_row = self.rows[leaving], self.cost_row
+            entering = None
+            for j in range(self.art_start - 1, -1, -1):
+                if row[j] < 0 and (
+                    entering is None or cost_row[j] * row[entering] > cost_row[entering] * row[j]
+                ):
+                    entering = j
+            if entering is None:
+                return leaving
+            self.pivot(leaving, entering)
+
     def drive_out_artificials(self) -> None:
         """After phase one at value zero, remove basic artificials where possible.
 
@@ -266,7 +318,7 @@ class _Tableau:
         one's cost row, already read, is zeroed so these pivots skip it.
         """
         self.cost_row = [0] * (self.width + 1)
-        for r in range(self.num_rows):
+        for r in range(len(self.rows)):
             if self.basis[r] < self.art_start:
                 continue
             col = next(
@@ -279,18 +331,20 @@ class _Tableau:
         """The value of row ``r`` in column ``col`` (``-1`` for the rhs)."""
         return Rational(self.rows[r][col], self.dens[r])
 
-    def duals(self, costs: Sequence[Number]) -> list[Rational]:
+    def duals(self, costs: Sequence[Number], r: int | None = None) -> list[Rational]:
         """Row duals ``c_B B^-1`` for the phase's ``costs``, in input-row order
         and input-row signs.
 
         The artificial column of row ``i`` starts as its unit vector, so its
         reduced cost ``d`` is ``c - (c_B B^-1)_i`` for its cost ``c``; the
-        row's flip undoes the sign normalization.
+        row's flip undoes the sign normalization. From row ``r`` and zero costs,
+        this reads minus that row of ``B^-1``: see :meth:`run_dual`.
         """
-        den, art = self.cost_den, slice(self.art_start, self.width)
+        row, den = (self.cost_row, self.cost_den) if r is None else (self.rows[r], self.dens[r])
+        art = slice(self.art_start, self.width)
         return [
             Rational(flip * (c.numerator * den - c.denominator * d), c.denominator * den)
-            for flip, c, d in zip(self.flips, costs[art], self.cost_row[art])
+            for flip, c, d in zip(self.flips, costs[art], row[art])
         ]
 
     def point(self, col: int = -1) -> list[Rational]:
@@ -337,44 +391,59 @@ def solve_lp(
     Points, and rays against rows with a zero right-hand side, are tested with
     :func:`~mipcert.model.satisfies`. Raises :class:`LpWitnessError` if a check fails.
     """
-    tableau = _Tableau(num_variables, constraints)
-    m = tableau.num_rows
+    return solve_lp_from(None, num_variables, constraints, objective)[0]
 
-    phase1_costs = [_ZERO] * tableau.art_start + [_ONE] * m
-    unbounded_col = tableau.run_phase(phase1_costs)
-    _require(unbounded_col is None, "phase one must be bounded below by zero")
-    # The cost row's rhs is minus the phase-one gap, over cost_den.
-    if tableau.cost_row[-1] < 0:
-        farkas = tableau.duals(phase1_costs)
+
+def solve_lp_from(
+    parent: _Tableau | None,
+    num_variables: int,
+    constraints: Sequence[Constraint],
+    objective: SparseVec,
+) -> tuple[LpResult, _Tableau]:
+    """:func:`solve_lp`, also returning the final tableau. ``parent`` is None for a cold start,
+    or an optimal tableau of ``constraints[:-1]`` and ``objective``, which is changed: the last
+    row, an inequality, is appended to it and :meth:`_Tableau.run_dual` runs."""
+    if parent is not None:
+        tableau = parent
+        tableau.add_row(constraints[-1])
+        row = tableau.run_dual()
+        farkas = None if row is None else tableau.duals([_ZERO] * tableau.width, row)
+    else:
+        tableau = _Tableau(num_variables, constraints)
+        phase1_costs = [_ZERO] * tableau.art_start + [_ONE] * len(constraints)
+        unbounded_col = tableau.run_phase(phase1_costs)
+        _require(unbounded_col is None, "phase one must be bounded below by zero")
+        # The cost row's rhs is minus the phase-one gap, over cost_den.
+        farkas = tableau.duals(phase1_costs) if tableau.cost_row[-1] < 0 else None
+    if farkas is not None:
         combined = _witness_row(constraints, farkas)
         _require(combined.lhs.is_zero, "Farkas combination must cancel")
         _require(combined.rhs > 0, "Farkas combination must have positive rhs")
-        return LpInfeasible(farkas=tuple(farkas))
+        return LpInfeasible(farkas=tuple(farkas)), tableau
 
-    tableau.drive_out_artificials()
-
-    phase2_costs = [_ZERO] * tableau.width
-    for v, coeff in objective:
-        phase2_costs[v] = coeff
-        phase2_costs[num_variables + v] = -coeff
-
-    unbounded_col = tableau.run_phase(phase2_costs)
-    if unbounded_col is not None:
-        ray = tableau.point(unbounded_col)
-        along = dict(enumerate(ray))
-        _require(objective.evaluate(along) < 0, "ray must improve the objective")
-        for con in constraints:
-            homogeneous = Constraint(con.name, con.sense, con.lhs, 0)
-            _require(satisfies(homogeneous, along), f"ray must respect row {con.name!r}")
-        return LpUnbounded(ray=tuple(ray))
+    if parent is None:
+        tableau.drive_out_artificials()
+        phase2_costs = [_ZERO] * tableau.width
+        for v, coeff in objective:
+            phase2_costs[v] = coeff
+            phase2_costs[num_variables + v] = -coeff
+        unbounded_col = tableau.run_phase(phase2_costs)
+        if unbounded_col is not None:
+            ray = tableau.point(unbounded_col)
+            along = dict(enumerate(ray))
+            _require(objective.evaluate(along) < 0, "ray must improve the objective")
+            for con in constraints:
+                homogeneous = Constraint(con.name, con.sense, con.lhs, 0)
+                _require(satisfies(homogeneous, along), f"ray must respect row {con.name!r}")
+            return LpUnbounded(ray=tuple(ray)), tableau
 
     point = tableau.point()
     at_point = dict(enumerate(point))
     value = objective.evaluate(at_point)
-    duals = tableau.duals(phase2_costs)
+    duals = tableau.duals([_ZERO] * tableau.width)  # phase two's artificial costs
     combined = _witness_row(constraints, duals)
     _require(combined.lhs.entries == objective.entries, "duals must reconstruct the objective")
     _require(combined.rhs == value, "duals must reconstruct the optimal value")
     for con in constraints:
         _require(satisfies(con, at_point), "optimal point must be feasible")
-    return LpOptimal(point=tuple(point), value=value, duals=tuple(duals))
+    return LpOptimal(point=tuple(point), value=value, duals=tuple(duals)), tableau

@@ -22,7 +22,9 @@ contained in the node's path:
 
 The search is depth first, down child before up child. Each open node is a
 suspended generator on an explicit stack, so a deep tree costs no Python
-recursion.
+recursion. Only the root's LP is solved cold: a node hands its optimal tableau
+to its children, a copy to the down child and the tableau itself to the up
+child, and each child's LP warm-starts from it (see :mod:`mipcert.simplex`).
 
 When a child's bound row does not actually depend on that child's branch
 assumption, the row already holds for the whole node and is adopted directly
@@ -72,7 +74,7 @@ from .model import (
     is_absurd,
 )
 from .numeric import Rational, is_integral, rational_ceil, rational_floor
-from .simplex import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
+from .simplex import LpInfeasible, LpOptimal, LpUnbounded, _Tableau, solve_lp, solve_lp_from
 
 __all__ = [
     "SolveConfig",
@@ -280,24 +282,26 @@ class _Solver:
 
     def search(self) -> int:
         """Run the tree from the root on an explicit stack; the root's bound row."""
-        stack = [self.solve_node([])]
+        stack = [self.solve_node([], None)]
         child_index: Optional[int] = None
         while True:
             try:
-                child_path = stack[-1].send(child_index)
+                child = stack[-1].send(child_index)
             except StopIteration as done:
                 stack.pop()
                 if not stack:
                     return done.value
                 child_index = done.value
             else:
-                stack.append(self.solve_node(child_path))
+                stack.append(self.solve_node(*child))
                 child_index = None
 
-    def solve_node(self, path: list[int]) -> Generator[list[int], int, int]:
+    def solve_node(
+        self, path: list[int], parent: Optional[_Tableau]
+    ) -> Generator[tuple[list[int], _Tableau], int, int]:
         """Close the node at ``path``, returning the index of its bound row.
 
-        To branch, it yields each child's path and is sent that child's index.
+        To branch, it yields each child's path and starting tableau and is sent its index.
         """
         self.num_nodes += 1
         limit = self.config.node_limit
@@ -306,7 +310,9 @@ class _Solver:
 
         rows = self._node_rows(path)
         constraints = [con for _, con in rows]
-        outcome = solve_lp(self.problem.num_variables, constraints, self.objective)
+        outcome, tableau = solve_lp_from(
+            parent, self.problem.num_variables, constraints, self.objective
+        )
         if isinstance(outcome, LpInfeasible):
             return self._emit_farkas(outcome.farkas, rows)
         if isinstance(outcome, LpUnbounded):
@@ -333,7 +339,7 @@ class _Solver:
 
         floor = rational_floor(point[branch_variable])
         down_asm = self.add_assumption(branch_variable, Sense.LE, floor)
-        down_index = yield path + [down_asm]
+        down_index = yield path + [down_asm], tableau.copy()
         down_row = self.state.row(down_index)
         if down_asm not in self.state.assumptions(down_index) and is_absurd(down_row):
             # The refutation never used the branch assumption, so it already
@@ -341,7 +347,7 @@ class _Solver:
             return down_index
 
         up_asm = self.add_assumption(branch_variable, Sense.GE, floor + 1)
-        up_index = yield path + [up_asm]
+        up_index = yield path + [up_asm], tableau
         up_row = self.state.row(up_index)
 
         # A child bound that does not depend on its own branch assumption

@@ -7,7 +7,7 @@ them as ``write_certificate`` does, and copies each kept row's tokens, renumberi
 writing the new last use and re-formatting a number only where its token is not canonical. Both
 passes read the file through one line reader, which takes a CRC-32 of the text, into the parser's
 tokenizer, so they split it into the same tokens and a file that changed between them is refused.
-A file that cannot be read twice (a pipe, a FIFO) is refused before it is read. The output is
+A file that cannot be read twice (a pipe, a FIFO) is refused before it is opened. The output is
 what ``write_certificate`` writes of the in-memory ``tighten(certificate, prune=prune)``.
 """
 
@@ -56,9 +56,12 @@ class TightenedFile:
 
     def __init__(self, path: str, *, prune: bool = False) -> None:
         self.path, self._crc = path, 0
+        refusal = f"{path} is not a regular file, and ttn reads its input twice"
+        if not stat.S_ISREG(os.stat(path).st_mode):  # before open(), which waits on a FIFO
+            raise OSError(refusal)
         with open(path, encoding="utf-8") as handle:
-            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                raise OSError(f"{path} is not a regular file, and ttn reads its input twice")
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # the file opened
+                raise OSError(refusal)
             events = parse_certificate(self._lines(handle))
             self._kept, self._new_index, self._last_use = _plan(*split_header(events), prune)
         self.derivations = len(self._last_use)

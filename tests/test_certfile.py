@@ -631,13 +631,24 @@ class TestLongNumbers:
             ),
             (2, "VAR {}", "line 14: unexpected end of input while reading variable name"),
             (13, "DER {}", "line 14: unexpected end of input while reading derivation name"),
+            (
+                6,
+                "{} 0 2 1 1",
+                "line 7: expected a nonnegative index for objective variable index, found 'CON'",
+            ),
+            (
+                14,
+                "obj G 1 2 0 2 1 1 {{ lin {} 0 1 1 -1 }} -1",
+                "line 14: expected a nonnegative index for combination row index, found '}}'",
+            ),
         ],
-        ids=("INT-index", "uns-reference", "VAR-count", "DER-count"),
+        ids=("INT-index", "uns-reference", "VAR-count", "DER-count", "OBJ-count", "lin-count"),
     )
     def test_a_long_natural_is_refused_in_linear_time(self, lineno, line, message) -> None:
         # An index's or a count's digits are counted before they are converted: an index of more
         # digits than its bound is out of range, and a count of 19 or more counts more than any
-        # input holds, so the input ends first. Converting first cost 2.7-3.0x per doubling.
+        # input holds, so the input ends first, or its pairs run into the next line's tokens.
+        # Converting first cost 2.7-3.0x per doubling.
         def refusal(digits: int) -> str:
             with pytest.raises(ParseError) as excinfo:
                 parse_lines(_mut(lineno, line.format(f"00{'9' * digits}")))

@@ -291,6 +291,25 @@ class TestTighten:
         assert (redirected.returncode, redirected.stderr) == (0, b"")
         assert output.read_bytes() == expected.read_bytes()
 
+    def test_a_fifo_with_no_writer_is_refused_at_once(self, tmp_path) -> None:
+        # Opening a FIFO for reading waits for a writer, so IN is looked at before it is opened.
+        # A subprocess with a timeout fails this test, instead of hanging it, if ttn waits.
+        fifo, output = tmp_path / "in.fifo", tmp_path / "out.crt"
+        os.mkfifo(fifo)
+        src = str(Path(mipcert.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-c", "import sys\nfrom mipcert.cli import main\nsys.exit(main())"]
+        completed = subprocess.run(
+            argv + ["ttn", str(fifo), str(output)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+            check=False,
+        )
+        assert (completed.returncode, completed.stdout) == (2, b"")
+        message = f"error: {fifo} is not a regular file, and ttn reads its input twice\n"
+        assert completed.stderr == message.encode()
+        assert not output.exists()
+
     def test_prune_holds_the_certificate_about_once(self, capsys, tmp_path) -> None:
         # tracemalloc counts the same bytes on every run of one interpreter;
         # RSS does not. The raw chain keeps no row live by its own hints.

@@ -669,6 +669,18 @@ def test_linear_combine_result_is_in_normal_form(case) -> None:
     assert dict(entries) == lhs and combined.rhs == rhs
 
 
+def _best_of_rounds(runs: dict) -> dict:
+    """The least time of each of ``runs`` over 5 rounds that each time every run in turn, so
+    that all of them see the same load on the machine."""
+    costs = {name: float("inf") for name in runs}
+    for _ in range(5):
+        for name, run in runs.items():
+            start = time.perf_counter()
+            run()
+            costs[name] = min(costs[name], time.perf_counter() - start)
+    return costs
+
+
 class TestIntKernel:
     def test_cancelling_terms_drop_out(self) -> None:
         c1 = Constraint("C1", Sense.GE, SparseVec(((0, 3), (1, Fraction(1, 2)))), 1)
@@ -699,23 +711,18 @@ class TestIntKernel:
     def test_mixed_multiplier_denominators_cost_no_more_than_a_fraction_sum(self) -> None:
         # Multipliers alternating 1/6 and 1/10: when each new denominator multiplied the
         # sums' denominators, 32k terms cost 14x a Fraction sum and grew 2.4x from 16k.
-        # Both costs are timed in this process, best of 5.
+        # Both costs are timed in this process, best of 5 rounds.
         row = Constraint("C", Sense.GE, SparseVec(((0, 1), (1, 2))), 1)
-
-        def best(run) -> float:
-            times = []
-            for _ in range(5):
-                start = time.perf_counter()
-                run()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        costs = {}
-        for k in (16_000, 32_000):
-            terms = [(row, Fraction(1, 6 if i % 2 else 10)) for i in range(k)]
-            costs[k] = best(lambda: linear_combine(terms, Sense.GE))
-        fraction_sum = best(lambda: sum((m for _, m in terms), Fraction(0)))
-        assert costs[32_000] <= 1.5 * fraction_sum, (costs, fraction_sum)
+        sizes = {
+            k: [(row, Fraction(1, 6 if i % 2 else 10)) for i in range(k)] for k in (16_000, 32_000)
+        }
+        terms = sizes[32_000]
+        costs = _best_of_rounds({
+            16_000: lambda: linear_combine(sizes[16_000], Sense.GE),
+            32_000: lambda: linear_combine(terms, Sense.GE),
+            "fraction sum": lambda: sum((m for _, m in terms), Fraction(0)),
+        })
+        assert costs[32_000] <= 1.5 * costs["fraction sum"], costs
         assert costs[32_000] <= 2.5 * costs[16_000], costs
         total = Fraction(16_000, 6) + Fraction(16_000, 10)
         combined = linear_combine(terms, Sense.GE)
@@ -724,26 +731,19 @@ class TestIntKernel:
     def test_mixed_coefficient_denominators_cost_no_more_than_a_fraction_sum(self) -> None:
         # Rows whose coefficients and right-hand sides alternate 1/6 and 1/10: when each new
         # denominator multiplied a sum's denominator, 32k terms cost 12x a Fraction sum and
-        # grew 3.4x from 16k. Both costs are timed in this process, best of 5.
+        # grew 3.4x from 16k. Both costs are timed in this process, best of 5 rounds.
         rows = [
             Constraint("C", Sense.GE, SparseVec(((0, part), (1, 2 * part))), part)
             for part in (Fraction(1, 6), Fraction(1, 10))
         ]
-
-        def best(run) -> float:
-            times = []
-            for _ in range(5):
-                start = time.perf_counter()
-                run()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        costs = {}
-        for k in (16_000, 32_000):
-            terms = [(rows[i % 2], 1) for i in range(k)]
-            costs[k] = best(lambda: linear_combine(terms, Sense.GE))
-        fraction_sum = best(lambda: sum((row.rhs for row, _ in terms), Fraction(0)))
-        assert costs[32_000] <= 1.5 * fraction_sum, (costs, fraction_sum)
+        sizes = {k: [(rows[i % 2], 1) for i in range(k)] for k in (16_000, 32_000)}
+        terms = sizes[32_000]
+        costs = _best_of_rounds({
+            16_000: lambda: linear_combine(sizes[16_000], Sense.GE),
+            32_000: lambda: linear_combine(terms, Sense.GE),
+            "fraction sum": lambda: sum((row.rhs for row, _ in terms), Fraction(0)),
+        })
+        assert costs[32_000] <= 1.5 * costs["fraction sum"], costs
         assert costs[32_000] <= 2.5 * costs[16_000], costs
         total = Fraction(16_000, 6) + Fraction(16_000, 10)
         combined = linear_combine(terms, Sense.GE)

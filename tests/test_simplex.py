@@ -6,10 +6,12 @@ its own identities too, but these tests recompute them independently).
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 from unittest.mock import patch
 
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mipcert
-from mipcert.model import Constraint, Sense, SparseVec
+from mipcert.model import Constraint, ObjectiveSense, Problem, Sense, SparseVec
 from mipcert.numeric import Rational as R
 from mipcert.simplex import (
     LpInfeasible,
@@ -28,6 +30,7 @@ from mipcert.simplex import (
     LpWitnessError,
     _Tableau,
     solve_lp,
+    solve_lp_from,
 )
 
 
@@ -393,6 +396,118 @@ def test_agrees_with_highs(linprog, case) -> None:
         assert reference.status != 2, reference.message
 
 
+# --- warm starts: a branch row appended to an optimal tableau -----------------
+
+
+@st.composite
+def branched_lp(draw):
+    """An LP, with branch rows to append one at a time, the way a path of the tree adds them.
+
+    A variable may be left free or boxed. Random rows of small integer coefficients, equations
+    among them, may be joined by a copy of a row scaled by two, and by an equation through the
+    box's lower corner with its double, which is redundant, so that an artificial stays basic,
+    and degenerate at the corner.
+    """
+    num_variables = draw(st.integers(min_value=1, max_value=4))
+    small = st.integers(min_value=-4, max_value=4)
+    rows, corner = [], []
+    for index in range(num_variables):
+        if draw(st.integers(min_value=0, max_value=3)):  # one variable in four is free
+            low = draw(st.integers(min_value=-3, max_value=1))
+            high = low + draw(st.integers(min_value=0, max_value=4))
+            rows += [con(f"L{index}", Sense.GE, low, (index, 1))]
+            rows += [con(f"U{index}", Sense.LE, high, (index, 1))]
+            corner.append((index, low))
+    for r in range(draw(st.integers(min_value=0, max_value=3))):
+        values = draw(st.lists(small, min_size=num_variables, max_size=num_variables))
+        entries = tuple((i, R(c)) for i, c in enumerate(values) if c)
+        sense = draw(st.sampled_from((Sense.GE, Sense.LE, Sense.EQ)))
+        rows.append(Constraint(f"R{r}", sense, SparseVec(entries), draw(small_rationals)))
+    if rows and draw(st.booleans()):
+        copied = draw(st.sampled_from(rows))
+        doubled = SparseVec(tuple((i, 2 * c) for i, c in copied.lhs))
+        rows.append(Constraint("COPY", copied.sense, doubled, 2 * copied.rhs))
+    if corner and draw(st.booleans()):
+        weights = draw(st.lists(small, min_size=len(corner), max_size=len(corner)))
+        rhs = R(sum(w * low for w, (_, low) in zip(weights, corner)))
+        for scale in (1, 2):
+            lhs = tuple((index, R(scale * w)) for w, (index, _) in zip(weights, corner) if w)
+            rows.append(Constraint(f"CORNER{scale}", Sense.EQ, SparseVec(lhs), scale * rhs))
+    rows = draw(st.permutations(rows))  # a redundant row may come first
+    values = draw(st.lists(small, min_size=num_variables, max_size=num_variables))
+    objective = SparseVec(tuple((i, R(c)) for i, c in enumerate(values) if c))
+    branch = st.tuples(
+        st.integers(min_value=0, max_value=num_variables - 1),
+        st.sampled_from((Sense.GE, Sense.LE)),
+        small_rationals,
+    )
+    branches = [
+        con(f"B{k}", sense, bound, (index, 1))
+        for k, (index, sense, bound) in enumerate(draw(st.lists(branch, min_size=1, max_size=4)))
+    ]
+    return num_variables, rows, objective, branches
+
+
+def check_like_cold(num_variables, rows, objective, warm) -> None:
+    """``warm`` has the status and optimal value of a cold solve of ``rows``, and valid witnesses."""
+    cold = solve_lp(num_variables, rows, objective)
+    assert type(warm) is type(cold)
+    if isinstance(warm, LpOptimal):
+        assert warm.value == cold.value
+        check_optimal(num_variables, rows, objective, warm)
+    else:
+        check_infeasible(rows, warm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(branched_lp())
+def test_a_warm_start_agrees_with_a_cold_solve(case) -> None:
+    # Down a path of branch rows: each level's other branch runs on a copy of the tableau,
+    # with the row's sense and side swapped, and the path goes on with the tableau itself.
+    num_variables, rows, objective, branches = case
+    outcome, tableau = solve_lp_from(None, num_variables, rows, objective)
+    for branch in branches:
+        if not isinstance(outcome, LpOptimal):
+            return
+        other_sense = Sense.LE if branch.sense is Sense.GE else Sense.GE
+        other = Constraint("OTHER", other_sense, branch.lhs, branch.rhs - 1)
+        sibling, _ = solve_lp_from(tableau.copy(), num_variables, rows + [other], objective)
+        check_like_cold(num_variables, rows + [other], objective, sibling)
+        rows = rows + [branch]
+        outcome, tableau = solve_lp_from(tableau, num_variables, rows, objective)
+        check_like_cold(num_variables, rows, objective, outcome)
+
+
+def parity_problem(hi: int) -> Problem:
+    """``min x`` subject to ``2x - 2y = 1``, ``y >= 0``, ``x <= hi``: a path of depth 2·hi."""
+    rows = (
+        con("par", Sense.EQ, 1, (0, 2), (1, -2)),
+        con("ypos", Sense.GE, 0, (1, 1)),
+        con("xcap", Sense.LE, hi, (0, 1)),
+    )
+    return Problem(("x", "y"), frozenset((0, 1)), vec((0, 1)), ObjectiveSense.MIN, rows)
+
+
+def test_parity_solve_time_grows_with_the_node_count_and_not_its_cube() -> None:
+    # Each child's dual simplex takes a few pivots from its parent's tableau. Cold starts, whose
+    # pivots grow with the depth, cost 5.8x from hi=20 to hi=40; warm starts cost about 3.2x.
+    from mipcert.solve import solve
+
+    costs = {20: float("inf"), 40: float("inf")}
+    for _ in range(3):  # both sizes in each round, so that both see the same load
+        for hi in costs:
+            start = time.process_time()
+            assert solve(parity_problem(hi)).num_nodes == 4 * hi + 1
+            costs[hi] = min(costs[hi], time.process_time() - start)
+    assert costs[40] <= 4.5 * costs[20], costs
+
+
+def test_the_solver_calls_the_cold_solve_by_the_name_the_bench_traces() -> None:
+    # bench/run.py --trace 1 wraps the solve module's own ``solve_lp`` by name.
+    solve_module = importlib.import_module("mipcert.solve")
+    assert vars(solve_module)["solve_lp"] is mipcert.simplex.solve_lp
+
+
 # --- corrupted witnesses are refused, with or without -O -------------------
 
 GAP_ROWS = [con("LO", Sense.GE, 1, (0, 1)), con("HI", Sense.LE, 0, (0, 1))]
@@ -458,7 +573,7 @@ def test_corrupted_ray_raises(monkeypatch, objective, message) -> None:
 def test_corrupted_multipliers_raise_under_optimize_flag() -> None:
     script = textwrap.dedent(
         """
-        from mipcert.model import Constraint, Sense, SparseVec
+        from mipcert.model import Constraint, ObjectiveSense, Problem, Sense, SparseVec
         from mipcert.numeric import Rational
         from mipcert.simplex import LpWitnessError, _Tableau, solve_lp
 

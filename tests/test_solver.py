@@ -37,7 +37,8 @@ from mipcert.model import (
     replace,
 )
 from mipcert.numeric import Rational as R
-from mipcert.simplex import LpInfeasible, LpOptimal, solve_lp
+from mipcert.numeric import rational_ceil, rational_floor
+from mipcert.simplex import LpInfeasible, LpOptimal, solve_lp, solve_lp_from
 from mipcert.solve import NodeLimitError, SolveConfig, SolveResult, select_branch_variable, solve
 from mipcert.solve import SolverCheckError
 from mipcert.tighten import prune_unused
@@ -507,23 +508,44 @@ def zero_farkas(outcome):
     return outcome
 
 
+def integral_root() -> Problem:
+    """``min x`` subject to ``x >= 1``: the root LP is integral and closes the tree."""
+    return problem_of(vec((0, 1)), ObjectiveSense.MIN, [con("lo", Sense.GE, 1, (0, 1))], (0,))
+
+
+def infeasible_root() -> Problem:
+    """``x >= 1`` and ``x <= 0``: the root LP is infeasible."""
+    rows = [con("lo", Sense.GE, 1, (0, 1)), con("hi", Sense.LE, 0, (0, 1))]
+    return problem_of(vec((0, 1)), ObjectiveSense.MIN, rows, (0,))
+
+
 @pytest.mark.parametrize(
-    ("make", "corrupt", "message"),
+    ("make", "corrupt", "message", "warm"),
     (
-        (knapsack10, doubled_duals, "emitted combination too weak"),
-        (knapsack10, negated_duals, "emitted combination too weak"),
-        (parity10, zero_farkas, "must witness a positive gap"),
+        (knapsack10, doubled_duals, "emitted combination too weak", True),
+        (knapsack10, negated_duals, "emitted combination too weak", True),
+        (parity10, zero_farkas, "must witness a positive gap", True),
+        (integral_root, doubled_duals, "emitted combination too weak", False),
+        (infeasible_root, zero_farkas, "must witness a positive gap", False),
     ),
-    ids=("doubled-duals", "negated-duals", "zero-farkas"),
+    ids=("doubled-duals", "negated-duals", "zero-farkas", "root-doubled-duals", "root-zero-farkas"),
 )
-def test_corrupted_lp_results_raise(monkeypatch, make, corrupt, message) -> None:
+def test_corrupted_lp_results_raise(monkeypatch, make, corrupt, message, warm) -> None:
+    # Every node's LP, the cold root's and the warm children's, comes from solve_lp_from.
     # ``mipcert.solve`` is the function; the module is under its full name.
     solve_module = importlib.import_module("mipcert.solve")
-    monkeypatch.setattr(
-        solve_module, "solve_lp", lambda *args: corrupt(solve_lp(*args))
-    )
+    parents = []
+
+    def corrupted(parent, *args):
+        parents.append(parent)
+        outcome, tableau = solve_lp_from(parent, *args)
+        return corrupt(outcome), tableau
+
+    monkeypatch.setattr(solve_module, "solve_lp_from", corrupted)
     with pytest.raises(SolverCheckError, match=message):
         solve(make())
+    # The refused row is the last LP's: a warm child's, or the cold root's.
+    assert (parents[-1] is not None) is warm
 
 
 def test_deep_tree_costs_no_python_recursion(tmp_path) -> None:
@@ -576,18 +598,18 @@ def test_corrupted_duals_raise_under_optimize_flag() -> None:
         import importlib, io, sys
         from mipcert.certfile import parse_problem
         from mipcert.model import replace
-        from mipcert.simplex import LpOptimal, solve_lp
+        from mipcert.simplex import LpOptimal, solve_lp_from
 
         assert False, "assert statements must be stripped by -O"
 
         def doubled(*args):
-            outcome = solve_lp(*args)
+            outcome, tableau = solve_lp_from(*args)
             if isinstance(outcome, LpOptimal):
                 outcome = replace(outcome, duals=tuple(2 * y for y in outcome.duals))
-            return outcome
+            return outcome, tableau
 
         solve_module = importlib.import_module("mipcert.solve")
-        solve_module.solve_lp = doubled
+        solve_module.solve_lp_from = doubled
         problem = parse_problem(io.StringIO(sys.stdin.read()))
         try:
             result = solve_module.solve(problem)
@@ -633,3 +655,89 @@ def test_solver_under_optimize_flag() -> None:
             expected.append(f"{result.status} {result.value} {result.num_nodes}")
     assert out.splitlines() == expected
     assert [line.split()[-1] for line in expected] == ["23", "23", "41", "39", "69", "69"]
+
+
+# --- mixed problems against an independent floating-point MILP solver -------
+
+#: How far ``scipy.optimize.milp`` (HiGHS, floats, with its feasibility tolerances) may be from
+#: the exact optimum, relative to ``1 + |optimum|``. Settle a difference with the exact
+#: certificate and point; never widen this to make one go away.
+MILP_TOLERANCE = 1e-6
+
+
+def random_mixed_problem(rng: random.Random) -> Problem:
+    """2-7 variables, each integer with probability 1/2, in boxes, under 1-8 random rows.
+
+    A continuous variable's box has a positive width and may have fractional ends, so no
+    continuous variable is fixed. Most rows hold at a random point of the boxes, integral on
+    the integer variables, so that most draws are feasible and many branch; the rest have a
+    random right-hand side.
+    """
+    num_variables = rng.randint(2, 7)
+    integers = [index for index in range(num_variables) if rng.random() < 0.5]
+    rows, point = [], []
+    for index in range(num_variables):
+        low = R(rng.randint(-10, 10), 1 if index in integers else rng.randint(1, 3))
+        width = rng.randint(0 if index in integers else 1, 4)
+        rows += [con(f"lo{index}", Sense.GE, low, (index, 1))]
+        rows += [con(f"hi{index}", Sense.LE, low + width, (index, 1))]
+        step = 1 if index in integers else R(1, 6)
+        point.append(low + step * rng.randint(0, int(width / step)))
+    for r in range(rng.randint(1, 8)):
+        pairs = [(index, rng.randint(-10, 10)) for index in range(num_variables)]
+        activity = sum(c * x for (_, c), x in zip(pairs, point))
+        sense = rng.choice((Sense.GE, Sense.GE, Sense.LE, Sense.LE, Sense.EQ))
+        if rng.random() < 0.2:
+            rhs = R(rng.randint(-10, 10))
+        elif sense is Sense.EQ:
+            rhs = activity
+        elif sense is Sense.GE:
+            rhs = rational_floor(activity) - rng.randint(0, 3)
+        else:
+            rhs = rational_ceil(activity) + rng.randint(0, 3)
+        rows.append(con(f"r{r}", sense, rhs, *(p for p in pairs if p[1])))
+    objective = vec(*((i, c) for i in range(num_variables) if (c := rng.randint(-10, 10))))
+    sense = rng.choice((ObjectiveSense.MIN, ObjectiveSense.MAX))
+    return problem_of(objective, sense, rows, integers)
+
+
+def milp_reference(milp, problem: Problem):
+    """The same problem through ``scipy.optimize.milp``, proven optimal (no relative gap)."""
+    from scipy.optimize import LinearConstraint
+
+    n = problem.num_variables
+    matrix = [[0.0] * n for _ in problem.constraints]
+    low, high = [], []
+    for dense, row in zip(matrix, problem.constraints):
+        for index, coeff in row.lhs:
+            dense[index] = float(coeff)
+        low.append(-float("inf") if row.sense is Sense.LE else float(row.rhs))
+        high.append(float("inf") if row.sense is Sense.GE else float(row.rhs))
+    sign = 1.0 if problem.objective_sense is ObjectiveSense.MIN else -1.0
+    costs = [0.0] * n
+    for index, coeff in problem.objective:
+        costs[index] = sign * float(coeff)
+    integrality = [1 if index in problem.integer_set else 0 for index in range(n)]
+    result = milp(
+        costs,
+        constraints=LinearConstraint(matrix, low, high),
+        integrality=integrality,
+        bounds=(-float("inf"), float("inf")),
+        options={"mip_rel_gap": 0},
+    )
+    return result.status, (None if result.fun is None else sign * result.fun)
+
+
+def test_mixed_problems_agree_with_milp() -> None:
+    milp = pytest.importorskip("scipy.optimize").milp
+    rng = random.Random(20261022)
+    statuses = {0: "optimal", 2: "infeasible"}
+    for draw in range(400):
+        problem = random_mixed_problem(rng)
+        result = solve(problem, SolveConfig(cg_objective=bool(draw % 2)))
+        assert verify_certificate(result.certificate).verified, f"draw {draw}"
+        status, value = milp_reference(milp, problem)
+        assert result.status == statuses.get(status), f"draw {draw}: HiGHS status {status}"
+        if result.status == "optimal":
+            gap = abs(float(result.value) - value)
+            assert gap <= MILP_TOLERANCE * (1 + abs(value)), f"draw {draw}: {result.value} {value}"
