@@ -31,7 +31,7 @@ where that is impossible are redundant and stay inert.
 Warm starts. :func:`solve_lp_from` appends a branch row to an optimal tableau
 with its new slack basic, eliminated against the basis, so the artificial
 block still holds the basis inverse and the basis stays dual feasible. Then
-:meth:`_Tableau.run_dual` runs a dual simplex, also by Bland's rule.
+:meth:`_Tableau.run_dual` runs a dual simplex, by Bland's rule in reverse column order.
 
 The tableau holds no rationals. Each row is a list of ``int`` numerators,
 the right-hand side last, over one positive ``int`` denominator; a row starts
@@ -159,7 +159,9 @@ class _Tableau:
     def __init__(self, num_variables: int, constraints: Sequence[Constraint]) -> None:
         self.num_variables = num_variables
         # Columns: u and w per variable, a slack per inequality, an artificial per row.
-        self.art_start = self.width = 2 * num_variables
+        slack = 2 * num_variables
+        self.art_start = slack + sum(con.sense is not Sense.EQ for con in constraints)
+        self.width = self.art_start + len(constraints)
         # Row flips (+1 or -1) applied during normalization; duals flip back.
         self.flips: list[int] = []
         self.rows: list[list[int]] = []
@@ -170,7 +172,8 @@ class _Tableau:
         self.cost_row = [0] * (self.width + 1)
         self.cost_den = 1
         for con in constraints:
-            self.add_row(con, cold=True)
+            self.add_row(con, slack)
+            slack += con.sense is not Sense.EQ
 
     def copy(self) -> _Tableau:
         """A copy that changes independently of this tableau: each list copied, each row too."""
@@ -180,22 +183,20 @@ class _Tableau:
         twin.rows = [row[:] for row in self.rows]
         return twin
 
-    def add_row(self, con: Constraint, cold: bool = False) -> None:
-        """Append ``con`` with a new artificial column and, for an inequality, a new slack
-        column. A cold row, as the tableau is built, is flipped to a nonnegative rhs, with its
-        artificial basic. A warm row, an inequality, is flipped so that its slack entry is 1,
-        with its slack basic, and is eliminated against the basis (see the module docstring).
-        """
-        slack = self.art_start
-        inequality = con.sense is not Sense.EQ
-        for row in self.rows + [self.cost_row]:
-            if inequality:
+    def add_row(self, con: Constraint, slack: int | None = None) -> None:
+        """Append ``con`` with its artificial in the next artificial column. A cold row, as the
+        tableau is built, has its slack column at ``slack``, a nonnegative rhs, artificial basic.
+        A warm row, an inequality, gets new columns, a slack entry of 1 and its slack basic."""
+        cold = slack is not None
+        if not cold:
+            slack = self.art_start
+            for row in self.rows + [self.cost_row]:
                 row.insert(slack, 0)
-            row.insert(-1, 0)
-        if inequality:
+                row.insert(-1, 0)
             self.basis = [basic + 1 if basic >= slack else basic for basic in self.basis]
             self.art_start += 1
-        self.width += 2 if inequality else 1
+            self.width += 2
+        art = self.art_start + len(self.rows)
         flip = 1 if (con.rhs >= 0 if cold else con.sense is Sense.LE) else -1
         den = lcm(con.rhs.denominator, *(c.denominator for _, c in con.lhs))
         row = [0] * (self.width + 1)
@@ -203,9 +204,9 @@ class _Tableau:
             entry = flip * coeff.numerator * (den // coeff.denominator)
             row[index] = entry                          # u part
             row[self.num_variables + index] = -entry    # w part
-        if inequality:
+        if con.sense is not Sense.EQ:
             row[slack] = flip * den if con.sense is Sense.LE else -flip * den
-        row[-2] = den
+        row[art] = den
         row[-1] = flip * con.rhs.numerator * (den // con.rhs.denominator)
         for r, basic in enumerate(self.basis):
             if row[basic]:
@@ -214,7 +215,7 @@ class _Tableau:
         self.flips.append(flip)
         self.rows.append(row)
         self.dens.append(den)
-        self.basis.append(self.width - 1 if cold else slack)
+        self.basis.append(art if cold else slack)
 
     def pivot(self, row: int, col: int) -> None:
         """Pivot on ``(row, col)`` in place.
@@ -289,8 +290,8 @@ class _Tableau:
         """Dual simplex from a dual feasible basis, by Bland's rule over the columns in reverse
         order: leave on the row of negative rhs whose basic column is largest, and enter on the
         least ratio of reduced cost to minus a negative entry, ties going to the largest column.
-        Returns None on optimality, or a row of negative rhs and no negative structural entry.
-        """
+        Returns None if optimal, else the Farkas multipliers of a row of negative rhs and no
+        negative structural entry: minus its row of ``B^-1`` (see :meth:`duals`)."""
         while True:
             negative = [r for r, row in enumerate(self.rows) if row[-1] < 0]
             if not negative:
@@ -306,7 +307,7 @@ class _Tableau:
                 ):
                     entering = j
             if entering is None:
-                return leaving
+                return self.duals([_ZERO] * self.width, leaving)
             self.pivot(leaving, entering)
 
     def drive_out_artificials(self) -> None:
@@ -338,7 +339,7 @@ class _Tableau:
         The artificial column of row ``i`` starts as its unit vector, so its
         reduced cost ``d`` is ``c - (c_B B^-1)_i`` for its cost ``c``; the
         row's flip undoes the sign normalization. From row ``r`` and zero costs,
-        this reads minus that row of ``B^-1``: see :meth:`run_dual`.
+        this reads minus that row of ``B^-1``.
         """
         row, den = (self.cost_row, self.cost_den) if r is None else (self.rows[r], self.dens[r])
         art = slice(self.art_start, self.width)
@@ -406,8 +407,7 @@ def solve_lp_from(
     if parent is not None:
         tableau = parent
         tableau.add_row(constraints[-1])
-        row = tableau.run_dual()
-        farkas = None if row is None else tableau.duals([_ZERO] * tableau.width, row)
+        farkas = tableau.run_dual()
     else:
         tableau = _Tableau(num_variables, constraints)
         phase1_costs = [_ZERO] * tableau.art_start + [_ONE] * len(constraints)

@@ -19,9 +19,10 @@ import pytest
 from conftest import load_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_solver import parity
 
 import mipcert
-from mipcert.model import Constraint, ObjectiveSense, Problem, Sense, SparseVec
+from mipcert.model import Constraint, Sense, SparseVec
 from mipcert.numeric import Rational as R
 from mipcert.simplex import (
     LpInfeasible,
@@ -478,16 +479,6 @@ def test_a_warm_start_agrees_with_a_cold_solve(case) -> None:
         check_like_cold(num_variables, rows, objective, outcome)
 
 
-def parity_problem(hi: int) -> Problem:
-    """``min x`` subject to ``2x - 2y = 1``, ``y >= 0``, ``x <= hi``: a path of depth 2·hi."""
-    rows = (
-        con("par", Sense.EQ, 1, (0, 2), (1, -2)),
-        con("ypos", Sense.GE, 0, (1, 1)),
-        con("xcap", Sense.LE, hi, (0, 1)),
-    )
-    return Problem(("x", "y"), frozenset((0, 1)), vec((0, 1)), ObjectiveSense.MIN, rows)
-
-
 def test_parity_solve_time_grows_with_the_node_count_and_not_its_cube() -> None:
     # Each child's dual simplex takes a few pivots from its parent's tableau. Cold starts, whose
     # pivots grow with the depth, cost 5.8x from hi=20 to hi=40; warm starts cost about 3.2x.
@@ -497,7 +488,7 @@ def test_parity_solve_time_grows_with_the_node_count_and_not_its_cube() -> None:
     for _ in range(3):  # both sizes in each round, so that both see the same load
         for hi in costs:
             start = time.process_time()
-            assert solve(parity_problem(hi)).num_nodes == 4 * hi + 1
+            assert solve(parity(hi)).num_nodes == 4 * hi + 1
             costs[hi] = min(costs[hi], time.process_time() - start)
     assert costs[40] <= 4.5 * costs[20], costs
 
@@ -573,7 +564,7 @@ def test_corrupted_ray_raises(monkeypatch, objective, message) -> None:
 def test_corrupted_multipliers_raise_under_optimize_flag() -> None:
     script = textwrap.dedent(
         """
-        from mipcert.model import Constraint, ObjectiveSense, Problem, Sense, SparseVec
+        from mipcert.model import Constraint, Sense, SparseVec
         from mipcert.numeric import Rational
         from mipcert.simplex import LpWitnessError, _Tableau, solve_lp
 
