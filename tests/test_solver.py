@@ -304,6 +304,20 @@ def test_pinned_search(make, config: SolveConfig, nodes: int, optimum) -> None:
         assert verify_certificate(result.certificate).verified
 
 
+def test_pinned_node_total_on_the_criterion_5_corpus() -> None:
+    # The corpus and settings of criterion 5. Which optimal vertex each warm dual simplex stops
+    # at decides the branching, so this pins its pivot rule: cold node LPs took 230 nodes, and
+    # the warm ones with ties entering on the least column take 232.
+    from test_acceptance import random_integer_problem
+
+    rng = random.Random(574218)
+    total = 0
+    for instance in range(200):
+        problem, _ = random_integer_problem(rng)
+        total += solve(problem, SolveConfig(cg_objective=bool(instance % 2))).num_nodes
+    assert total == 228
+
+
 @pytest.mark.parametrize("config", (SolveConfig(), CG), ids=("plain", "cg"))
 @pytest.mark.parametrize("make", (knapsack10, parity10))
 def test_pruning_keeps_what_the_goal_reaches(make, config: SolveConfig) -> None:
