@@ -6,16 +6,17 @@ and reports one of three outcomes, each carrying the exact data the solver
 needs to justify it:
 
 - :class:`LpOptimal` — an optimal point, its value, and one dual multiplier
-  per input row. The duals satisfy, exactly: ``sum_i mu_i * a_i == c``
+  per input row. The duals are meant to satisfy ``sum_i mu_i * a_i == c``
   componentwise and ``sum_i mu_i * b_i == value``, with ``mu_i >= 0`` on
-  ``>=`` rows, ``mu_i <= 0`` on ``<=`` rows, and free on ``=`` rows. That is
-  precisely a valid suitable-linear-combination witness for the bound
-  ``c^T x >= value``.
-- :class:`LpInfeasible` — Farkas multipliers with ``sum_i mu_i * a_i == 0``,
-  ``sum_i mu_i * b_i > 0``, and the same sign discipline: a witness for the
-  absurd row ``0 >= positive``.
+  ``>=`` rows, ``mu_i <= 0`` on ``<=`` rows, and free on ``=`` rows: a
+  suitable-linear-combination witness for the bound ``c^T x >= value``,
+  which the checker checks when the solver emits it.
+- :class:`LpInfeasible` — Farkas multipliers meant to satisfy
+  ``sum_i mu_i * a_i == 0``, ``sum_i mu_i * b_i > 0``, and the same sign
+  discipline: a witness for the absurd row ``0 >= positive``, which the
+  checker checks in the same way.
 - :class:`LpUnbounded` — a ray ``d`` with ``c^T d < 0`` that respects every
-  row's sense homogeneously.
+  row's sense homogeneously, checked here before it is returned.
 
 Implementation notes. Free variables are split ``x = u - w`` with
 ``u, w >= 0``; each row is sign-normalized so its right-hand side is
@@ -53,10 +54,12 @@ is exact, so Bland's rule sees the same values and picks the same pivots as
 rational arithmetic would. A :data:`Rational` is built only when a point, a
 dual or a ray is read out.
 
-Correctness of the extracted witnesses does not depend on any of this
-bookkeeping: every result is checked against its defining identities before
-it is returned, with :func:`~mipcert.model.linear_combine` enforcing the
-sign discipline, and a failed check raises :class:`LpWitnessError`.
+Nothing here is trusted. Dual and Farkas multipliers are not checked in
+this module: a row the solver builds from them counts only once the
+checker's ``lin`` rule accepts it, and the solver checks the one point it
+returns against the problem's rows. The ray is checked here, because an
+unbounded outcome carries no certificate; that check and phase one's bound
+raise :class:`LpWitnessError`.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .model import Constraint, RuleViolation, Sense, SparseVec, _Record, linear_combine, satisfies
+from .model import Constraint, Sense, SparseVec, _Record, satisfies
 from .numeric import Number, Rational
 
 __all__ = [
@@ -108,7 +111,7 @@ LpResult = Union[LpOptimal, LpInfeasible, LpUnbounded]
 
 
 class LpWitnessError(RuntimeError):
-    """A computed witness failed one of its defining exact identities.
+    """Phase one was unbounded, or an unbounded ray failed its exact identities.
 
     This signals a defect in the simplex code, never bad input: every LP has
     an optimal, infeasible or unbounded outcome with a valid witness.
@@ -370,16 +373,6 @@ def _require(condition: bool, message: str) -> None:
         raise LpWitnessError(message)
 
 
-def _witness_row(
-    constraints: Sequence[Constraint], multipliers: Sequence[Rational]
-) -> Constraint:
-    """``sum_i mu_i * row_i`` as a ``>=`` row, enforcing the sign discipline."""
-    try:
-        return linear_combine(list(zip(constraints, multipliers)), Sense.GE)
-    except RuleViolation as exc:
-        raise LpWitnessError(f"multipliers break the sign discipline: {exc}") from exc
-
-
 def solve_lp(
     num_variables: int,
     constraints: Sequence[Constraint],
@@ -387,10 +380,11 @@ def solve_lp(
 ) -> LpResult:
     """Minimize ``objective`` over the given rows with free variables.
 
-    Every outcome is verified against its defining exact identities before
-    being returned, so callers may rely on the multipliers unconditionally.
-    Points, and rays against rows with a zero right-hand side, are tested with
-    :func:`~mipcert.model.satisfies`. Raises :class:`LpWitnessError` if a check fails.
+    The point, dual and Farkas multipliers are returned unchecked: a caller
+    that relies on them checks them, as the solver does through the checker.
+    A ray is tested before it is returned, against rows with a zero
+    right-hand side with :func:`~mipcert.model.satisfies`, and raises
+    :class:`LpWitnessError` if it fails, as does an unbounded phase one.
     """
     return solve_lp_from(None, num_variables, constraints, objective)[0]
 
@@ -401,9 +395,10 @@ def solve_lp_from(
     constraints: Sequence[Constraint],
     objective: SparseVec,
 ) -> tuple[LpResult, _Tableau]:
-    """:func:`solve_lp`, also returning the final tableau. ``parent`` is None for a cold start,
-    or an optimal tableau of ``constraints[:-1]`` and ``objective``, which is changed: the last
-    row, an inequality, is appended to it and :meth:`_Tableau.run_dual` runs."""
+    """:func:`solve_lp`, also returning the final tableau, with the same unchecked multipliers.
+    ``parent`` is None for a cold start, or an optimal tableau of ``constraints[:-1]`` and
+    ``objective``, which is changed: the last row, an inequality, is appended to it and
+    :meth:`_Tableau.run_dual` runs."""
     if parent is not None:
         tableau = parent
         tableau.add_row(constraints[-1])
@@ -416,9 +411,6 @@ def solve_lp_from(
         # The cost row's rhs is minus the phase-one gap, over cost_den.
         farkas = tableau.duals(phase1_costs) if tableau.cost_row[-1] < 0 else None
     if farkas is not None:
-        combined = _witness_row(constraints, farkas)
-        _require(combined.lhs.is_zero, "Farkas combination must cancel")
-        _require(combined.rhs > 0, "Farkas combination must have positive rhs")
         return LpInfeasible(farkas=tuple(farkas)), tableau
 
     if parent is None:
@@ -438,12 +430,6 @@ def solve_lp_from(
             return LpUnbounded(ray=tuple(ray)), tableau
 
     point = tableau.point()
-    at_point = dict(enumerate(point))
-    value = objective.evaluate(at_point)
+    value = objective.evaluate(dict(enumerate(point)))
     duals = tableau.duals([_ZERO] * tableau.width)  # phase two's artificial costs
-    combined = _witness_row(constraints, duals)
-    _require(combined.lhs.entries == objective.entries, "duals must reconstruct the objective")
-    _require(combined.rhs == value, "duals must reconstruct the optimal value")
-    for con in constraints:
-        _require(satisfies(con, at_point), "optimal point must be feasible")
     return LpOptimal(point=tuple(point), value=value, duals=tuple(duals)), tableau

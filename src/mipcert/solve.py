@@ -43,9 +43,11 @@ Every derivation is emitted through the checker itself: the solver keeps one
 :class:`~mipcert.checker.CheckerState` with a vacuous goal and feeds it each
 row as it is made, so a bug in the emission logic fails fast at its source
 rather than as a distant verification failure, and the rules and assumption
-sets exist only in the checker. A rejected row, like every other self-check
-here, raises :class:`SolverCheckError`; these are explicit checks, not
-``assert`` statements, so ``python -O`` keeps them.
+sets exist only in the checker. The LP's multipliers are checked there and
+nowhere else; the one point :func:`solve` returns is checked against the
+problem's rows, integrality and value. A rejected row, like every other
+self-check here, raises :class:`SolverCheckError`; these are explicit checks,
+not ``assert`` statements, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from .model import (
     SparseVec,
     Uns,
     _Record,
+    evaluate_solution,
     is_absurd,
 )
 from .numeric import Rational, is_integral, rational_ceil, rational_floor
@@ -96,9 +99,10 @@ class NodeLimitError(RuntimeError):
 class SolverCheckError(RuntimeError):
     """A solver self-check failed: a defect in the solver, never bad input.
 
-    Raised when an emitted derivation breaks the checker's rules or the
-    search reaches an impossible state. The checks are explicit, so they
-    also run under ``python -O``.
+    Raised when an emitted derivation breaks the checker's rules, the
+    returned point is infeasible or misses its value, or the search reaches
+    an impossible state. The checks are explicit, so they also run under
+    ``python -O``.
     """
 
 
@@ -177,10 +181,9 @@ _REFUSALS = {
 def _terms(
     rows: Sequence[tuple[int, Constraint]], multipliers: Iterable[Rational]
 ) -> tuple[tuple[int, Rational], ...]:
-    """Combination terms: each row's index with its multiplier, zeros dropped."""
-    return tuple(
-        sorted((index, mult) for (index, _), mult in zip(rows, multipliers) if mult != 0)
-    )
+    """Combination terms: each row's index with its multiplier, zeros dropped. A node's rows
+    are in the increasing order :class:`Lin` checks: problem rows, path rows, a probe's rnd."""
+    return tuple((index, mult) for (index, _), mult in zip(rows, multipliers) if mult != 0)
 
 
 class _Solver:
@@ -451,5 +454,7 @@ def solve(problem: Problem, config: SolveConfig = SolveConfig()) -> SolveResult:
         goal = RangeGoal(lower=value, upper=value)
         assignment = SparseVec(tuple((i, v) for i, v in enumerate(point) if v != 0))
         solutions = (Solution("opt", assignment),)
+        feasible, achieved = evaluate_solution(problem, solutions[0])
+        _require(feasible and achieved == value, "returned point must be feasible at its value")
     certificate = Certificate(problem, goal, solutions, tuple(solver.derivations))
     return SolveResult(status, value, point, certificate, solver.num_nodes)

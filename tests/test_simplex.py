@@ -1,18 +1,14 @@
 """Exact rational LP solving: optimal duals, Farkas vectors, unbounded rays.
 
-Every outcome is re-verified here from first principles (the module checks
-its own identities too, but these tests recompute them independently).
+Every outcome is verified here from first principles. The module checks only
+its rays; the solver leaves duals and Farkas multipliers to the checker, and
+tests/test_solver.py corrupts them there.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
-import subprocess
-import sys
-import textwrap
 import time
-from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -499,44 +495,7 @@ def test_the_solver_calls_the_cold_solve_by_the_name_the_bench_traces() -> None:
     assert vars(solve_module)["solve_lp"] is mipcert.simplex.solve_lp
 
 
-# --- corrupted witnesses are refused, with or without -O -------------------
-
-GAP_ROWS = [con("LO", Sense.GE, 1, (0, 1)), con("HI", Sense.LE, 0, (0, 1))]
-RANGE_ROWS = [con("LO", Sense.GE, 1, (0, 1)), con("HI", Sense.LE, 4, (0, 1))]
-
-
-@pytest.mark.parametrize(
-    ("rows", "corrupt", "message"),
-    (
-        (RANGE_ROWS, lambda y: 2 * y, "reconstruct the objective"),
-        (RANGE_ROWS, lambda y: -y, "sign discipline"),
-        (GAP_ROWS, lambda y: y + 1, "must cancel"),
-    ),
-    ids=("scaled-duals", "flipped-duals", "shifted-farkas"),
-)
-def test_corrupted_multipliers_raise(monkeypatch, rows, corrupt, message) -> None:
-    original = _Tableau.duals
-    monkeypatch.setattr(
-        _Tableau, "duals", lambda self, costs: [corrupt(y) for y in original(self, costs)]
-    )
-    with pytest.raises(LpWitnessError, match=message):
-        solve_lp(1, rows, vec((0, 1)))
-
-
-def test_infeasible_optimal_point_raises(monkeypatch) -> None:
-    # min x0 does not look at x1, so moving x1 past its cap keeps the value
-    # and the duals valid, and only the feasibility check can object.
-    rows = [
-        con("LO", Sense.GE, 1, (0, 1)),
-        con("Y", Sense.GE, 0, (1, 1)),
-        con("YCAP", Sense.LE, 4, (1, 1)),
-    ]
-    original = _Tableau.point
-    monkeypatch.setattr(
-        _Tableau, "point", lambda self: [x + 5 * v for v, x in enumerate(original(self))]
-    )
-    with pytest.raises(LpWitnessError, match="optimal point must be feasible"):
-        solve_lp(2, rows, vec((0, 1)))
+# --- a corrupted ray is refused: an unbounded outcome carries no certificate ---
 
 
 @pytest.mark.parametrize(
@@ -559,37 +518,6 @@ def test_corrupted_ray_raises(monkeypatch, objective, message) -> None:
     monkeypatch.setattr(_Tableau, "entry", shifted)
     with pytest.raises(LpWitnessError, match=message):
         solve_lp(2, [con("B", Sense.GE, 0, (0, 1))], objective)
-
-
-def test_corrupted_multipliers_raise_under_optimize_flag() -> None:
-    script = textwrap.dedent(
-        """
-        from mipcert.model import Constraint, Sense, SparseVec
-        from mipcert.numeric import Rational
-        from mipcert.simplex import LpWitnessError, _Tableau, solve_lp
-
-        assert False, "assert statements must be stripped by -O"
-        original = _Tableau.duals
-        _Tableau.duals = lambda self, costs: [2 * y for y in original(self, costs)]
-        x = SparseVec(((0, Rational(1)),))
-        rows = [Constraint("LO", Sense.GE, x, Rational(1))]
-        try:
-            solve_lp(1, rows, x)
-        except LpWitnessError as exc:
-            print("refused:", exc)
-        """
-    )
-    src = str(Path(mipcert.__file__).resolve().parent.parent)
-    completed = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-        check=False,
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout == "refused: duals must reconstruct the objective\n"
 
 
 # --- the int tableau against a dense Fraction reference, pivot by pivot ------

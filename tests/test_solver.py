@@ -37,7 +37,7 @@ from mipcert.model import (
     replace,
 )
 from mipcert.numeric import Rational as R
-from mipcert.numeric import rational_ceil, rational_floor
+from mipcert.numeric import is_integral, rational_ceil, rational_floor
 from mipcert.simplex import LpInfeasible, LpOptimal, solve_lp, solve_lp_from
 from mipcert.solve import NodeLimitError, SolveConfig, SolveResult, select_branch_variable, solve
 from mipcert.solve import SolverCheckError
@@ -516,10 +516,36 @@ def negated_duals(outcome):
     return outcome
 
 
+def shifted_duals(outcome):
+    if isinstance(outcome, LpOptimal):
+        return replace(outcome, duals=tuple(y + 1 for y in outcome.duals))
+    return outcome
+
+
 def zero_farkas(outcome):
     if isinstance(outcome, LpInfeasible):
         return LpInfeasible(farkas=tuple(R(0) for _ in outcome.farkas))
     return outcome
+
+
+def shifted_farkas(outcome):
+    if isinstance(outcome, LpInfeasible):
+        return LpInfeasible(farkas=tuple(y + 1 for y in outcome.farkas))
+    return outcome
+
+
+def infeasible_incumbent(outcome):
+    """An integral optimal point with ``x0`` moved to -1, below its bound in every problem
+    this is given, with its value and duals kept: the point stays integral, so the search
+    runs as before, and only the check of the returned point can refuse it."""
+    if isinstance(outcome, LpOptimal) and all(is_integral(x) for x in outcome.point):
+        return replace(outcome, point=(R(-1),) + outcome.point[1:])
+    return outcome
+
+
+def split_problem() -> Problem:
+    """The split_infeasible golden's problem, whose ``--cg-objective`` solve runs 8 probe LPs."""
+    return load_golden("split_infeasible").problem
 
 
 def integral_root() -> Problem:
@@ -533,18 +559,51 @@ def infeasible_root() -> Problem:
     return problem_of(vec((0, 1)), ObjectiveSense.MIN, rows, (0,))
 
 
-@pytest.mark.parametrize(
-    ("make", "corrupt", "message", "warm"),
-    (
-        (knapsack10, doubled_duals, "emitted combination too weak", True),
-        (knapsack10, negated_duals, "emitted combination too weak", True),
-        (parity10, zero_farkas, "must witness a positive gap", True),
-        (integral_root, doubled_duals, "emitted combination too weak", False),
-        (infeasible_root, zero_farkas, "must witness a positive gap", False),
-    ),
-    ids=("doubled-duals", "negated-duals", "zero-farkas", "root-doubled-duals", "root-zero-farkas"),
+#: Each corruption of an LP answer, by name.
+LP_FAULTS = {
+    "doubled-duals": doubled_duals,
+    "negated-duals": negated_duals,
+    "shifted-duals": shifted_duals,
+    "zero-farkas": zero_farkas,
+    "shifted-farkas": shifted_farkas,
+    "infeasible-incumbent": infeasible_incumbent,
+}
+TOO_WEAK = "emitted combination too weak"
+NO_GAP = "Farkas multipliers must witness a positive gap"
+INFEASIBLE_POINT = "returned point must be feasible at its value"
+#: Problems whose one node is the cold root; every other node LP here is a warm child's.
+ROOT_PROBLEMS = (integral_root, infeasible_root)
+#: (problem, fault, refusal) for node LPs: each fault at a warm child and at the cold root.
+NODE_FAULTS = (
+    (knapsack10, "doubled-duals", TOO_WEAK),
+    (knapsack10, "negated-duals", TOO_WEAK),
+    (knapsack10, "shifted-duals", TOO_WEAK),
+    (parity10, "zero-farkas", NO_GAP),
+    (parity10, "shifted-farkas", TOO_WEAK),
+    (knapsack10, "infeasible-incumbent", INFEASIBLE_POINT),
+    (integral_root, "doubled-duals", TOO_WEAK),
+    (integral_root, "negated-duals", TOO_WEAK),
+    (integral_root, "shifted-duals", TOO_WEAK),
+    (infeasible_root, "zero-farkas", NO_GAP),
+    (infeasible_root, "shifted-farkas", TOO_WEAK),
+    (integral_root, "infeasible-incumbent", INFEASIBLE_POINT),
 )
-def test_corrupted_lp_results_raise(monkeypatch, make, corrupt, message, warm) -> None:
+#: (fault, refusal) for the ``--cg-objective`` probe LPs of the split_infeasible problem.
+PROBE_FAULTS = (
+    ("doubled-duals", TOO_WEAK),
+    ("negated-duals", TOO_WEAK),
+    ("shifted-duals", TOO_WEAK),
+    ("zero-farkas", NO_GAP),
+    ("shifted-farkas", TOO_WEAK),
+)
+
+
+@pytest.mark.parametrize(
+    ("make", "fault", "message"),
+    NODE_FAULTS,
+    ids=[("root-" if make in ROOT_PROBLEMS else "") + fault for make, fault, _ in NODE_FAULTS],
+)
+def test_corrupted_lp_results_raise(monkeypatch, make, fault, message) -> None:
     # Every node's LP, the cold root's and the warm children's, comes from solve_lp_from.
     # ``mipcert.solve`` is the function; the module is under its full name.
     solve_module = importlib.import_module("mipcert.solve")
@@ -553,13 +612,25 @@ def test_corrupted_lp_results_raise(monkeypatch, make, corrupt, message, warm) -
     def corrupted(parent, *args):
         parents.append(parent)
         outcome, tableau = solve_lp_from(parent, *args)
-        return corrupt(outcome), tableau
+        return LP_FAULTS[fault](outcome), tableau
 
     monkeypatch.setattr(solve_module, "solve_lp_from", corrupted)
     with pytest.raises(SolverCheckError, match=message):
         solve(make())
-    # The refused row is the last LP's: a warm child's, or the cold root's.
-    assert (parents[-1] is not None) is warm
+    # The refused row is the last LP's: a warm child's, or the cold root's. A refused point
+    # is the incumbent's: the root's in a root problem, and otherwise a warm child's, since
+    # knapsack10's root LP is fractional; its last LP is warm too.
+    assert (parents[-1] is not None) is (make not in ROOT_PROBLEMS)
+
+
+@pytest.mark.parametrize(("fault", "message"), PROBE_FAULTS, ids=[f for f, _ in PROBE_FAULTS])
+def test_corrupted_probe_lp_results_raise(monkeypatch, fault, message) -> None:
+    # The --cg-objective probes, and only they, solve their LPs through solve_lp.
+    solve_module = importlib.import_module("mipcert.solve")
+    corrupt = LP_FAULTS[fault]
+    monkeypatch.setattr(solve_module, "solve_lp", lambda *args: corrupt(solve_lp(*args)))
+    with pytest.raises(SolverCheckError, match=message):
+        solve(split_problem(), CG)
 
 
 def test_deep_tree_costs_no_python_recursion(tmp_path) -> None:
@@ -608,32 +679,70 @@ def problem_text(problem: Problem) -> str:
 
 
 def test_corrupted_duals_raise_under_optimize_flag() -> None:
+    # Every fault of the two tests above, in one process. Node LPs come from solve_lp_from,
+    # and probe LPs, under --cg-objective, from solve_lp. Each case is a stdin block: which
+    # LP, the fault, then the problem.
     script = """
         import importlib, io, sys
         from mipcert.certfile import parse_problem
         from mipcert.model import replace
-        from mipcert.simplex import LpOptimal, solve_lp_from
+        from mipcert.numeric import Rational, is_integral
+        from mipcert.simplex import LpInfeasible, LpOptimal, solve_lp, solve_lp_from
+        from mipcert.solve import SolveConfig
 
         assert False, "assert statements must be stripped by -O"
 
-        def doubled(*args):
-            outcome, tableau = solve_lp_from(*args)
-            if isinstance(outcome, LpOptimal):
-                outcome = replace(outcome, duals=tuple(2 * y for y in outcome.duals))
-            return outcome, tableau
+        def duals(change):
+            def corrupt(outcome):
+                if isinstance(outcome, LpOptimal):
+                    return replace(outcome, duals=tuple(change(y) for y in outcome.duals))
+                return outcome
+            return corrupt
 
+        def farkas(change):
+            def corrupt(outcome):
+                if isinstance(outcome, LpInfeasible):
+                    return LpInfeasible(farkas=tuple(change(y) for y in outcome.farkas))
+                return outcome
+            return corrupt
+
+        def infeasible_incumbent(outcome):
+            if isinstance(outcome, LpOptimal) and all(is_integral(x) for x in outcome.point):
+                return replace(outcome, point=(Rational(-1),) + outcome.point[1:])
+            return outcome
+
+        FAULTS = {
+            "doubled-duals": duals(lambda y: 2 * y),
+            "negated-duals": duals(lambda y: -y),
+            "shifted-duals": duals(lambda y: y + 1),
+            "zero-farkas": farkas(lambda y: 0 * y),
+            "shifted-farkas": farkas(lambda y: y + 1),
+            "infeasible-incumbent": infeasible_incumbent,
+        }
         solve_module = importlib.import_module("mipcert.solve")
-        solve_module.solve_lp_from = doubled
-        problem = parse_problem(io.StringIO(sys.stdin.read()))
-        try:
-            result = solve_module.solve(problem)
-        except solve_module.SolverCheckError as exc:
-            print("refused:", exc)
-        else:
-            print("returned a certificate:", result.status)
+        for block in sys.stdin.read().split("\\n\\n"):
+            site, fault, text = block.split("\\n", 2)
+            corrupt = FAULTS[fault]
+
+            def node(parent, *args):
+                outcome, tableau = solve_lp_from(parent, *args)
+                return corrupt(outcome), tableau
+
+            solve_module.solve_lp_from = node if site == "node" else solve_lp_from
+            solve_module.solve_lp = solve_lp if site == "node" else lambda *a: corrupt(solve_lp(*a))
+            problem = parse_problem(io.StringIO(text))
+            try:
+                result = solve_module.solve(problem, SolveConfig(cg_objective=site == "probe"))
+            except solve_module.SolverCheckError as exc:
+                print("refused:", exc)
+            else:
+                print("returned a certificate:", result.status)
         """
-    out = run_optimized(script, problem_text(knapsack10()))
-    assert out == "refused: emitted combination too weak\n"
+    cases = [(make, "node", fault, message) for make, fault, message in NODE_FAULTS]
+    cases += [(split_problem, "probe", fault, message) for fault, message in PROBE_FAULTS]
+    blocks = [f"{site}\n{fault}\n{problem_text(make()).strip()}" for make, site, fault, _ in cases]
+    out = run_optimized(script, "\n\n".join(blocks))
+    assert out.splitlines() == [f"refused: {message}" for *_, message in cases]
 
 
 OPTIMIZED_SOLVES = (knapsack10, parity10, frac_knapsack)
